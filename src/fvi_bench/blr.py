@@ -3,7 +3,10 @@
 Model: y = w . phi(x) + noise, noise ~ N(0, sigma^2), w ~ Gaussian prior
 (standard normal by default).  The posterior over weights is conjugate and
 computed exactly with k x k Cholesky solves; the log marginal likelihood uses
-the Woodbury identity so no n x n matrix is ever formed.
+the Woodbury identity so no n x n matrix is ever formed.  These closed forms
+take any Gaussian prior.  The variational objectives take only the standard
+prior N(0, I): `whiten` rewrites a model with prior N(mu, L L^T) as that
+standard-prior problem, in the weights v of w = mu + L v.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from . import gaussian
 from .errors import DimensionMismatchError, NonFiniteValueError, ParseError
@@ -102,6 +105,42 @@ class BlrModel:
         if self.prior.kind is CovKind.DIAGONAL:
             return bool(np.all(self.prior.cov == 1.0))
         return bool(np.array_equal(self.prior.cov, np.eye(self.prior.dim)))
+
+
+@dataclass(frozen=True)
+class WhitenedFeatureMap:
+    """x -> phi(x) L, the features of ``original`` in the weights v of
+    w = mu + L v, where N(mu, L L^T) is the original prior."""
+
+    original: BlrModel
+    factor: np.ndarray  # (k, k) lower Cholesky factor L of the original prior covariance
+
+    @property
+    def num_features(self) -> int:
+        return self.factor.shape[1]
+
+    def __call__(self, inputs: np.ndarray) -> np.ndarray:
+        return self.original.features(inputs) @ self.factor
+
+
+def whiten(model: BlrModel, *datasets: Dataset) -> tuple:
+    """The same problem under the standard prior: ``(model, *datasets)``.
+
+    With prior N(mu, L L^T) the weights are w = mu + L v, v ~ N(0, I).  The
+    returned model has features Phi L and the prior N(0, I); each returned
+    dataset has targets y - Phi mu.  The likelihood, the evidence, the
+    predictive and both weight- and function-space KLs are unchanged by the
+    map.  A model that already has the standard prior is returned as is.
+    """
+    if model.has_standard_prior():
+        return (model, *datasets)
+    factor = cholesky_psd(model.prior.cov_matrix(), what="prior covariance").matrix
+    whitened = BlrModel(WhitenedFeatureMap(model, factor), model.noise_variance)
+    shifted = (
+        Dataset(data.inputs, data.targets - model.features(data.inputs) @ model.prior.mean)
+        for data in datasets
+    )
+    return (whitened, *shifted)
 
 
 def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:

@@ -2,7 +2,13 @@
 
 
 class FviBenchError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    An error raised inside a training run carries the partial ``TrainTrace``
+    as ``trace``; it is ``None`` elsewhere.
+    """
+
+    trace = None
 
 
 class DimensionMismatchError(FviBenchError):
@@ -30,11 +36,7 @@ class DegenerateKernelError(FviBenchError):
 
 
 class NonFiniteGradientError(FviBenchError):
-    """Optimization aborted on a NaN/Inf gradient; carries the partial trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """Optimization aborted on a NaN/Inf gradient."""
 
 
 class NonFiniteValueError(FviBenchError):
@@ -57,8 +59,9 @@ class InvalidBoxError(FviBenchError):
     """A sampling box has lo >= hi in some dimension."""
 
 
-class EmptySplitError(FviBenchError):
-    """A train/test split produced an empty side."""
+class NonStandardPriorError(FviBenchError):
+    """A variational objective got a model whose prior is not N(0, I);
+    ``blr.whiten`` rewrites such a model under the standard prior."""
 
 
 class UnknownInputError(FviBenchError):

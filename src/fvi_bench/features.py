@@ -12,6 +12,7 @@ distinct functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -91,13 +92,19 @@ def evaluate(feature_map: RbfFeatureMap, inputs: np.ndarray) -> FeatureMatrix:
         )
     scaled_x = inputs / feature_map.lengthscales
     scaled_c = feature_map.centers / feature_map.lengthscales
-    sq_dists = (
-        np.sum(scaled_x**2, axis=1)[:, None]
-        - 2.0 * scaled_x @ scaled_c.T
-        + np.sum(scaled_c**2, axis=1)[None, :]
-    )
-    values = np.exp(-0.5 * np.maximum(sq_dists, 0.0))
+    values = np.exp(-0.5 * squared_distances(scaled_x, scaled_c))
     return FeatureMatrix(values, inputs)
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, (n_a, n_b),
+    with roundoff-level negatives clipped to zero."""
+    sq = (
+        np.sum(a**2, axis=1)[:, None]
+        - 2.0 * a @ b.T
+        + np.sum(b**2, axis=1)[None, :]
+    )
+    return np.maximum(sq, 0.0)
 
 
 @dataclass(frozen=True)
@@ -162,13 +169,18 @@ class PrecomputedFeatureMap:
     def input_dim(self) -> int:
         return self.inputs.shape[1]
 
+    @cached_property
+    def _index(self) -> dict[bytes, int]:
+        """Stored input row (as bytes) -> its position, built on first lookup."""
+        return {row.tobytes(): i for i, row in enumerate(np.ascontiguousarray(self.inputs))}
+
     def __call__(self, query: np.ndarray) -> np.ndarray:
         query = np.atleast_2d(np.asarray(query, dtype=float))
         if query.shape[1] != self.input_dim:
             raise DimensionMismatchError(
                 f"query dimension {query.shape[1]} != stored {self.input_dim}"
             )
-        index = {row.tobytes(): i for i, row in enumerate(np.ascontiguousarray(self.inputs))}
+        index = self._index
         rows = np.empty(query.shape[0], dtype=int)
         for i, row in enumerate(np.ascontiguousarray(query)):
             key = row.tobytes()

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteGradientError
+from .errors import FviBenchError, NonFiniteGradientError
 from .variational import Objective, ObjectiveEval, VariationalState
 
 
@@ -74,7 +74,7 @@ class TraceRecord:
     kl_term: float
     expected_ll_term: float
     grad_norm: float
-    jitter_events: int
+    rows_dropped: int  # dependent measurement rows dropped at this step
 
 
 @dataclass
@@ -92,7 +92,7 @@ class TrainTrace:
             "final_kl_term": last.kl_term if last else None,
             "final_expected_ll": last.expected_ll_term if last else None,
             "final_grad_norm": last.grad_norm if last else None,
-            "jitter_events": sum(r.jitter_events for r in self.records),
+            "rows_dropped": sum(r.rows_dropped for r in self.records),
         }
 
 
@@ -105,8 +105,10 @@ def run(
     """Adam-ascend the objective from the initial state.
 
     Raises:
-        NonFiniteGradientError: a NaN/Inf gradient appeared; the exception
-            carries the trace accumulated so far.
+        NonFiniteGradientError: a NaN/Inf gradient appeared.
+        FviBenchError: any package error raised by a step (for example
+            ``DegenerateMarginalError``).  Every such error carries the trace
+            accumulated so far as ``trace``, ending at the last good state.
     """
     params = initial.params()
     state = initial
@@ -122,33 +124,34 @@ def run(
                 evaluation.kl_term,
                 evaluation.expected_ll,
                 grad_norm,
-                evaluation.jitter_events,
+                evaluation.rows_dropped,
             )
         )
 
-    for step in range(1, config.max_steps + 1):
-        evaluation = objective.value_and_grad(state, rng, step)
-        grad = evaluation.grad
-        if not np.all(np.isfinite(grad)) or not np.isfinite(evaluation.elbo_estimate):
-            trace.final_state = state
-            trace.steps_run = step - 1
-            raise NonFiniteGradientError(
-                f"non-finite gradient or objective at step {step}", trace=trace
+    try:
+        for step in range(1, config.max_steps + 1):
+            evaluation = objective.value_and_grad(state, rng, step)
+            grad = evaluation.grad
+            if not np.all(np.isfinite(grad)) or not np.isfinite(evaluation.elbo_estimate):
+                raise NonFiniteGradientError(f"non-finite gradient or objective at step {step}")
+            grad_norm = float(np.linalg.norm(grad))
+            if step % config.log_every == 0 or step == config.max_steps or step == 1:
+                record(step, evaluation, grad_norm)
+            first_moment = config.beta1 * first_moment + (1.0 - config.beta1) * grad
+            second_moment = config.beta2 * second_moment + (1.0 - config.beta2) * grad**2
+            corrected_first = first_moment / (1.0 - config.beta1**step)
+            corrected_second = second_moment / (1.0 - config.beta2**step)
+            params = params + config.rate_at(step) * corrected_first / (
+                np.sqrt(corrected_second) + config.epsilon
             )
-        grad_norm = float(np.linalg.norm(grad))
-        if step % config.log_every == 0 or step == config.max_steps or step == 1:
-            record(step, evaluation, grad_norm)
-        first_moment = config.beta1 * first_moment + (1.0 - config.beta1) * grad
-        second_moment = config.beta2 * second_moment + (1.0 - config.beta2) * grad**2
-        corrected_first = first_moment / (1.0 - config.beta1**step)
-        corrected_second = second_moment / (1.0 - config.beta2**step)
-        params = params + config.rate_at(step) * corrected_first / (
-            np.sqrt(corrected_second) + config.epsilon
-        )
-        state = state.with_params(params)
-        trace.steps_run = step
-        if config.tolerance_grad_norm is not None and grad_norm < config.tolerance_grad_norm:
-            break
+            state = state.with_params(params)
+            trace.steps_run = step
+            if config.tolerance_grad_norm is not None and grad_norm < config.tolerance_grad_norm:
+                break
+    except FviBenchError as error:
+        trace.final_state = state
+        error.trace = trace
+        raise
     trace.final_state = state
     return trace
 

@@ -2,10 +2,12 @@
 
 Given samples of a distribution, estimates the score (gradient of the log
 density) by expanding it in the Nystrom eigenfunctions of an RBF kernel Gram
-matrix over the samples.  Used here to estimate the gradient of the marginal
-KL term when the variational marginal is treated as implicit: the
+matrix over the samples (Shi, Sun & Zhu, ICML 2018).  Used here to estimate
+the gradient of the marginal KL term when the variational marginal is
+treated as implicit (the functional VI of Sun et al., ICLR 2019): the
 approximate-posterior score comes from the estimator, while the prior
-marginal score is Gaussian and available in closed form.
+marginal is Gaussian and its score comes in closed form from the prepared
+`MarginalKl`, which takes the standard prior N(0, I) (see `blr.whiten`).
 """
 
 from __future__ import annotations
@@ -14,15 +16,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
-from .errors import DegenerateKernelError, DimensionMismatchError, SingularReferenceError
-from .features import independent_rows
-from .gaussian import cholesky_psd
+from .errors import DegenerateKernelError, DimensionMismatchError
+from .features import squared_distances
+# Unused here; kept because perfbench/tracing.py wraps these two names on this module.
+from .features import independent_rows  # noqa: F401
+from .gaussian import cholesky_psd  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .blr import BlrModel
-    from .variational import MeasurementSet, VariationalState
+    from .variational import MarginalKl, VariationalState
 
 # Eigenvalues below EIGEN_RTOL * lambda_max are discarded before the
 # retention rule; keeps the 1/lambda factors bounded.
@@ -83,12 +86,7 @@ class ScoreEstimate:
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    sq = (
-        np.sum(a**2, axis=1)[:, None]
-        - 2.0 * a @ b.T
-        + np.sum(b**2, axis=1)[None, :]
-    )
-    return np.exp(-0.5 * np.maximum(sq, 0.0) / bandwidth**2)
+    return np.exp(-0.5 * squared_distances(a, b) / bandwidth**2)
 
 
 def median_bandwidth(samples: np.ndarray) -> float:
@@ -133,66 +131,32 @@ def fit_score(samples: np.ndarray, config: SsgeConfig) -> ScoreEstimate:
     return ScoreEstimate(eigvals, beta, samples, eigvecs, bandwidth)
 
 
-@dataclass(frozen=True)
-class _PriorMarginal:
-    """Prior pushforward at retained measurement rows, with its exact score."""
-
-    feature_rows: np.ndarray  # (m, k), linearly independent rows
-    mean: np.ndarray  # (m,)
-    basis: np.ndarray  # (m, m) left singular vectors of the whitened rows
-    inv_sq_singular: np.ndarray  # (m,)
-
-    def score(self, points: np.ndarray) -> np.ndarray:
-        centered = points - self.mean
-        return -((centered @ self.basis) * self.inv_sq_singular) @ self.basis.T
-
-
-def _prior_marginal(model: "BlrModel", points: np.ndarray) -> _PriorMarginal:
-    feature_rows = model.features(points)
-    if model.has_standard_prior():
-        whitened = feature_rows
-        mean = np.zeros(feature_rows.shape[0])
-    else:
-        chol = cholesky_psd(model.prior.cov_matrix(), what="prior covariance")
-        whitened = feature_rows @ chol.matrix
-        mean = feature_rows @ model.prior.mean
-    kept = independent_rows(whitened)
-    if kept.size == 0:
-        raise SingularReferenceError("prior marginal is singular at all measurement rows")
-    left, singular, _ = np.linalg.svd(whitened[kept], full_matrices=False)
-    return _PriorMarginal(feature_rows[kept], mean[kept], left, singular**-2)
-
-
 def kl_gradient_estimate(
     state: "VariationalState",
-    model: "BlrModel",
-    measurement_set: "MeasurementSet",
+    marginal: "MarginalKl",
     config: SsgeConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Reparameterized gradient of the marginal KL with an estimated score.
 
-    Draws ``config.num_samples`` function values at the measurement points
-    through the reparameterization, replaces the intractable variational-
-    marginal score with the spectral estimate, uses the exact Gaussian score
-    of the prior marginal (or, for ablation, an estimated one), and averages
-    the path derivative back to the state parameters.  Returns a gradient in
-    the state's unconstrained parameter layout.
+    Draws ``config.num_samples`` function values at the retained rows of the
+    prepared marginal through the reparameterization, replaces the
+    intractable variational-marginal score with the spectral estimate, uses
+    the exact Gaussian score of the prior marginal (or, for ablation, an
+    estimated one), and averages the path derivative back to the state
+    parameters.  Returns a gradient in the state's unconstrained parameter
+    layout.
     """
-    prior = _prior_marginal(model, measurement_set.points)
-    rows = prior.feature_rows
+    rows = marginal.rows
     eps = rng.standard_normal((config.num_samples, state.dim))
     weights = state.mean + state.apply_scale(eps)
     values = weights @ rows.T  # (M, m)
     q_score = fit_score(values, config)(values)
     if config.estimate_prior_score:
-        prior_draws = rng.multivariate_normal(
-            model.prior.mean, model.prior.cov_matrix(), size=config.num_samples
-        )
-        prior_values = prior_draws @ rows.T
+        prior_values = rng.standard_normal((config.num_samples, state.dim)) @ rows.T
         p_score = fit_score(prior_values, config)(values)
     else:
-        p_score = prior.score(values)
+        p_score = marginal.prior_score(values)
     diff = q_score - p_score  # (M, m), the integrand's df term
     per_sample_mean_grad = diff @ rows  # (M, k)
     grad_mean = per_sample_mean_grad.mean(axis=0)

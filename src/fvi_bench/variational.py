@@ -13,12 +13,15 @@ the exact weight-space KL, the marginal KL at a fixed measurement set, the
 marginal KL at a freshly sampled measurement set each step, or the same with
 the spectral score estimator supplying the KL gradient.
 
+Every KL here is taken against the standard prior N(0, I); a model with
+any other Gaussian prior is rewritten with `blr.whiten` first, and is
+rejected with `NonStandardPriorError` otherwise.
+
 The marginal KL between pushforwards at measurement rows B is evaluated by
-rotating onto an orthonormal basis V of the row space of B (after whitening
-by the prior factor): the divergence reduces to a weight-space Gaussian KL
-in the projected coordinates, which is algebraically identical to the
-textbook trace/log-det expression built from (B B^T)^{-1} but avoids
-squaring the condition number of B.
+rotating onto an orthonormal basis V of the row space of B: the divergence
+reduces to a weight-space Gaussian KL in the projected coordinates, which is
+algebraically identical to the textbook trace/log-det expression built from
+(B B^T)^{-1} but avoids squaring the condition number of B.
 """
 
 from __future__ import annotations
@@ -29,16 +32,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .blr import BlrModel, Dataset
 from .errors import (
     DegenerateMarginalError,
     DimensionMismatchError,
     InvalidBoxError,
+    NonStandardPriorError,
 )
 from .features import independent_rows
-from .gaussian import CovKind, GaussianDist, cholesky_psd, diagonal_gaussian, full_gaussian
+from .gaussian import GaussianDist, diagonal_gaussian, full_gaussian
+from .gaussian import cholesky_psd  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 from .ssge import SsgeConfig, kl_gradient_estimate
 
 _log = logging.getLogger(__name__)
@@ -282,49 +287,36 @@ def expected_log_likelihood(
     return _ell_terms(state, phi, targets, model.noise_variance, scale_factor)
 
 
+def _require_standard_prior(model: BlrModel):
+    if not model.has_standard_prior():
+        raise NonStandardPriorError(
+            "the variational objectives take the N(0, I) prior; rewrite the model "
+            "with blr.whiten first"
+        )
+
+
 def exact_kl(state: VariationalState, model: BlrModel) -> tuple[float, np.ndarray]:
-    """Weight-space KL(q, prior) and its gradient."""
+    """Weight-space KL(q, N(0, I)) and its gradient."""
     k = state.dim
     if model.num_features != k:
         raise DimensionMismatchError(f"state has {k} weights, model has {model.num_features}")
-    if model.has_standard_prior():
-        mean_term = float(state.mean @ state.mean)
-        grad_mean = state.mean.copy()
-        if state.is_full:
-            diag = np.diag(state.scale)
-            value = 0.5 * (
-                mean_term + float(np.sum(state.scale**2)) - k - 2.0 * float(np.sum(np.log(diag)))
-            )
-            grad_scale = state.scale - np.diag(1.0 / diag)
-        else:
-            value = 0.5 * (
-                mean_term
-                + float(np.sum(state.scale**2))
-                - k
-                - 2.0 * float(np.sum(np.log(state.scale)))
-            )
-            grad_scale = state.scale - 1.0 / state.scale
-        return value, state.pack_grad(grad_mean, grad_scale)
-    prior_chol = cholesky_psd(model.prior.cov_matrix(), what="prior covariance").matrix
-    delta = state.mean - model.prior.mean
-    white_delta = solve_triangular(prior_chol, delta, lower=True)
-    grad_mean = solve_triangular(prior_chol.T, white_delta, lower=False)
-    log_det_prior = 2.0 * float(np.sum(np.log(np.diag(prior_chol))))
+    _require_standard_prior(model)
+    mean_term = float(state.mean @ state.mean)
+    grad_mean = state.mean.copy()
     if state.is_full:
-        white_scale = solve_triangular(prior_chol, state.scale, lower=True)
-        trace = float(np.sum(white_scale**2))
-        log_det_q = 2.0 * float(np.sum(np.log(np.diag(state.scale))))
-        grad_scale = np.tril(
-            solve_triangular(prior_chol.T, white_scale, lower=False)
-        ) - np.diag(1.0 / np.diag(state.scale))
+        diag = np.diag(state.scale)
+        value = 0.5 * (
+            mean_term + float(np.sum(state.scale**2)) - k - 2.0 * float(np.sum(np.log(diag)))
+        )
+        grad_scale = state.scale - np.diag(1.0 / diag)
     else:
-        precision = cho_solve((prior_chol, True), np.eye(k))
-        trace = float(np.sum(np.diag(precision) * state.scale**2))
-        log_det_q = 2.0 * float(np.sum(np.log(state.scale)))
-        grad_scale = np.diag(precision) * state.scale - 1.0 / state.scale
-    value = 0.5 * (
-        trace + float(white_delta @ white_delta) - k + log_det_prior - log_det_q
-    )
+        value = 0.5 * (
+            mean_term
+            + float(np.sum(state.scale**2))
+            - k
+            - 2.0 * float(np.sum(np.log(state.scale)))
+        )
+        grad_scale = state.scale - 1.0 / state.scale
     return value, state.pack_grad(grad_mean, grad_scale)
 
 
@@ -332,37 +324,33 @@ class MarginalKl:
     """KL between variational and prior pushforwards at a measurement set.
 
     Dependent feature rows are dropped up front (pivoted QR), matching the
-    assumption that the retained rows are linearly independent; the count is
-    exposed as ``rows_dropped``.
+    assumption that the retained rows B are linearly independent; the count
+    is exposed as ``rows_dropped``.  One SVD B = U S V^T serves both the KL
+    (through V) and the prior marginal N(0, B B^T) (through U and S).
     """
 
     def __init__(self, model: BlrModel, measurement_set: MeasurementSet):
+        _require_standard_prior(model)
         feature_rows = model.features(measurement_set.points)
-        self.jitter_events = 0
-        if model.has_standard_prior():
-            whitened = feature_rows
-        else:
-            chol = cholesky_psd(model.prior.cov_matrix(), what="prior covariance")
-            self.jitter_events += int(chol.jitter_used > 0.0)
-            whitened = feature_rows @ chol.matrix
-        kept = independent_rows(whitened)
+        kept = independent_rows(feature_rows)
         if kept.size == 0:
             raise DegenerateMarginalError("no linearly independent measurement rows")
-        self.rows_kept = kept
         self.rows_dropped = feature_rows.shape[0] - kept.size
         if self.rows_dropped:
             _log.debug(
                 "dropped %d linearly dependent measurement rows", self.rows_dropped
             )
         self.size = int(kept.size)
-        _, _, v_rows = np.linalg.svd(whitened[kept], full_matrices=False)
-        if model.has_standard_prior():
-            self._transform = v_rows  # (m, k), orthonormal rows
-        else:
-            self._transform = solve_triangular(chol.matrix.T, v_rows.T, lower=False).T
-        self._prior_mean = (
-            model.prior.mean if not model.has_standard_prior() else np.zeros(feature_rows.shape[1])
-        )
+        self.rows = feature_rows[kept]  # (m, k), the retained rows B
+        left, singular, v_rows = np.linalg.svd(self.rows, full_matrices=False)
+        self._transform = v_rows  # (m, k), orthonormal rows
+        self._basis = left  # (m, m)
+        self._inv_sq_singular = singular**-2
+
+    def prior_score(self, values: np.ndarray) -> np.ndarray:
+        """Score of the prior marginal N(0, B B^T) at rows of function values,
+        -(B B^T)^{-1} f for each row f."""
+        return -((values @ self._basis) * self._inv_sq_singular) @ self._basis.T
 
     @property
     def projection(self) -> np.ndarray:
@@ -371,7 +359,7 @@ class MarginalKl:
 
     def value_and_grad(self, state: VariationalState) -> tuple[float, np.ndarray]:
         transform = self._transform
-        shifted = transform @ (state.mean - self._prior_mean)
+        shifted = transform @ state.mean
         if state.is_full:
             rotated_scale = transform @ state.scale  # (m, k)
         else:
@@ -414,8 +402,7 @@ def fixed_a_optimal_mean(
     minimum-norm maximum-likelihood solution (the projection with a square
     full-rank feature matrix recovers MAP inference).
     """
-    if not model.has_standard_prior():
-        raise ValueError("closed-form optimal mean assumes the standard-normal prior")
+    _require_standard_prior(model)
     phi = model.features(data.inputs)
     gram = phi.T @ phi
     if measurement_set is None:
@@ -475,7 +462,6 @@ class ObjectiveEval:
     kl_term: float
     grad: np.ndarray
     rows_dropped: int = 0
-    jitter_events: int = 0
 
 
 class MinibatchSchedule:
@@ -512,6 +498,7 @@ class Objective:
         data: Dataset,
         minibatch_size: int | None = None,
     ):
+        _require_standard_prior(model)
         self.kind = kind
         self.model = model
         self.data = data
@@ -522,14 +509,14 @@ class Objective:
         self._fixed_marginal = (
             MarginalKl(model, kind.measurement_set) if isinstance(kind, FixedA) else None
         )
-        self._cached_marginal: tuple[MarginalKl, MeasurementSet] | None = None
+        self._cached_marginal: MarginalKl | None = None
 
-    def _marginal_for_step(self, rng: np.random.Generator) -> tuple[MarginalKl, MeasurementSet]:
+    def _marginal_for_step(self, rng: np.random.Generator) -> MarginalKl:
         policy = self.kind.policy
         if not policy.resample_each_step and self._cached_marginal is not None:
             return self._cached_marginal
         drawn = sample_measurement_set(policy, self.data, rng)
-        prepared = (MarginalKl(self.model, drawn), drawn)
+        prepared = MarginalKl(self.model, drawn)
         if not policy.resample_each_step:
             self._cached_marginal = prepared
         return prepared
@@ -544,34 +531,21 @@ class Objective:
         ell, ell_grad = _ell_terms(
             state, phi, targets, self.model.noise_variance, scale_factor
         )
-        rows_dropped = jitter_events = 0
+        rows_dropped = 0
         if isinstance(self.kind, Exact):
             kl, kl_grad = exact_kl(state, self.model)
         elif isinstance(self.kind, FixedA):
             kl, kl_grad = self._fixed_marginal.value_and_grad(state)
             rows_dropped = self._fixed_marginal.rows_dropped
-            jitter_events = self._fixed_marginal.jitter_events
         elif isinstance(self.kind, RandA):
-            op, _ = self._marginal_for_step(rng)
+            op = self._marginal_for_step(rng)
             kl, kl_grad = op.value_and_grad(state)
-            rows_dropped, jitter_events = op.rows_dropped, op.jitter_events
+            rows_dropped = op.rows_dropped
         elif isinstance(self.kind, Ssge):
-            op, drawn = self._marginal_for_step(rng)
+            op = self._marginal_for_step(rng)
             kl = op.value(state)
-            kl_grad = kl_gradient_estimate(state, self.model, drawn, self.kind.config, rng)
-            rows_dropped, jitter_events = op.rows_dropped, op.jitter_events
+            kl_grad = kl_gradient_estimate(state, op, self.kind.config, rng)
+            rows_dropped = op.rows_dropped
         else:
             raise TypeError(f"unknown objective kind {type(self.kind).__name__}")
-        return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad, rows_dropped, jitter_events)
-
-
-def objective_value_and_grad(
-    kind: ObjectiveKind,
-    state: VariationalState,
-    model: BlrModel,
-    data: Dataset,
-    rng: np.random.Generator,
-    step: int = 0,
-) -> ObjectiveEval:
-    """One-off objective evaluation (training runs should reuse an Objective)."""
-    return Objective(kind, model, data).value_and_grad(state, rng, step)
+        return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad, rows_dropped)

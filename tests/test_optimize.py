@@ -7,7 +7,7 @@ import pytest
 
 from fvi_bench import gaussian
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior
-from fvi_bench.errors import NonFiniteGradientError
+from fvi_bench.errors import DegenerateMarginalError, NonFiniteGradientError
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.optimize import AdamConfig, finite_diff_check, run
 from fvi_bench.variational import (
@@ -118,6 +118,44 @@ class TestAdamRun:
             )
         assert err.value.trace is not None
         assert err.value.trace.steps_run == 2
+
+    def test_package_error_mid_run_keeps_trace(self):
+        class DegenerateAtStepThree:
+            def value_and_grad(self, state, rng, step):
+                from fvi_bench.variational import ObjectiveEval
+
+                if step >= 3:
+                    raise DegenerateMarginalError("all measurement rows dependent")
+                return ObjectiveEval(1.0, 1.0, 0.0, np.ones(40))
+
+        initial = VariationalState.prior_state(Family.FFG, 20)
+        with pytest.raises(DegenerateMarginalError) as err:
+            run(
+                DegenerateAtStepThree(),
+                initial,
+                AdamConfig(0.01, 10, log_every=1),
+                np.random.default_rng(0),
+            )
+        trace = err.value.trace
+        assert trace.steps_run == 2
+        assert [record.step for record in trace.records] == [1, 2]
+        assert trace.final_state is not None
+        assert not np.array_equal(trace.final_state.params(), initial.params())
+
+    def test_rows_dropped_recorded(self):
+        model, data, _ = toy_problem(0)
+        point = model.feature_map.centers[:1]
+        repeated = measurement_set_from_points(
+            np.vstack([point, point, model.feature_map.centers[5:8]])
+        )
+        trace = run(
+            Objective(FixedA(repeated), model, data),
+            VariationalState.prior_state(Family.FULL, 20),
+            AdamConfig(0.01, 20, log_every=10),
+            np.random.default_rng(0),
+        )
+        assert [record.rows_dropped for record in trace.records] == [1, 1, 1]
+        assert trace.summary()["rows_dropped"] == 3
 
     def test_grad_norm_tolerance_stops_early(self):
         model, data, _ = toy_problem(4)

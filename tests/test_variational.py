@@ -35,7 +35,6 @@ from fvi_bench.variational import (
     fixed_a_optimal_mean,
     marginal_kl,
     measurement_set_from_points,
-    objective_value_and_grad,
     sample_measurement_set,
 )
 
@@ -388,8 +387,8 @@ class TestObjectives:
             post = exact_posterior(model, data)
             factor = np.linalg.cholesky(post.cov)
             state = VariationalState(Family.FULL, post.mean, factor)
-            evaluation = objective_value_and_grad(
-                Exact(), state, model, data, np.random.default_rng(0)
+            evaluation = Objective(Exact(), model, data).value_and_grad(
+                state, np.random.default_rng(0)
             )
             assert evaluation.elbo_estimate == pytest.approx(
                 log_marginal_likelihood(model, data), abs=1e-8
@@ -446,8 +445,8 @@ class TestObjectives:
         rng = np.random.default_rng(32)
         model, data = random_problem(rng)
         state = random_state(rng, Family.FULL, model.num_features)
-        a = objective_value_and_grad(Exact(), state, model, data, np.random.default_rng(0))
-        b = objective_value_and_grad(Exact(), state, model, data, np.random.default_rng(123))
+        a = Objective(Exact(), model, data).value_and_grad(state, np.random.default_rng(0))
+        b = Objective(Exact(), model, data).value_and_grad(state, np.random.default_rng(123))
         assert a.elbo_estimate == b.elbo_estimate
         assert np.array_equal(a.grad, b.grad)
 
