@@ -22,6 +22,13 @@ rotating onto an orthonormal basis V of the row space of B: the divergence
 reduces to a weight-space Gaussian KL in the projected coordinates, which is
 algebraically identical to the textbook trace/log-det expression built from
 (B B^T)^{-1} but avoids squaring the condition number of B.
+
+A full-batch training step costs O(k^3) whatever the number of data points
+n: the expected log-likelihood is read off likelihood statistics formed once
+per objective.  The step path does its linear algebra in numpy only, so it
+runs on numpy's BLAS and never alternates with the separate BLAS that scipy
+bundles; scipy's pivoted QR runs only when a measurement set has dependent
+rows.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .blr import BlrModel, Dataset
 from .errors import (
@@ -41,7 +47,7 @@ from .errors import (
     InvalidBoxError,
     NonStandardPriorError,
 )
-from .features import independent_rows
+from .features import RANK_RTOL, independent_rows
 from .gaussian import GaussianDist, diagonal_gaussian, full_gaussian
 from .gaussian import cholesky_psd  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 from .ssge import SsgeConfig, kl_gradient_estimate
@@ -238,16 +244,50 @@ def sample_measurement_set(
 # --- closed-form objective terms ---------------------------------------------
 
 
+@dataclass(frozen=True)
+class _LikelihoodStats:
+    """Sufficient statistics of the Gaussian likelihood of rows (Phi, y), taken
+    about an anchor mean a.  With r = y - Phi a and d = m - a, any mean m has
+
+        ||y - Phi m||^2 = r^T r - 2 d^T Phi^T r + d^T Phi^T Phi d
+        Phi^T (y - Phi m) = Phi^T r - Phi^T Phi d,
+
+    and no evaluation touches the rows again.  An anchor near the fitted
+    mean keeps the expansion from cancelling when ||y|| >> ||y - Phi m||.
+    """
+
+    gram: np.ndarray  # Phi^T Phi, (k, k)
+    cross: np.ndarray  # Phi^T r, (k,)
+    residual_sq: float  # r^T r
+    size: int  # number of rows
+    anchor: np.ndarray  # a, (k,)
+
+
+def _likelihood_stats(
+    phi: np.ndarray, targets: np.ndarray, anchor: np.ndarray, gram: np.ndarray | None = None
+) -> _LikelihoodStats:
+    residual = targets - phi @ anchor
+    return _LikelihoodStats(
+        phi.T @ phi if gram is None else gram,
+        phi.T @ residual,
+        float(residual @ residual),
+        phi.shape[0],
+        anchor,
+    )
+
+
 def _ell_terms(
     state: VariationalState,
-    phi: np.ndarray,
-    targets: np.ndarray,
+    stats: _LikelihoodStats,
     noise_variance: float,
     scale_factor: float,
 ) -> tuple[float, np.ndarray]:
-    n_batch = phi.shape[0]
-    residual = targets - phi @ state.mean
-    gram = phi.T @ phi
+    gram = stats.gram
+    offset = state.mean - stats.anchor
+    gram_offset = gram @ offset
+    residual_sq = (
+        stats.residual_sq - 2.0 * float(offset @ stats.cross) + float(offset @ gram_offset)
+    )
     if state.is_full:
         half = gram @ state.scale
         trace = float(np.sum(state.scale * half))
@@ -257,10 +297,10 @@ def _ell_terms(
         trace = float(np.sum(gram_diag * state.scale**2))
         grad_scale = -scale_factor / noise_variance * gram_diag * state.scale
     value = scale_factor * (
-        -0.5 * n_batch * math.log(2.0 * math.pi * noise_variance)
-        - 0.5 / noise_variance * (float(residual @ residual) + trace)
+        -0.5 * stats.size * math.log(2.0 * math.pi * noise_variance)
+        - 0.5 / noise_variance * (residual_sq + trace)
     )
-    grad_mean = scale_factor / noise_variance * (phi.T @ residual)
+    grad_mean = scale_factor / noise_variance * (stats.cross - gram_offset)
     return value, state.pack_grad(grad_mean, grad_scale)
 
 
@@ -284,7 +324,8 @@ def expected_log_likelihood(
             raise DimensionMismatchError("minibatch indices out of range")
         phi, targets = phi[minibatch], targets[minibatch]
         scale_factor = data.size / minibatch.size
-    return _ell_terms(state, phi, targets, model.noise_variance, scale_factor)
+    stats = _likelihood_stats(phi, targets, state.mean)
+    return _ell_terms(state, stats, model.noise_variance, scale_factor)
 
 
 def _require_standard_prior(model: BlrModel):
@@ -323,26 +364,38 @@ def exact_kl(state: VariationalState, model: BlrModel) -> tuple[float, np.ndarra
 class MarginalKl:
     """KL between variational and prior pushforwards at a measurement set.
 
-    Dependent feature rows are dropped up front (pivoted QR), matching the
-    assumption that the retained rows B are linearly independent; the count
-    is exposed as ``rows_dropped``.  One SVD B = U S V^T serves both the KL
-    (through V) and the prior marginal N(0, B B^T) (through U and S).
+    Dependent feature rows are dropped up front, matching the assumption
+    that the retained rows B are linearly independent; the count is exposed
+    as ``rows_dropped``.  One SVD B = U S V^T serves both the KL (through V)
+    and the prior marginal N(0, B B^T) (through U and S).
+
+    The SVD of all m rows comes first.  Only when m > k or it finds a
+    singular value at or below ``RANK_RTOL`` times the largest does the
+    pivoted QR of `independent_rows` pick the rows to keep, followed by a
+    second SVD.  This keeps the same rows as running the QR every time: for
+    the R of any QR, sigma_min <= min |R_ii|, and pivoting makes |R_00| <=
+    sigma_max, so an SVD that finds full rank means the QR keeps every row.
     """
 
     def __init__(self, model: BlrModel, measurement_set: MeasurementSet):
         _require_standard_prior(model)
-        feature_rows = model.features(measurement_set.points)
-        kept = independent_rows(feature_rows)
-        if kept.size == 0:
-            raise DegenerateMarginalError("no linearly independent measurement rows")
-        self.rows_dropped = feature_rows.shape[0] - kept.size
+        rows = model.features(measurement_set.points)
+        num_rows, k = rows.shape
+        svd = np.linalg.svd(rows, full_matrices=False) if num_rows <= k else None
+        if svd is None or not svd[1][-1] > RANK_RTOL * svd[1][0]:
+            kept = independent_rows(rows)
+            if kept.size == 0:
+                raise DegenerateMarginalError("no linearly independent measurement rows")
+            rows = rows[kept]
+            svd = np.linalg.svd(rows, full_matrices=False)
+        self.rows_dropped = num_rows - rows.shape[0]
         if self.rows_dropped:
             _log.debug(
                 "dropped %d linearly dependent measurement rows", self.rows_dropped
             )
-        self.size = int(kept.size)
-        self.rows = feature_rows[kept]  # (m, k), the retained rows B
-        left, singular, v_rows = np.linalg.svd(self.rows, full_matrices=False)
+        self.size = rows.shape[0]
+        self.rows = rows  # (m, k), the retained rows B
+        left, singular, v_rows = svd
         self._transform = v_rows  # (m, k), orthonormal rows
         self._basis = left  # (m, m)
         self._inv_sq_singular = singular**-2
@@ -375,7 +428,9 @@ class MarginalKl:
         log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
         value = 0.5 * (float(shifted @ shifted) + trace - self.size - log_det)
         grad_mean = transform.T @ shifted
-        solved = cho_solve((lower, True), rotated_scale)  # (m, k) = H^{-1} (T scale)
+        # The Cholesky factor above is the positive-definiteness test; the
+        # solve stays in numpy so the step never crosses into scipy's BLAS.
+        solved = np.linalg.solve(marginal_cov, rotated_scale)  # (m, k) = H^{-1} (T scale)
         if state.is_full:
             grad_scale = np.tril(transform.T @ (rotated_scale - solved))
         else:
@@ -403,17 +458,18 @@ def fixed_a_optimal_mean(
     full-rank feature matrix recovers MAP inference).
     """
     _require_standard_prior(model)
-    phi = model.features(data.inputs)
-    gram = phi.T @ phi
+    stats = _likelihood_stats(
+        model.features(data.inputs), data.targets, np.zeros(model.num_features)
+    )
     if measurement_set is None:
-        projection = np.zeros_like(gram)
+        projection = np.zeros_like(stats.gram)
     else:
         projection = MarginalKl(model, measurement_set).projection
     # rcond matches the package-wide numerical-rank tolerance: directions the
     # data cannot identify are resolved to the minimum-norm solution rather
     # than amplified by roundoff-scale eigenvalues.
-    return np.linalg.pinv(gram + model.noise_variance * projection, rcond=1e-8) @ (
-        phi.T @ data.targets
+    return np.linalg.pinv(stats.gram + model.noise_variance * projection, rcond=1e-8) @ (
+        stats.cross
     )
 
 
@@ -487,8 +543,12 @@ class MinibatchSchedule:
 class Objective:
     """Bundles an objective kind with a model and dataset for a training run.
 
-    Feature matrices and Gram products are computed once; measurement sets
-    are sampled per step where the kind calls for it.
+    A full-batch objective keeps only the likelihood statistics of the data
+    (`_LikelihoodStats`, anchored at the exact posterior mean), formed once
+    here, and drops the feature matrix, so a step costs O(k^3) whatever n
+    is.  A minibatch objective keeps the feature matrix and forms the
+    statistics of each batch, anchored at the current mean.  Measurement
+    sets are sampled per step where the kind calls for it.
     """
 
     def __init__(
@@ -502,10 +562,17 @@ class Objective:
         self.kind = kind
         self.model = model
         self.data = data
-        self._phi = model.features(data.inputs)
-        self._schedule = (
-            MinibatchSchedule(data.size, minibatch_size) if minibatch_size else None
-        )
+        phi = model.features(data.inputs)
+        if minibatch_size:
+            self._schedule = MinibatchSchedule(data.size, minibatch_size)
+            self._phi, self._stats = phi, None
+        else:
+            gram = phi.T @ phi
+            posterior_mean = np.linalg.solve(
+                gram + model.noise_variance * np.eye(model.num_features), phi.T @ data.targets
+            )
+            self._schedule, self._phi = None, None
+            self._stats = _likelihood_stats(phi, data.targets, posterior_mean, gram)
         self._fixed_marginal = (
             MarginalKl(model, kind.measurement_set) if isinstance(kind, FixedA) else None
         )
@@ -524,13 +591,12 @@ class Objective:
     def value_and_grad(
         self, state: VariationalState, rng: np.random.Generator, step: int = 0
     ) -> ObjectiveEval:
-        batch = self._schedule.next_batch(rng) if self._schedule is not None else None
-        phi = self._phi if batch is None else self._phi[batch]
-        targets = self.data.targets if batch is None else self.data.targets[batch]
-        scale_factor = 1.0 if batch is None else self.data.size / batch.size
-        ell, ell_grad = _ell_terms(
-            state, phi, targets, self.model.noise_variance, scale_factor
-        )
+        stats, scale_factor = self._stats, 1.0
+        if self._schedule is not None:
+            batch = self._schedule.next_batch(rng)
+            stats = _likelihood_stats(self._phi[batch], self.data.targets[batch], state.mean)
+            scale_factor = self.data.size / batch.size
+        ell, ell_grad = _ell_terms(state, stats, self.model.noise_variance, scale_factor)
         rows_dropped = 0
         if isinstance(self.kind, Exact):
             kl, kl_grad = exact_kl(state, self.model)

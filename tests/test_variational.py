@@ -1,8 +1,9 @@
 """Tests for variational states, objectives, and the closed-form oracles.
 
 The independent oracles here: central finite differences for every gradient,
-Monte Carlo for the expected log-likelihood, the directly-evaluated textbook
-trace/log-det expression for the marginal KL, and hand algebra for the
+Monte Carlo and a direct residual evaluation for the expected log-likelihood,
+the directly-evaluated textbook trace/log-det expression for the marginal KL,
+pivoted QR for the retained measurement rows, and hand algebra for the
 stationary-mean formulas.
 """
 
@@ -10,11 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fvi_bench import gaussian
+from fvi_bench import gaussian, variational
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import DegenerateMarginalError, InvalidBoxError
-from fvi_bench.features import RbfFeatureMap
+from fvi_bench.features import PrecomputedFeatureMap, RbfFeatureMap, independent_rows
 from fvi_bench.optimize import finite_diff_check
 from fvi_bench.variational import (
     Exact,
@@ -487,3 +490,173 @@ class TestFixedAOptimalMean:
             - projection @ mu
         )
         assert float(np.abs(residual).max()) < 1e-8
+
+
+# --- likelihood statistics and row selection ----------------------------------
+
+REPORT_RTOL = 1e-9  # the tolerance of the benchmark oracle's report check (c)
+
+
+def offset_problem(seed, *, k=30, n=400, offset=1e3):
+    """RBF regression whose targets sit ``offset`` above a smooth function:
+    the features can fit the offset, so at the posterior mean ||y||^2 is
+    many orders of magnitude above ||y - Phi m||^2."""
+    rng = np.random.default_rng(seed)
+    fmap = RbfFeatureMap(np.linspace(-2, 2, k).reshape(-1, 1), np.array([0.3]))
+    model = BlrModel(fmap, noise_variance=0.01)
+    inputs = rng.uniform(-1.5, 1.5, (n, 1))
+    targets = np.sin(3 * inputs[:, 0]) + 0.1 * rng.standard_normal(n) + offset
+    return rng, model, Dataset(inputs, targets)
+
+
+def direct_ell(state, model, phi, targets, scale_factor):
+    """E_q[log likelihood] and its gradient from the residual y - Phi m."""
+    noise = model.noise_variance
+    residual = targets - phi @ state.mean
+    gram = phi.T @ phi
+    if state.is_full:
+        half = gram @ state.scale
+        trace, grad_scale = np.sum(state.scale * half), -np.tril(half) / noise
+    else:
+        trace = np.sum(np.diag(gram) * state.scale**2)
+        grad_scale = -np.diag(gram) * state.scale / noise
+    value = -0.5 * phi.shape[0] * math.log(2 * math.pi * noise) - 0.5 / noise * (
+        residual @ residual + trace
+    )
+    grad = state.pack_grad(phi.T @ residual / noise, grad_scale)
+    return scale_factor * value, scale_factor * grad
+
+
+def assert_close(actual, expected, rtol):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
+
+
+class TestLikelihoodStatistics:
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    @pytest.mark.parametrize("minibatch_size", [None, 50])
+    def test_no_cancellation_at_large_target_offset(self, family, minibatch_size):
+        rng, model, data = offset_problem(36)
+        phi = model.features(data.inputs)
+        posterior_mean = exact_posterior(model, data).mean
+        residual = data.targets - phi @ posterior_mean
+        assert data.targets @ data.targets > 1e5 * (residual @ residual)
+        state = random_state(rng, family, model.num_features)
+        state = VariationalState(family, posterior_mean, 0.1 * state.scale)
+
+        def evaluate(at):
+            # A fresh objective per call restarts the minibatch schedule, so
+            # every evaluation sees the same batch.
+            objective = Objective(Exact(), model, data, minibatch_size)
+            return objective.value_and_grad(at, np.random.default_rng(37))
+
+        batch, scale_factor = np.arange(data.size), 1.0
+        if minibatch_size:
+            batch = MinibatchSchedule(data.size, minibatch_size).next_batch(
+                np.random.default_rng(37)
+            )
+            scale_factor = data.size / minibatch_size
+        ell, ell_grad = direct_ell(state, model, phi[batch], data.targets[batch], scale_factor)
+        evaluation = evaluate(state)
+        assert_close(evaluation.expected_ll, ell, REPORT_RTOL)
+        assert_close(evaluation.grad, ell_grad - exact_kl(state, model)[1], REPORT_RTOL)
+
+        # The benchmark oracle's directional-derivative check of the ELBO.
+        params = state.params()
+        direction = np.random.default_rng(38).standard_normal(params.size)
+        direction /= np.linalg.norm(direction)
+        step = 1e-5
+        plus, minus = (
+            evaluate(state.with_params(params + h * direction)).elbo_estimate
+            for h in (step, -step)
+        )
+        analytic = float(evaluation.grad @ direction)
+        assert abs((plus - minus) / (2 * step) - analytic) <= 1e-5 * max(1.0, abs(analytic))
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            Exact(),
+            FixedA(measurement_set_from_points(np.linspace(-1, 1, 3).reshape(-1, 1))),
+            RandA(MeasurementPolicy(4, 0.5, np.array([[-2.0, 2.0]]))),
+            Ssge(MeasurementPolicy(4, 0.5, np.array([[-2.0, 2.0]]))),
+        ],
+        ids=["exact", "fixed_a", "rand_a", "ssge"],
+    )
+    def test_full_batch_objective_keeps_no_per_row_array(self, kind):
+        rng = np.random.default_rng(39)
+        model, data = random_problem(rng, k=5, n=57)
+
+        def own_row_arrays(objective):
+            """Arrays reachable from the objective, other than the dataset's
+            own, with one row per data point."""
+            found, pending, seen = [], [vars(objective)], set()
+            while pending:
+                item = pending.pop()
+                if id(item) in seen or item is data.inputs or item is data.targets:
+                    continue
+                seen.add(id(item))
+                if isinstance(item, np.ndarray):
+                    if item.ndim and item.shape[0] == data.size:
+                        found.append(item.shape)
+                elif isinstance(item, dict):
+                    pending.extend(item.values())
+                elif isinstance(item, (list, tuple)):
+                    pending.extend(item)
+                elif hasattr(item, "__dict__"):
+                    pending.append(vars(item))
+            return found
+
+        full_batch = Objective(kind, model, data)
+        full_batch.value_and_grad(random_state(rng, Family.FULL, 5), np.random.default_rng(40))
+        assert own_row_arrays(full_batch) == []
+        # The walk does find the feature matrix a minibatch objective keeps.
+        assert own_row_arrays(Objective(kind, model, data, minibatch_size=10)) == [(57, 5)]
+
+
+def rows_for_case(seed, case):
+    """Feature rows (m, k) of one row-selection case, and whether every row
+    is comfortably independent (sigma_min far above RANK_RTOL * sigma_max)."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 9))
+    if case == "tall":
+        return rng.standard_normal((int(rng.integers(k + 1, 2 * k + 3)), k)), False
+    rows = rng.standard_normal((int(rng.integers(2, k + 1)), k))
+    if case == "independent":
+        return rows, True
+    source, target = rng.choice(rows.shape[0], 2, replace=False)
+    if case == "duplicate":
+        rows[target] = rows[source]
+        return rows, False
+    # A row scaled from another, perturbed far above or far below the rank
+    # tolerance 1e-8.
+    delta = 1e-4 if case == "near_independent" else 1e-13
+    scaled = float(rng.uniform(0.1, 10.0)) * rows[source]
+    rows[target] = scaled * (1.0 + delta * rng.standard_normal(k))
+    return rows, case == "near_independent"
+
+
+class TestRowSelection:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["independent", "duplicate", "near_independent", "near_dependent", "tall"]),
+    )
+    def test_keeps_the_rows_pivoted_qr_selects(self, seed, case):
+        rows, full_rank = rows_for_case(seed, case)
+        inputs = np.arange(rows.shape[0], dtype=float).reshape(-1, 1)
+        model = BlrModel(PrecomputedFeatureMap(inputs, rows), noise_variance=0.1)
+        expected = rows[independent_rows(rows)]
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return independent_rows(matrix)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(variational, "independent_rows", counted)
+            op = MarginalKl(model, measurement_set_from_points(inputs))
+        np.testing.assert_array_equal(op.rows, expected)
+        assert op.rows_dropped == rows.shape[0] - expected.shape[0]
+        assert calls == ([] if full_rank else [rows.shape])
