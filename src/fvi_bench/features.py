@@ -27,6 +27,7 @@ from .errors import (
 )
 
 RANK_RTOL = 1e-8  # singular values below RANK_RTOL * sigma_max count as zero
+LENGTHSCALE_MAX_POINTS = 1000  # median heuristic subsample size
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ def injectivity_certificate(
     return InjectivityCertificate(rank, witness)
 
 
-def independent_rows(matrix: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def independent_rows(matrix: np.ndarray) -> np.ndarray:
     """Indices of a maximal linearly independent subset of rows (pivoted QR),
     in ascending order."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -145,7 +146,7 @@ def independent_rows(matrix: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         return np.arange(0)
-    rank = int(np.sum(diag > rtol * diag[0]))
+    rank = int(np.sum(diag > RANK_RTOL * diag[0]))
     return np.sort(pivots[:rank])
 
 
@@ -160,6 +161,13 @@ class PrecomputedFeatureMap:
 
     inputs: np.ndarray  # (n, d)
     values: np.ndarray  # (n, k)
+
+    def __post_init__(self):
+        inputs, values = np.shape(self.inputs), np.shape(self.values)
+        if len(inputs) != 2 or len(values) != 2 or inputs[0] != values[0]:
+            raise DimensionMismatchError(
+                f"inputs {inputs} and values {values} must be 2-D with equal row counts"
+            )
 
     @property
     def num_features(self) -> int:
@@ -264,14 +272,14 @@ def load_features(
 
 
 def median_heuristic_lengthscales(
-    inputs: np.ndarray, *, max_points: int = 1000, rng: np.random.Generator | None = None
+    inputs: np.ndarray, *, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Per-dimension median absolute pairwise difference; 1.0 for constant dims."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     n = inputs.shape[0]
-    if n > max_points:
+    if n > LENGTHSCALE_MAX_POINTS:
         rng = rng or np.random.default_rng(0)
-        inputs = inputs[rng.choice(n, size=max_points, replace=False)]
+        inputs = inputs[rng.choice(n, size=LENGTHSCALE_MAX_POINTS, replace=False)]
     scales = np.empty(inputs.shape[1])
     iu = np.triu_indices(inputs.shape[0], k=1)
     for dim in range(inputs.shape[1]):

@@ -1,9 +1,9 @@
 """Adam ascent on variational parameters, plus a finite-difference checker.
 
-The optimizer is deliberately plain: bias-corrected Adam with a constant
-learning rate on the unconstrained parameter vector, no schedules and no
-implicit early stopping (an explicit gradient-norm tolerance can be opted
-into).  A run is deterministic given its seed.
+The optimizer is deliberately plain: bias-corrected Adam on the
+unconstrained parameter vector, on the learning-rate schedule of
+`AdamConfig`, and no early stopping: every run takes its whole step
+budget.  A run is deterministic given its seed.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 from .errors import FviBenchError, NonFiniteGradientError
 from .variational import Objective, ObjectiveEval, VariationalState
 
+FINAL_LR_FACTOR = 1e-6  # the decay tail ends at this multiple of the base rate
+
 
 @dataclass(frozen=True)
 class AdamConfig:
@@ -23,7 +25,7 @@ class AdamConfig:
 
     The base learning rate holds for the first ``1 - decay_tail_fraction``
     of the run; the remaining steps decay it geometrically down to
-    ``final_lr_factor`` times the base.  The tail exists because constant-rate
+    ``FINAL_LR_FACTOR`` times the base.  The tail exists because constant-rate
     Adam orbits a deterministic optimum at a distance proportional to the
     rate, which is orders of magnitude above the closed-form oracle
     tolerances this suite checks against; set ``decay_tail_fraction=0`` for a
@@ -39,9 +41,7 @@ class AdamConfig:
     beta2: float = 0.99
     epsilon: float = 1e-8
     decay_tail_fraction: float = 0.5
-    final_lr_factor: float = 1e-6
     log_every: int = 50
-    tolerance_grad_norm: float | None = None
 
     def __post_init__(self):
         if self.learning_rate < 0.0:
@@ -54,17 +54,15 @@ class AdamConfig:
             raise ValueError("max_steps must be >= 0")
         if not 0.0 <= self.decay_tail_fraction <= 1.0:
             raise ValueError("decay_tail_fraction must be in [0, 1]")
-        if not 0.0 < self.final_lr_factor <= 1.0:
-            raise ValueError("final_lr_factor must be in (0, 1]")
 
     def rate_at(self, step: int) -> float:
         """Learning rate for a given 1-based step."""
         tail = int(self.max_steps * self.decay_tail_fraction)
         start = self.max_steps - tail
-        if step <= start or tail == 0 or self.final_lr_factor == 1.0:
+        if step <= start or tail == 0:
             return self.learning_rate
         progress = (step - start) / tail
-        return self.learning_rate * self.final_lr_factor**progress
+        return self.learning_rate * FINAL_LR_FACTOR**progress
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,6 @@ def run(
             )
             state = state.with_params(params)
             trace.steps_run = step
-            if config.tolerance_grad_norm is not None and grad_norm < config.tolerance_grad_norm:
-                break
     except FviBenchError as error:
         trace.final_state = state
         error.trace = trace

@@ -30,15 +30,15 @@ if TYPE_CHECKING:  # pragma: no cover
 # Eigenvalues below EIGEN_RTOL * lambda_max are discarded before the
 # retention rule; keeps the 1/lambda factors bounded.
 EIGEN_RTOL = 1e-10
+EIGEN_MASS = 0.99  # J is the fewest leading eigenvalues holding this share of the total
 
 
 @dataclass(frozen=True)
 class SsgeConfig:
     """Estimator settings.
 
-    ``num_eigen=None`` selects the eigenpair count automatically as the
-    smallest J whose eigenvalues cover ``eigen_threshold`` of the total mass;
-    ``bandwidth=None`` uses the median pairwise distance between samples.
+    The kernel bandwidth is always the median pairwise distance between the
+    samples, and the eigenpair count J always follows ``EIGEN_MASS``.
 
     ``estimate_prior_score=True`` is an ablation that estimates the prior
     score from prior samples as well.  It subtracts two independently fitted
@@ -48,20 +48,11 @@ class SsgeConfig:
     """
 
     num_samples: int = 100
-    num_eigen: int | None = None
-    eigen_threshold: float = 0.99
-    bandwidth: float | None = None
     estimate_prior_score: bool = False
 
     def __post_init__(self):
         if self.num_samples < 2:
             raise ValueError("need at least 2 samples")
-        if not 0.0 < self.eigen_threshold <= 1.0:
-            raise ValueError("eigen_threshold must be in (0, 1]")
-        if self.num_eigen is not None and not 1 <= self.num_eigen <= self.num_samples:
-            raise ValueError("num_eigen must be in [1, num_samples]")
-        if self.bandwidth is not None and self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,13 +86,7 @@ def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(-0.5 * squared_distances(a, b) / bandwidth**2)
 
 
-def median_bandwidth(samples: np.ndarray) -> float:
-    """Median of the distinct pairwise distances."""
-    distances = pdist(samples)
-    return float(np.median(distances))
-
-
-def fit_score(samples: np.ndarray, config: SsgeConfig) -> ScoreEstimate:
+def fit_score(samples: np.ndarray) -> ScoreEstimate:
     """Fit the spectral score expansion to the given (M, m) samples."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 2:
@@ -109,25 +94,19 @@ def fit_score(samples: np.ndarray, config: SsgeConfig) -> ScoreEstimate:
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
     m_samples = samples.shape[0]
-    if config.bandwidth is not None:
-        bandwidth = config.bandwidth
-    else:
-        bandwidth = median_bandwidth(samples)
-        if bandwidth == 0.0:
-            raise DegenerateKernelError(
-                "all pairwise sample distances are zero; bandwidth undefined"
-            )
+    bandwidth = float(np.median(pdist(samples)))  # median of the distinct pairwise distances
+    if bandwidth == 0.0:
+        raise DegenerateKernelError(
+            "all pairwise sample distances are zero; bandwidth undefined"
+        )
     gram = _rbf_kernel(samples, samples, bandwidth)
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
     keep = eigvals > EIGEN_RTOL * eigvals[0]
     eigvals, eigvecs = eigvals[keep], eigvecs[:, keep]
-    if config.num_eigen is not None:
-        top = min(config.num_eigen, eigvals.size)
-    else:
-        ratios = np.cumsum(eigvals) / np.sum(eigvals)
-        top = int(np.searchsorted(ratios, config.eigen_threshold - 1e-15) + 1)
-        top = min(top, eigvals.size)
+    ratios = np.cumsum(eigvals) / np.sum(eigvals)
+    top = int(np.searchsorted(ratios, EIGEN_MASS - 1e-15) + 1)
+    top = min(top, eigvals.size)
     eigvals, eigvecs = eigvals[:top], eigvecs[:, :top]
     # beta_j = -(1/M) sum_i grad_x psi_j(x_i); for the RBF kernel the inner
     # kernel gradients collapse to column sums of K against the samples.
@@ -157,10 +136,10 @@ def kl_gradient_estimate(
     eps = rng.standard_normal((config.num_samples, state.dim))
     weights = state.mean + state.apply_scale(eps)
     values = weights @ rows.T  # (M, m)
-    q_score = fit_score(values, config)(values)
+    q_score = fit_score(values)(values)
     if config.estimate_prior_score:
         prior_values = rng.standard_normal((config.num_samples, state.dim)) @ rows.T
-        p_score = fit_score(prior_values, config)(values)
+        p_score = fit_score(prior_values)(values)
     else:
         p_score = marginal.prior_score(values)
     diff = q_score - p_score  # (M, m), the integrand's df term

@@ -53,6 +53,7 @@ from .gaussian import cholesky_psd  # noqa: F401  (unused; perfbench/tracing.py 
 from .ssge import SsgeConfig, kl_gradient_estimate
 
 _log = logging.getLogger(__name__)
+BOX_PAD = 0.5  # `box_from_inputs` widens a zero-width dimension by this on each side
 
 
 class Family(enum.Enum):
@@ -190,12 +191,12 @@ def measurement_set_from_points(points: np.ndarray) -> MeasurementSet:
 
 @dataclass(frozen=True)
 class MeasurementPolicy:
-    """How measurement sets are drawn: part from the data, part from a box."""
+    """How measurement sets are drawn: part from the data, part from a box.
+    `RandA` and `Ssge` draw a fresh set at every step."""
 
     total_size: int
     data_fraction: float
     box: np.ndarray  # (d, 2) rows of (lo, hi)
-    resample_each_step: bool = True
 
     def __post_init__(self):
         if self.total_size < 1:
@@ -210,13 +211,13 @@ class MeasurementPolicy:
         object.__setattr__(self, "box", box)
 
 
-def box_from_inputs(inputs: np.ndarray, pad: float = 0.5) -> np.ndarray:
-    """Bounding box of the rows; zero-width dimensions are padded by ``pad``."""
+def box_from_inputs(inputs: np.ndarray) -> np.ndarray:
+    """Bounding box of the rows; zero-width dimensions are padded by ``BOX_PAD``."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     lo, hi = inputs.min(axis=0), inputs.max(axis=0)
     degenerate = lo >= hi
-    lo = np.where(degenerate, lo - pad, lo)
-    hi = np.where(degenerate, hi + pad, hi)
+    lo = np.where(degenerate, lo - BOX_PAD, lo)
+    hi = np.where(degenerate, hi + BOX_PAD, hi)
     return np.column_stack([lo, hi])
 
 
@@ -437,9 +438,6 @@ class MarginalKl:
             grad_scale = np.einsum("ai,ai->i", transform, rotated_scale - solved)
         return value, state.pack_grad(grad_mean, grad_scale)
 
-    def value(self, state: VariationalState) -> float:
-        return self.value_and_grad(state)[0]
-
 
 def marginal_kl(
     state: VariationalState, model: BlrModel, measurement_set: MeasurementSet
@@ -465,10 +463,10 @@ def fixed_a_optimal_mean(
         projection = np.zeros_like(stats.gram)
     else:
         projection = MarginalKl(model, measurement_set).projection
-    # rcond matches the package-wide numerical-rank tolerance: directions the
+    # rcond is the package-wide numerical-rank tolerance: directions the
     # data cannot identify are resolved to the minimum-norm solution rather
     # than amplified by roundoff-scale eigenvalues.
-    return np.linalg.pinv(stats.gram + model.noise_variance * projection, rcond=1e-8) @ (
+    return np.linalg.pinv(stats.gram + model.noise_variance * projection, rcond=RANK_RTOL) @ (
         stats.cross
     )
 
@@ -547,8 +545,9 @@ class Objective:
     (`_LikelihoodStats`, anchored at the exact posterior mean), formed once
     here, and drops the feature matrix, so a step costs O(k^3) whatever n
     is.  A minibatch objective keeps the feature matrix and forms the
-    statistics of each batch, anchored at the current mean.  Measurement
-    sets are sampled per step where the kind calls for it.
+    statistics of each batch, anchored at the current mean.  Every kind but
+    `Exact` takes its KL from one `MarginalKl` (prepared here for `FixedA`,
+    drawn each step otherwise); `Ssge` swaps in the estimated KL gradient.
     """
 
     def __init__(
@@ -576,17 +575,6 @@ class Objective:
         self._fixed_marginal = (
             MarginalKl(model, kind.measurement_set) if isinstance(kind, FixedA) else None
         )
-        self._cached_marginal: MarginalKl | None = None
-
-    def _marginal_for_step(self, rng: np.random.Generator) -> MarginalKl:
-        policy = self.kind.policy
-        if not policy.resample_each_step and self._cached_marginal is not None:
-            return self._cached_marginal
-        drawn = sample_measurement_set(policy, self.data, rng)
-        prepared = MarginalKl(self.model, drawn)
-        if not policy.resample_each_step:
-            self._cached_marginal = prepared
-        return prepared
 
     def value_and_grad(
         self, state: VariationalState, rng: np.random.Generator, step: int = 0
@@ -597,21 +585,14 @@ class Objective:
             stats = _likelihood_stats(self._phi[batch], self.data.targets[batch], state.mean)
             scale_factor = self.data.size / batch.size
         ell, ell_grad = _ell_terms(state, stats, self.model.noise_variance, scale_factor)
-        rows_dropped = 0
         if isinstance(self.kind, Exact):
             kl, kl_grad = exact_kl(state, self.model)
-        elif isinstance(self.kind, FixedA):
-            kl, kl_grad = self._fixed_marginal.value_and_grad(state)
-            rows_dropped = self._fixed_marginal.rows_dropped
-        elif isinstance(self.kind, RandA):
-            op = self._marginal_for_step(rng)
-            kl, kl_grad = op.value_and_grad(state)
-            rows_dropped = op.rows_dropped
-        elif isinstance(self.kind, Ssge):
-            op = self._marginal_for_step(rng)
-            kl = op.value(state)
-            kl_grad = kl_gradient_estimate(state, op, self.kind.config, rng)
-            rows_dropped = op.rows_dropped
-        else:
-            raise TypeError(f"unknown objective kind {type(self.kind).__name__}")
-        return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad, rows_dropped)
+            return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad)
+        marginal = self._fixed_marginal
+        if marginal is None:
+            drawn = sample_measurement_set(self.kind.policy, self.data, rng)
+            marginal = MarginalKl(self.model, drawn)
+        kl, kl_grad = marginal.value_and_grad(state)
+        if isinstance(self.kind, Ssge):
+            kl_grad = kl_gradient_estimate(state, marginal, self.kind.config, rng)
+        return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad, marginal.rows_dropped)

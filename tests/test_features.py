@@ -14,6 +14,7 @@ from fvi_bench.errors import (
 )
 from fvi_bench.features import (
     FeatureMatrix,
+    PrecomputedFeatureMap,
     RbfFeatureMap,
     evaluate,
     fit_rbf_featurizer,
@@ -174,6 +175,14 @@ class TestFeatureCsv:
         _, stub = load_features(path)
         with pytest.raises(UnknownInputError):
             stub(np.array([[100.0, 100.0]]))
+
+    def test_table_with_unequal_row_counts_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            PrecomputedFeatureMap(np.zeros((3, 1)), np.ones((2, 4)))
+
+    def test_one_dimensional_inputs_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            PrecomputedFeatureMap(np.arange(3.0), np.ones((3, 4)))
 
 
 class TestFeaturizer:

@@ -10,11 +10,12 @@ relative gradient error of 1.4 to 3.6).
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from conftest import random_spd_matrix
 from fvi_bench.blr import BlrModel
 from fvi_bench.features import RbfFeatureMap
-from fvi_bench.ssge import SsgeConfig, fit_score, kl_gradient_estimate
+from fvi_bench.ssge import EIGEN_RTOL, SsgeConfig, fit_score, kl_gradient_estimate
 from fvi_bench.variational import Family, MarginalKl, VariationalState, measurement_set_from_points
 
 SEEDS = range(20)
@@ -76,7 +77,7 @@ class TestFitScore:
         mean = rng.standard_normal(3)
         cov = random_spd_matrix(rng, 3, min_eig=0.5)
         samples = rng.multivariate_normal(mean, cov, size=num_samples)
-        estimate = fit_score(samples, SsgeConfig(num_samples=num_samples))(samples)
+        estimate = fit_score(samples)(samples)
         exact = -np.linalg.solve(cov, (samples - mean).T).T
         return relative_error(estimate, exact)
 
@@ -86,6 +87,23 @@ class TestFitScore:
         many = np.mean([self.gaussian_score_error(400, seed) for seed in range(10)])
         assert many < 0.4
         assert many < 0.6 * few
+
+    @pytest.mark.parametrize("num_samples", [20, 50, 200])
+    def test_median_bandwidth_and_eigen_mass_rule(self, num_samples):
+        rng = np.random.default_rng(num_samples)
+        samples = rng.multivariate_normal(
+            rng.standard_normal(3), random_spd_matrix(rng, 3, min_eig=0.5), size=num_samples
+        )
+        estimate = fit_score(samples)
+        distances = pdist(samples)
+        assert estimate.bandwidth_used == np.median(distances)
+        kernel = np.exp(-0.5 * squareform(distances) ** 2 / np.median(distances) ** 2)
+        eigenvalues = np.linalg.eigvalsh(kernel)[::-1]
+        eigenvalues = eigenvalues[eigenvalues > EIGEN_RTOL * eigenvalues[0]]
+        mass = np.cumsum(eigenvalues) / eigenvalues.sum()
+        smallest = 1 + min(j for j in range(mass.size) if mass[j] >= 0.99)
+        assert estimate.eigenvalues.size == smallest
+        np.testing.assert_allclose(estimate.eigenvalues, eigenvalues[:smallest], rtol=1e-8)
 
 
 class TestKlGradientEstimate:

@@ -397,21 +397,43 @@ class TestObjectives:
                 log_marginal_likelihood(model, data), abs=1e-8
             )
 
-    def test_fixed_and_cached_rand_coincide(self):
+    @pytest.mark.parametrize("kind_name", ["rand_a", "ssge"])
+    def test_resampling_kinds_draw_a_fresh_set_every_call(self, kind_name):
+        from fvi_bench.ssge import SsgeConfig, kl_gradient_estimate
+
         rng = np.random.default_rng(28)
         model, data = random_problem(rng, k=4, n=8)
-        policy = MeasurementPolicy(
-            3, 0.5, box_from_inputs(data.inputs), resample_each_step=False
-        )
-        drawn = sample_measurement_set(policy, data, np.random.default_rng(7))
         state = random_state(rng, Family.FULL, 4)
-        rand_obj = Objective(RandA(policy), model, data)
-        fixed_obj = Objective(FixedA(drawn), model, data)
-        for step in range(5):
-            rand_eval = rand_obj.value_and_grad(state, np.random.default_rng(7), step)
-            fixed_eval = fixed_obj.value_and_grad(state, np.random.default_rng(99), step)
-            assert rand_eval.elbo_estimate == fixed_eval.elbo_estimate
-            np.testing.assert_array_equal(rand_eval.grad, fixed_eval.grad)
+        policy = MeasurementPolicy(3, 0.5, box_from_inputs(data.inputs))
+        config = SsgeConfig(num_samples=20)
+        kind = RandA(policy) if kind_name == "rand_a" else Ssge(policy, config)
+        objective = Objective(kind, model, data)
+        call_rng, replay = np.random.default_rng(7), np.random.default_rng(7)
+        reported, replayed = [], []
+        for _ in range(2):
+            reported.append(objective.value_and_grad(state, call_rng).kl_term)
+            # Replay the call's draws: the set, then (Ssge) the estimator's samples.
+            marginal = MarginalKl(model, sample_measurement_set(policy, data, replay))
+            replayed.append(marginal.value_and_grad(state)[0])
+            if kind_name == "ssge":
+                kl_gradient_estimate(state, marginal, config, replay)
+        assert reported == replayed
+        assert reported[0] != reported[1]
+
+    def test_rows_dropped_reported_by_every_marginal_kind(self):
+        rng = np.random.default_rng(28)
+        model, data = random_problem(rng, k=4, n=8)
+        state = random_state(rng, Family.FULL, 4)
+        # Every training input is the same point, so each drawn set holds it 3 times.
+        one_point = Dataset(np.repeat(data.inputs[:1], data.size, axis=0), data.targets)
+        policy = MeasurementPolicy(3, 1.0, box_from_inputs(data.inputs))
+        repeated = measurement_set_from_points(np.repeat(data.inputs[:1], 3, axis=0))
+        kinds = [(Exact(), 0), (FixedA(repeated), 2), (RandA(policy), 2), (Ssge(policy), 2)]
+        for kind, dropped in kinds:
+            evaluation = Objective(kind, model, one_point).value_and_grad(
+                state, np.random.default_rng(0)
+            )
+            assert evaluation.rows_dropped == dropped
 
     def test_resampling_underestimates_exact_kl(self):
         rng = np.random.default_rng(29)
@@ -434,9 +456,7 @@ class TestObjectives:
         rng = np.random.default_rng(31)
         model, data = random_problem(rng, k=4, n=8)
         state = random_state(rng, Family.FULL, 4)
-        policy = MeasurementPolicy(
-            3, 0.5, box_from_inputs(data.inputs), resample_each_step=False
-        )
+        policy = MeasurementPolicy(3, 0.5, box_from_inputs(data.inputs))
         ssge_obj = Objective(Ssge(policy, SsgeConfig(num_samples=50)), model, data)
         rand_obj = Objective(RandA(policy), model, data)
         ssge_eval = ssge_obj.value_and_grad(state, np.random.default_rng(5), 0)
