@@ -1,12 +1,13 @@
 """Feature maps for the linear-in-features regression model.
 
-The workhorse is a set of radial basis function features (unnormalized
-Gaussians, one per center, with a shared per-dimension lengthscale).  The
-module also provides a k-means + median-heuristic featurizer for tabular
-data, an import path for externally computed feature matrices, and a
-numerical injectivity certificate: a subset of inputs whose feature vectors
-are linearly independent, certifying that distinct weight vectors produce
-distinct functions.
+Features are computed or looked up.  `RbfFeatureMap` computes radial basis
+function features (unnormalized Gaussians, one per center, with a shared
+per-dimension lengthscale); `evaluate` returns them as an (n, k) array.
+`PrecomputedFeatureMap` is a stored (inputs, values) table of features made
+elsewhere; `load_features` and `save_features` read and write it as CSV.
+The module also has a k-means + median-heuristic featurizer for tabular data
+and a numerical injectivity certificate: inputs whose feature vectors are
+linearly independent, certifying that distinct weights give distinct functions.
 """
 
 from __future__ import annotations
@@ -60,30 +61,11 @@ class RbfFeatureMap:
         return self.centers.shape[1]
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return evaluate(self, inputs).values
+        return evaluate(self, inputs)
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Feature values with the inputs they were evaluated at; values[i, j] is
-    feature j at input row i."""
-
-    values: np.ndarray  # (n, k)
-    source_inputs: np.ndarray  # (n, d)
-
-    def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        inputs = np.atleast_2d(np.asarray(self.source_inputs, dtype=float))
-        if values.shape[0] != inputs.shape[0]:
-            raise DimensionMismatchError(
-                f"{values.shape[0]} feature rows for {inputs.shape[0]} input rows"
-            )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "source_inputs", inputs)
-
-
-def evaluate(feature_map: RbfFeatureMap, inputs: np.ndarray) -> FeatureMatrix:
-    """Evaluate the RBF features at each input row."""
+def evaluate(feature_map: RbfFeatureMap, inputs: np.ndarray) -> np.ndarray:
+    """The RBF features at each input row, (n, k): [i, j] is feature j at row i."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs.reshape(-1, 1)
@@ -93,8 +75,7 @@ def evaluate(feature_map: RbfFeatureMap, inputs: np.ndarray) -> FeatureMatrix:
         )
     scaled_x = inputs / feature_map.lengthscales
     scaled_c = feature_map.centers / feature_map.lengthscales
-    values = np.exp(-0.5 * squared_distances(scaled_x, scaled_c))
-    return FeatureMatrix(values, inputs)
+    return np.exp(-0.5 * squared_distances(scaled_x, scaled_c))
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,7 +104,7 @@ def injectivity_certificate(
     whose feature vectors are linearly independent (greedy pivoted QR
     selection), certifying the weight-to-function map injective.
     """
-    feat = evaluate(feature_map, candidate_points).values
+    feat = evaluate(feature_map, candidate_points)
     singular_values = np.linalg.svd(feat, compute_uv=False)
     cutoff = RANK_RTOL * (singular_values[0] if singular_values.size else 0.0)
     rank = int(np.sum(singular_values > cutoff))
@@ -163,11 +144,15 @@ class PrecomputedFeatureMap:
     values: np.ndarray  # (n, k)
 
     def __post_init__(self):
-        inputs, values = np.shape(self.inputs), np.shape(self.values)
-        if len(inputs) != 2 or len(values) != 2 or inputs[0] != values[0]:
+        # Keys are float row bytes: cast, and fold -0.0 to +0.0 like each query.
+        inputs = np.asarray(self.inputs, dtype=float) + 0.0
+        values = np.asarray(self.values, dtype=float)
+        if inputs.ndim != 2 or values.ndim != 2 or inputs.shape[0] != values.shape[0]:
             raise DimensionMismatchError(
-                f"inputs {inputs} and values {values} must be 2-D with equal row counts"
+                f"inputs {inputs.shape} and values {values.shape} must be 2-D, equal row counts"
             )
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "values", values)
 
     @property
     def num_features(self) -> int:
@@ -183,7 +168,7 @@ class PrecomputedFeatureMap:
         return {row.tobytes(): i for i, row in enumerate(np.ascontiguousarray(self.inputs))}
 
     def __call__(self, query: np.ndarray) -> np.ndarray:
-        query = np.atleast_2d(np.asarray(query, dtype=float))
+        query = np.atleast_2d(np.asarray(query, dtype=float)) + 0.0
         if query.shape[1] != self.input_dim:
             raise DimensionMismatchError(
                 f"query dimension {query.shape[1]} != stored {self.input_dim}"
@@ -236,20 +221,20 @@ def _read_numeric_csv(path: Path) -> np.ndarray:
 
 
 def save_features(
-    feature_matrix: FeatureMatrix, path: str | Path, inputs_path: str | Path | None = None
+    table: PrecomputedFeatureMap, path: str | Path, inputs_path: str | Path | None = None
 ):
     """Write feature values (and inputs alongside) in the plain CSV schema."""
     path = Path(path)
     if inputs_path is None:
         inputs_path = path.with_suffix(".inputs.csv")
-    np.savetxt(path, feature_matrix.values, delimiter=",", fmt="%.17g")
-    np.savetxt(inputs_path, feature_matrix.source_inputs, delimiter=",", fmt="%.17g")
+    np.savetxt(path, table.values, delimiter=",", fmt="%.17g")
+    np.savetxt(inputs_path, table.inputs, delimiter=",", fmt="%.17g")
 
 
 def load_features(
     path: str | Path, inputs_path: str | Path | None = None
-) -> tuple[FeatureMatrix, PrecomputedFeatureMap]:
-    """Load a feature matrix from CSV, with a lookup-backed map stub.
+) -> PrecomputedFeatureMap:
+    """Load a feature table from CSV.
 
     The inputs CSV defaults to ``<path>.inputs.csv`` alongside; if absent,
     rows are indexed by position (inputs = row indices).
@@ -267,8 +252,7 @@ def load_features(
             )
     else:
         inputs = np.arange(values.shape[0], dtype=float).reshape(-1, 1)
-    matrix = FeatureMatrix(values, inputs)
-    return matrix, PrecomputedFeatureMap(matrix.source_inputs, matrix.values)
+    return PrecomputedFeatureMap(inputs, values)
 
 
 def median_heuristic_lengthscales(

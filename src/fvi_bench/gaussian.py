@@ -78,11 +78,6 @@ class GaussianDist:
             return self.cov
         return np.diag(self.cov)
 
-    def cov_diagonal(self) -> np.ndarray:
-        if self.kind is CovKind.FULL:
-            return np.einsum("ii->i", self.cov).copy()
-        return self.cov
-
 
 def full_gaussian(mean, cov) -> GaussianDist:
     return GaussianDist(np.asarray(mean, dtype=float), np.asarray(cov, dtype=float), CovKind.FULL)

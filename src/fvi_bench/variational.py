@@ -222,15 +222,13 @@ def box_from_inputs(inputs: np.ndarray) -> np.ndarray:
 
 
 def sample_measurement_set(
-    policy: MeasurementPolicy, data: Dataset | None, rng: np.random.Generator
+    policy: MeasurementPolicy, data: Dataset, rng: np.random.Generator
 ) -> MeasurementSet:
     """floor(m * data_fraction) training inputs plus uniform box points."""
     num_data = math.floor(policy.total_size * policy.data_fraction)
     num_box = policy.total_size - num_data
     pieces, tags = [], []
     if num_data > 0:
-        if data is None:
-            raise ValueError("data_fraction > 0 requires a dataset")
         replace = num_data > data.size
         idx = rng.choice(data.size, size=num_data, replace=replace)
         pieces.append(data.inputs[idx])

@@ -13,7 +13,6 @@ from fvi_bench.errors import (
     UnknownInputError,
 )
 from fvi_bench.features import (
-    FeatureMatrix,
     PrecomputedFeatureMap,
     RbfFeatureMap,
     evaluate,
@@ -34,24 +33,24 @@ class TestEvaluate:
     def test_feature_is_one_at_its_center(self):
         fmap = RbfFeatureMap(np.array([[0.3, -0.7]]), np.array([0.5, 1.5]))
         out = evaluate(fmap, np.array([[0.3, -0.7]]))
-        assert out.values[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_hand_evaluated_1d_value(self):
         fmap = RbfFeatureMap(np.array([[0.0]]), np.array([0.2]))
         out = evaluate(fmap, np.array([[0.2]]))
-        assert out.values[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-12)
-        assert out.values[0, 0] == pytest.approx(0.60653, abs=5e-6)
+        assert out[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert out[0, 0] == pytest.approx(0.60653, abs=5e-6)
 
     def test_toy_centers_give_unit_diagonal(self):
         fmap = toy_feature_map()
         out = evaluate(fmap, fmap.centers)
-        np.testing.assert_allclose(np.diag(out.values), np.ones(20), atol=1e-12)
+        np.testing.assert_allclose(np.diag(out), np.ones(20), atol=1e-12)
 
     def test_values_in_unit_interval_and_one_only_at_center(self):
         rng = np.random.default_rng(0)
         fmap = RbfFeatureMap(rng.standard_normal((5, 3)), rng.uniform(0.5, 2.0, 3))
         points = rng.standard_normal((40, 3))
-        out = evaluate(fmap, points).values
+        out = evaluate(fmap, points)
         assert np.all(out > 0.0) and np.all(out <= 1.0)
         assert not np.any(out == 1.0)
 
@@ -61,7 +60,7 @@ class TestEvaluate:
         points = rng.standard_normal((10, 2))
         perm = rng.permutation(10)
         np.testing.assert_allclose(
-            evaluate(fmap, points).values[perm], evaluate(fmap, points[perm]).values
+            evaluate(fmap, points)[perm], evaluate(fmap, points[perm])
         )
 
     def test_matches_direct_formula(self):
@@ -72,7 +71,7 @@ class TestEvaluate:
         for i, x in enumerate(points):
             for j, c in enumerate(fmap.centers):
                 direct[i, j] = math.exp(-0.5 * float(np.sum(((x - c) / fmap.lengthscales) ** 2)))
-        np.testing.assert_allclose(evaluate(fmap, points).values, direct, rtol=1e-12)
+        np.testing.assert_allclose(evaluate(fmap, points), direct, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -90,7 +89,7 @@ class TestInjectivityCertificate:
         assert cert.certified_rank == 20
         assert cert.witness_subset is not None and len(cert.witness_subset) == 20
         # SVD oracle: the witness rows really are linearly independent.
-        witness_feats = evaluate(fmap, fmap.centers[cert.witness_subset]).values
+        witness_feats = evaluate(fmap, fmap.centers[cert.witness_subset])
         sv = np.linalg.svd(witness_feats, compute_uv=False)
         assert sv[-1] > 1e-8 * sv[0]
 
@@ -117,7 +116,7 @@ class TestInjectivityCertificate:
             cert = injectivity_certificate(fmap, candidates)
             if cert.witness_subset is None:
                 continue
-            sub = evaluate(fmap, candidates[cert.witness_subset]).values
+            sub = evaluate(fmap, candidates[cert.witness_subset])
             sv = np.linalg.svd(sub, compute_uv=False)
             assert sv[-1] > 1e-8 * sv[0]
 
@@ -140,8 +139,8 @@ class TestFeatureCsv:
     def test_identity_round(self, tmp_path):
         path = tmp_path / "feat.csv"
         path.write_text("1,0\n0,1\n")
-        matrix, stub = load_features(path)
-        np.testing.assert_array_equal(matrix.values, np.eye(2))
+        stub = load_features(path)
+        np.testing.assert_array_equal(stub.values, np.eye(2))
         assert stub.num_features == 2
 
     def test_nan_rejected(self, tmp_path):
@@ -159,20 +158,22 @@ class TestFeatureCsv:
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        original = FeatureMatrix(rng.standard_normal((8, 3)), rng.standard_normal((8, 2)))
+        values, inputs = rng.standard_normal((8, 3)), rng.standard_normal((8, 2))
+        original = PrecomputedFeatureMap(inputs, values)
         path = tmp_path / "feat.csv"
         save_features(original, path)
-        loaded, stub = load_features(path)
+        loaded = load_features(path)
         np.testing.assert_array_equal(loaded.values, original.values)
-        np.testing.assert_array_equal(loaded.source_inputs, original.source_inputs)
-        np.testing.assert_array_equal(stub(original.source_inputs), original.values)
+        np.testing.assert_array_equal(loaded.inputs, original.inputs)
+        np.testing.assert_array_equal(loaded(original.inputs), original.values)
 
     def test_stub_rejects_unknown_rows(self, tmp_path):
         rng = np.random.default_rng(6)
-        original = FeatureMatrix(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
+        values, inputs = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        original = PrecomputedFeatureMap(inputs, values)
         path = tmp_path / "feat.csv"
         save_features(original, path)
-        _, stub = load_features(path)
+        stub = load_features(path)
         with pytest.raises(UnknownInputError):
             stub(np.array([[100.0, 100.0]]))
 
@@ -183,6 +184,17 @@ class TestFeatureCsv:
     def test_one_dimensional_inputs_rejected(self):
         with pytest.raises(DimensionMismatchError):
             PrecomputedFeatureMap(np.arange(3.0), np.ones((3, 4)))
+
+    def test_integer_table_matches_float_query(self):
+        table = PrecomputedFeatureMap(np.array([[0], [1]]), np.eye(2))
+        np.testing.assert_array_equal(table(np.array([[1]])), [[0.0, 1.0]])
+        np.testing.assert_array_equal(table(np.array([[0.0], [1.0]])), np.eye(2))
+
+    def test_signed_zeros_match_each_other(self):
+        table = PrecomputedFeatureMap(np.array([[0.0], [1.0]]), np.eye(2))
+        np.testing.assert_array_equal(table(np.array([[-0.0]])), [[1.0, 0.0]])
+        table = PrecomputedFeatureMap(np.array([[-0.0], [1.0]]), np.eye(2))
+        np.testing.assert_array_equal(table(np.array([[0.0]])), [[1.0, 0.0]])
 
 
 class TestFeaturizer:

@@ -90,6 +90,38 @@ class TestVariationalState:
         np.testing.assert_allclose(rebuilt.mean, state.mean)
         np.testing.assert_allclose(rebuilt.scale, state.scale)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([Family.FULL, Family.FFG]))
+    def test_params_round_trip_property(self, seed, family):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, family, int(rng.integers(1, 7)))
+        rebuilt = state.with_params(state.params())
+        np.testing.assert_array_equal(rebuilt.mean, state.mean)
+        # The full diagonal and the ffg scales are stored as logs, and
+        # exp(log(s)) may miss s by an ulp; every other entry is stored as is.
+        logged = np.eye(state.dim, dtype=bool) if state.is_full else np.ones(state.dim, bool)
+        np.testing.assert_array_equal(rebuilt.scale[~logged], state.scale[~logged])
+        np.testing.assert_array_max_ulp(rebuilt.scale[logged], state.scale[logged], 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([Family.FULL, Family.FFG]))
+    def test_pack_grad_is_the_parameter_gradient(self, seed, family):
+        """pack_grad(gm, gs) is the parameter gradient of gm . mean + <gs, scale>,
+        the inner product over the lower triangle (full) or the vector (ffg)."""
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, family, int(rng.integers(1, 7)))
+        grad_mean = rng.standard_normal(state.dim)
+        grad_scale = rng.standard_normal(state.scale.shape)
+
+        def linear(params):
+            at = state.with_params(params)
+            # A full scale is zero above the diagonal, so the plain sum is
+            # the lower-triangle inner product.
+            value = grad_mean @ at.mean + np.sum(grad_scale * at.scale)
+            return float(value), at.pack_grad(grad_mean, grad_scale)
+
+        assert finite_diff_check(linear, state.params()).max_rel_error < 1e-7
+
     def test_prior_state_is_standard_normal(self):
         for family in (Family.FULL, Family.FFG):
             state = VariationalState.prior_state(family, 4)
