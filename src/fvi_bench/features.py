@@ -8,6 +8,11 @@ elsewhere; `load_features` and `save_features` read and write it as CSV.
 The module also has a k-means + median-heuristic featurizer for tabular data
 and a numerical injectivity certificate: inputs whose feature vectors are
 linearly independent, certifying that distinct weights give distinct functions.
+
+The featurizer's k-means++ seeding costs O(n k d) and draws the same random
+numbers as scipy's `kmeans2(minit="++")`, which costs O(n k^2 d), so centers
+and lengthscales are bit for bit scipy's; unlike scipy, it stops seeding once
+every input row is a seed.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.cluster.vq import kmeans2
 from scipy.linalg import qr as _scipy_qr
+from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionMismatchError,
@@ -75,18 +81,23 @@ def evaluate(feature_map: RbfFeatureMap, inputs: np.ndarray) -> np.ndarray:
         )
     scaled_x = inputs / feature_map.lengthscales
     scaled_c = feature_map.centers / feature_map.lengthscales
-    return np.exp(-0.5 * squared_distances(scaled_x, scaled_c))
+    values = squared_distances(scaled_x, scaled_c)
+    values *= -0.5
+    return np.exp(values, out=values)
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a and b, (n_a, n_b),
-    with roundoff-level negatives clipped to zero."""
-    sq = (
-        np.sum(a**2, axis=1)[:, None]
-        - 2.0 * a @ b.T
-        + np.sum(b**2, axis=1)[None, :]
-    )
-    return np.maximum(sq, 0.0)
+    with roundoff-level negatives clipped to zero.
+
+    |a|^2 - 2 a.b + |b|^2, formed in place in the one (n_a, n_b) buffer.
+    Scaling a before the product keeps numpy from taking a @ a.T to the
+    symmetric BLAS kernel, whose rounding differs, when b is a.
+    """
+    out = (-2.0 * a) @ b.T
+    out += np.sum(a**2, axis=1)[:, None]
+    out += np.sum(b**2, axis=1)
+    return np.maximum(out, 0.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -273,13 +284,39 @@ def median_heuristic_lengthscales(
     return scales
 
 
+def _kmeans_pp_seeds(
+    inputs: np.ndarray, num_centers: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Up to num_centers k-means++ seeds (Arthur & Vassilvitskii, 2007).
+
+    Draws as scipy's `kmeans2(minit="++")` does: `integers(n)`, then one
+    `uniform()` per seed against the normalized cumsum of each row's squared
+    distance to its nearest seed, kept here as a running minimum.  Stops when
+    those distances are all zero: one seed per distinct row.
+    """
+    seeds = [inputs[rng.integers(inputs.shape[0])]]
+    nearest = cdist(seeds[0][None, :], inputs, "sqeuclidean")[0]
+    while len(seeds) < num_centers:
+        total = nearest.sum()
+        if total == 0.0:
+            break
+        cumulative = (nearest / total).cumsum()
+        seeds.append(inputs[int(np.searchsorted(cumulative, rng.uniform()))])
+        np.minimum(nearest, cdist(seeds[-1][None, :], inputs, "sqeuclidean")[0], out=nearest)
+    return np.array(seeds)
+
+
 def fit_rbf_featurizer(
     inputs: np.ndarray, num_centers: int = 100, rng: np.random.Generator | None = None
 ) -> RbfFeatureMap:
     """RBF featurizer for tabular data: k-means centers on the inputs plus
     per-dimension median-heuristic lengthscales."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if not np.all(np.isfinite(inputs)):
+        raise NonFiniteValueError("featurizer inputs contain NaN or Inf")
+    if num_centers < 1:
+        raise ValueError(f"num_centers must be at least 1, got {num_centers}")
     rng = rng or np.random.default_rng(0)
-    num_centers = min(num_centers, inputs.shape[0])
-    centers, _ = kmeans2(inputs, num_centers, minit="++", rng=rng)
+    seeds = _kmeans_pp_seeds(inputs, min(num_centers, inputs.shape[0]), rng)
+    centers, _ = kmeans2(inputs, seeds, minit="matrix")
     return RbfFeatureMap(centers, median_heuristic_lengthscales(inputs, rng=rng))

@@ -1,9 +1,12 @@
 """Tests for RBF feature maps, injectivity certificates, and feature CSV IO."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.cluster.vq import kmeans2
+from scipy.spatial.distance import cdist
 
 from fvi_bench import features
 from fvi_bench.errors import (
@@ -21,6 +24,7 @@ from fvi_bench.features import (
     injectivity_certificate,
     load_features,
     save_features,
+    squared_distances,
 )
 
 
@@ -80,6 +84,41 @@ class TestEvaluate:
     def test_invalid_lengthscale_rejected(self):
         with pytest.raises(ValueError):
             RbfFeatureMap(np.zeros((2, 1)), np.array([0.0]))
+
+
+def expansion_squared_distances(a, b, clip=True):
+    """The allocating |a|^2 - 2 a.b + |b|^2 expression (oracle for the bits)."""
+    sq = np.sum(a**2, axis=1)[:, None] - 2.0 * a @ b.T + np.sum(b**2, axis=1)[None, :]
+    return np.maximum(sq, 0.0) if clip else sq
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 1, 5), (40, 3, 9), (300, 8, 200)])
+    def test_bit_identical_to_expansion_and_close_to_cdist(self, shape):
+        n_a, d, n_b = shape
+        rng = np.random.default_rng(n_a + d)
+        a = rng.standard_normal((n_a, d))
+        b = rng.standard_normal((n_b, d))
+        out = squared_distances(a, b)
+        np.testing.assert_array_equal(out, expansion_squared_distances(a, b))
+        np.testing.assert_allclose(out, cdist(a, b, "sqeuclidean"), rtol=1e-10)
+
+    def test_same_array_on_both_sides(self):
+        # The SSGE kernel passes its samples as both a and b.
+        a = np.random.default_rng(9).standard_normal((100, 10))
+        np.testing.assert_array_equal(squared_distances(a, a), expansion_squared_distances(a, a))
+
+    def test_coincident_rows_never_negative(self):
+        # Far from the origin the expansion cancels |a|^2 against 2 a.b, and
+        # unclipped roundoff would go negative for coincident rows.
+        rng = np.random.default_rng(0)
+        a = 1e3 + rng.standard_normal((50, 4))
+        b = np.vstack([a[::5], 1e3 + rng.standard_normal((5, 4))])
+        assert np.any(expansion_squared_distances(a, b, clip=False) < 0.0)
+        out = squared_distances(a, b)
+        assert np.all(out >= 0.0)
+        np.testing.assert_array_equal(out, expansion_squared_distances(a, b))
+        np.testing.assert_allclose(out, cdist(a, b, "sqeuclidean"), atol=1e-6)
 
 
 class TestInjectivityCertificate:
@@ -204,6 +243,51 @@ class TestFeaturizer:
         fmap = fit_rbf_featurizer(inputs, num_centers=10, rng=np.random.default_rng(0))
         assert fmap.centers.shape == (10, 3)
         assert np.all(fmap.lengthscales > 0.0)
+
+    @pytest.mark.parametrize(
+        "n, d, k",
+        [(60, 1, 12), (40, 1, 40), (200, 3, 25), (1200, 2, 15), (9, 4, 20), (1, 3, 5)],
+    )
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_matches_scipy_kmeans_plus_plus(self, n, d, k, seed):
+        """Same centers and lengthscales, bit for bit, as scipy's ++ seeding
+        followed by the median heuristic on the same generator (n > 1000
+        makes the heuristic subsample, so the generator state must match)."""
+        inputs = np.random.default_rng([seed, n, d]).standard_normal((n, d))
+        oracle_rng = np.random.default_rng(seed)
+        centers, _ = kmeans2(inputs, min(k, n), minit="++", rng=oracle_rng)
+        lengthscales = features.median_heuristic_lengthscales(inputs, rng=oracle_rng)
+        fmap = fit_rbf_featurizer(inputs, num_centers=k, rng=np.random.default_rng(seed))
+        np.testing.assert_array_equal(fmap.centers, centers)
+        np.testing.assert_array_equal(fmap.lengthscales, lengthscales)
+
+    def test_fewer_distinct_rows_than_centers(self):
+        distinct = np.random.default_rng(4).standard_normal((5, 2))
+        inputs = np.repeat(distinct, 10, axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fmap = fit_rbf_featurizer(inputs, num_centers=8, rng=np.random.default_rng(1))
+        # One center per distinct row, as the min(num_centers, n) clip does
+        # (up to the roundoff of Lloyd's mean over ten copies of a row).
+        assert fmap.num_features == 5
+        np.testing.assert_allclose(
+            np.unique(fmap.centers, axis=0), np.unique(distinct, axis=0), rtol=1e-14
+        )
+        assert np.linalg.matrix_rank(fmap(inputs)) == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_inputs_rejected_before_seeding(self, bad):
+        inputs = np.random.default_rng(5).standard_normal((30, 2))
+        inputs[17, 1] = bad
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(NonFiniteValueError):
+            fit_rbf_featurizer(inputs, num_centers=4, rng=rng)
+        assert rng.bit_generator.state == state
+
+    def test_no_centers_rejected(self):
+        with pytest.raises(ValueError):
+            fit_rbf_featurizer(np.zeros((3, 1)), num_centers=0)
 
     def test_constant_dimension_gets_unit_lengthscale(self):
         inputs = np.column_stack([np.linspace(0, 1, 50), np.zeros(50)])
