@@ -28,14 +28,17 @@ FeatureMapLike = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class Dataset:
+    """Training or test rows.  The dataset owns read-only copies of the
+    arrays it is given, so statistics computed from it stay valid."""
+
     inputs: np.ndarray  # (n, d)
     targets: np.ndarray  # (n,)
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=float)
+        inputs = np.array(self.inputs, dtype=float)
         if inputs.ndim == 1:
             inputs = inputs.reshape(-1, 1)
-        targets = np.asarray(self.targets, dtype=float).reshape(-1)
+        targets = np.array(self.targets, dtype=float).reshape(-1)
         if inputs.shape[0] != targets.shape[0]:
             raise DimensionMismatchError(
                 f"{inputs.shape[0]} input rows for {targets.shape[0]} targets"
@@ -44,6 +47,7 @@ class Dataset:
             raise ValueError("a dataset needs at least one row")
         if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
             raise NonFiniteValueError("dataset contains non-finite values")
+        inputs.flags.writeable = targets.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 
@@ -62,9 +66,14 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(values[:, :-1], values[:, -1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlrModel:
-    """Feature map + noise variance + Gaussian weight prior."""
+    """Feature map + noise variance + Gaussian weight prior.
+
+    The feature map must be a fixed function: the full-batch objectives on
+    one model and one dataset share the likelihood statistics computed from
+    its features.  A model compares and hashes by identity.
+    """
 
     feature_map: FeatureMapLike
     noise_variance: float

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.cluster.vq import kmeans2
 from scipy.linalg import qr as _scipy_qr
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import (
     DimensionMismatchError,
@@ -70,11 +70,15 @@ class RbfFeatureMap:
         return evaluate(self, inputs)
 
 
+def _as_rows(inputs: np.ndarray) -> np.ndarray:
+    """Inputs as an (n, d) float array; 1-D inputs are one column."""
+    inputs = np.asarray(inputs, dtype=float)
+    return inputs.reshape(-1, 1) if inputs.ndim < 2 else inputs
+
+
 def evaluate(feature_map: RbfFeatureMap, inputs: np.ndarray) -> np.ndarray:
     """The RBF features at each input row, (n, k): [i, j] is feature j at row i."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs.reshape(-1, 1)
+    inputs = _as_rows(inputs)
     if inputs.shape[1] != feature_map.input_dim:
         raise DimensionMismatchError(
             f"inputs have dimension {inputs.shape[1]}, centers have {feature_map.input_dim}"
@@ -269,18 +273,29 @@ def load_features(
 def median_heuristic_lengthscales(
     inputs: np.ndarray, *, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Per-dimension median absolute pairwise difference; 1.0 for constant dims."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    """Per-dimension median absolute pairwise difference; 1.0 for constant dims.
+
+    Above ``LENGTHSCALE_MAX_POINTS`` rows, the pairs of a random subsample.
+    The median is the one `np.median` gives, taken from a single partition
+    of each dimension's pair differences.
+    """
+    inputs = _as_rows(inputs)
+    if not np.all(np.isfinite(inputs)):
+        raise NonFiniteValueError("median heuristic inputs contain NaN or Inf")
     n = inputs.shape[0]
     if n > LENGTHSCALE_MAX_POINTS:
         rng = rng or np.random.default_rng(0)
         inputs = inputs[rng.choice(n, size=LENGTHSCALE_MAX_POINTS, replace=False)]
-    scales = np.empty(inputs.shape[1])
-    iu = np.triu_indices(inputs.shape[0], k=1)
+    scales = np.ones(inputs.shape[1])
     for dim in range(inputs.shape[1]):
-        diffs = np.abs(inputs[:, dim, None] - inputs[None, :, dim])[iu]
-        median = float(np.median(diffs)) if diffs.size else 0.0
-        scales[dim] = median if median > 0.0 else 1.0
+        diffs = pdist(inputs[:, dim : dim + 1], "cityblock")
+        if diffs.size == 0:
+            continue
+        half = diffs.size // 2
+        diffs.partition(half)
+        median = diffs[half] if diffs.size % 2 else (diffs[:half].max() + diffs[half]) / 2
+        if median > 0.0:
+            scales[dim] = median
     return scales
 
 
@@ -310,8 +325,8 @@ def fit_rbf_featurizer(
     inputs: np.ndarray, num_centers: int = 100, rng: np.random.Generator | None = None
 ) -> RbfFeatureMap:
     """RBF featurizer for tabular data: k-means centers on the inputs plus
-    per-dimension median-heuristic lengthscales."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    per-dimension median-heuristic lengthscales.  1-D inputs are one column."""
+    inputs = _as_rows(inputs)
     if not np.all(np.isfinite(inputs)):
         raise NonFiniteValueError("featurizer inputs contain NaN or Inf")
     if num_centers < 1:

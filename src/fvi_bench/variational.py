@@ -25,7 +25,8 @@ algebraically identical to the textbook trace/log-det expression built from
 
 A full-batch training step costs O(k^3) whatever the number of data points
 n: the expected log-likelihood is read off likelihood statistics formed once
-per objective.  The step path does its linear algebra in numpy only, so it
+per (model, dataset) pair and shared by every full-batch objective on that
+pair.  The step path does its linear algebra in numpy only, so it
 runs on numpy's BLAS and never alternates with the separate BLAS that scipy
 bundles; scipy's pivoted QR runs only when a measurement set has dependent
 rows.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,6 +275,29 @@ def _likelihood_stats(
         phi.shape[0],
         anchor,
     )
+
+
+# Model -> (weak reference to the dataset, its anchored full-batch statistics).
+# An entry lives as long as its model; it serves only the same dataset object.
+_FULL_BATCH_STATS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _full_batch_stats(model: BlrModel, data: Dataset) -> _LikelihoodStats:
+    """Read-only statistics of all rows of data, anchored at the exact
+    posterior mean, computed once per (model, data) pair."""
+    cached = _FULL_BATCH_STATS.get(model)
+    if cached is not None and cached[0]() is data:
+        return cached[1]
+    phi = model.features(data.inputs)
+    gram = phi.T @ phi
+    posterior_mean = np.linalg.solve(
+        gram + model.noise_variance * np.eye(model.num_features), phi.T @ data.targets
+    )
+    stats = _likelihood_stats(phi, data.targets, posterior_mean, gram)
+    for array in (stats.gram, stats.cross, stats.anchor):
+        array.flags.writeable = False
+    _FULL_BATCH_STATS[model] = (weakref.ref(data), stats)
+    return stats
 
 
 def _ell_terms(
@@ -540,10 +565,12 @@ class Objective:
     """Bundles an objective kind with a model and dataset for a training run.
 
     A full-batch objective keeps only the likelihood statistics of the data
-    (`_LikelihoodStats`, anchored at the exact posterior mean), formed once
-    here, and drops the feature matrix, so a step costs O(k^3) whatever n
-    is.  A minibatch objective keeps the feature matrix and forms the
-    statistics of each batch, anchored at the current mean.  Every kind but
+    (`_LikelihoodStats`, anchored at the exact posterior mean) and no
+    feature matrix, so a step costs O(k^3) whatever n is.  The statistics
+    are formed once per (model, data) pair: every full-batch objective on
+    the same model and dataset objects shares them.  A minibatch objective
+    keeps the feature matrix and forms the statistics of each batch,
+    anchored at the current mean.  Every kind but
     `Exact` takes its KL from one `MarginalKl` (prepared here for `FixedA`,
     drawn each step otherwise); `Ssge` swaps in the estimated KL gradient.
     """
@@ -559,17 +586,12 @@ class Objective:
         self.kind = kind
         self.model = model
         self.data = data
-        phi = model.features(data.inputs)
         if minibatch_size:
             self._schedule = MinibatchSchedule(data.size, minibatch_size)
-            self._phi, self._stats = phi, None
+            self._phi, self._stats = model.features(data.inputs), None
         else:
-            gram = phi.T @ phi
-            posterior_mean = np.linalg.solve(
-                gram + model.noise_variance * np.eye(model.num_features), phi.T @ data.targets
-            )
             self._schedule, self._phi = None, None
-            self._stats = _likelihood_stats(phi, data.targets, posterior_mean, gram)
+            self._stats = _full_batch_stats(model, data)
         self._fixed_marginal = (
             MarginalKl(model, kind.measurement_set) if isinstance(kind, FixedA) else None
         )

@@ -257,3 +257,15 @@ class TestDatasetIo:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteValueError):
             Dataset([[1.0]], [float("inf")])
+
+    @pytest.mark.parametrize("inputs", [np.arange(6.0), np.arange(6.0).reshape(3, 2)])
+    def test_owns_read_only_copies(self, inputs):
+        targets = np.arange(float(inputs.shape[0]))
+        data = Dataset(inputs, targets)
+        for array in (data.inputs, data.targets):
+            with pytest.raises(ValueError):
+                array[0] = 99.0
+        # The caller's arrays stay writable, and writing to them leaves the
+        # dataset as it was.
+        inputs[0], targets[0] = 99.0, 99.0
+        assert data.inputs.flat[0] == 0.0 and data.targets[0] == 0.0

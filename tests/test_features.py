@@ -33,6 +33,23 @@ def toy_feature_map() -> RbfFeatureMap:
     return RbfFeatureMap(np.linspace(-2.0, 2.0, 20).reshape(-1, 1), np.array([0.2]))
 
 
+def median_heuristic_oracle(inputs, rng):
+    """The median heuristic by its definition: the m x m absolute differences
+    of each dimension, their upper triangle, and `np.median`."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.shape[0] > features.LENGTHSCALE_MAX_POINTS:
+        picked = rng.choice(inputs.shape[0], size=features.LENGTHSCALE_MAX_POINTS, replace=False)
+        inputs = inputs[picked]
+    upper = np.triu_indices(inputs.shape[0], k=1)
+    scales = np.ones(inputs.shape[1])
+    for dim in range(inputs.shape[1]):
+        diffs = np.abs(inputs[:, dim, None] - inputs[None, :, dim])[upper]
+        median = float(np.median(diffs)) if diffs.size else 0.0
+        if median > 0.0:
+            scales[dim] = median
+    return scales
+
+
 class TestEvaluate:
     def test_feature_is_one_at_its_center(self):
         fmap = RbfFeatureMap(np.array([[0.3, -0.7]]), np.array([0.5, 1.5]))
@@ -256,7 +273,7 @@ class TestFeaturizer:
         inputs = np.random.default_rng([seed, n, d]).standard_normal((n, d))
         oracle_rng = np.random.default_rng(seed)
         centers, _ = kmeans2(inputs, min(k, n), minit="++", rng=oracle_rng)
-        lengthscales = features.median_heuristic_lengthscales(inputs, rng=oracle_rng)
+        lengthscales = median_heuristic_oracle(inputs, oracle_rng)
         fmap = fit_rbf_featurizer(inputs, num_centers=k, rng=np.random.default_rng(seed))
         np.testing.assert_array_equal(fmap.centers, centers)
         np.testing.assert_array_equal(fmap.lengthscales, lengthscales)
@@ -294,3 +311,50 @@ class TestFeaturizer:
         scales = features.median_heuristic_lengthscales(inputs)
         assert scales[1] == 1.0
         assert scales[0] > 0.0
+
+    def test_one_dimensional_inputs_are_one_column(self):
+        inputs = np.linspace(0.0, 1.0, 50)
+        fmap = fit_rbf_featurizer(inputs, num_centers=10, rng=np.random.default_rng(2))
+        column = fit_rbf_featurizer(inputs[:, None], num_centers=10, rng=np.random.default_rng(2))
+        assert fmap.centers.shape == (10, 1)
+        np.testing.assert_array_equal(fmap.centers, column.centers)
+        np.testing.assert_array_equal(fmap.lengthscales, column.lengthscales)
+        np.testing.assert_array_equal(fmap(inputs), column(inputs[:, None]))
+
+
+class TestMedianHeuristic:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 1001, 1200])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bit_identical_to_pairwise_median(self, n, seed):
+        """n rows give n (n - 1) / 2 pairs: odd for n = 2, 3, 7, even for
+        n = 4, 8, none for n = 1; above 1000 rows the heuristic subsamples.
+        Rounded columns have tied differences; a constant column gets 1.0."""
+        rng = np.random.default_rng([seed, n])
+        inputs = np.column_stack(
+            [
+                rng.standard_normal(n),
+                np.round(rng.uniform(0.0, 3.0, n)),
+                np.full(n, 2.5),
+                rng.exponential(size=n),
+            ]
+        )
+        scales = features.median_heuristic_lengthscales(inputs, rng=np.random.default_rng(seed))
+        np.testing.assert_array_equal(
+            scales, median_heuristic_oracle(inputs, np.random.default_rng(seed))
+        )
+        assert scales[2] == 1.0
+
+    def test_one_dimensional_inputs_are_one_column(self):
+        inputs = np.random.default_rng(6).standard_normal(50)
+        scales = features.median_heuristic_lengthscales(inputs)
+        assert scales.shape == (1,)
+        np.testing.assert_array_equal(
+            scales, median_heuristic_oracle(inputs[:, None], np.random.default_rng(0))
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_inputs_rejected(self, bad):
+        inputs = np.random.default_rng(8).standard_normal((20, 3))
+        inputs[11, 0] = bad
+        with pytest.raises(NonFiniteValueError):
+            features.median_heuristic_lengthscales(inputs)

@@ -1,12 +1,10 @@
 """Tests for the Adam loop and the finite-difference checker."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from fvi_bench import gaussian
-from fvi_bench.blr import BlrModel, Dataset, exact_posterior
+from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import DegenerateMarginalError, NonFiniteGradientError
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.optimize import AdamConfig, finite_diff_check, run
@@ -207,7 +205,10 @@ class TestConvergenceOracles:
         assert float(np.abs(trace.final_state.mean - target).max()) < 1e-4
 
     def test_elbo_mostly_nondecreasing_after_warmup(self):
-        # Sanity property, not a theorem: warn rather than fail on violation.
+        # Adam need not raise the ELBO at every step, but after warm-up it
+        # never falls far below its running maximum (at most 0.023 on toy
+        # seeds 0-7, against a starting gap of thousands), and the run ends
+        # at the log evidence (within 2e-12 on those seeds).
         model, data, _ = toy_problem(5)
         trace = run(
             Objective(Exact(), model, data),
@@ -215,10 +216,7 @@ class TestConvergenceOracles:
             AdamConfig(0.01, 5000, log_every=10),
             np.random.default_rng(0),
         )
-        elbos = [r.elbo_estimate for r in trace.records if r.step >= 100]
-        diffs = np.diff(elbos)
-        fraction = float(np.mean(diffs >= -1e-9))
-        if fraction < 0.99:
-            warnings.warn(
-                f"ELBO non-decreasing in only {fraction:.1%} of recorded intervals"
-            )
+        elbos = np.array([r.elbo_estimate for r in trace.records if r.step >= 100])
+        assert float(np.max(np.maximum.accumulate(elbos) - elbos)) <= 0.05
+        log_evidence = log_marginal_likelihood(model, data)
+        assert abs(log_evidence - elbos[-1]) <= 1e-9 * max(1.0, abs(log_evidence))

@@ -7,17 +7,19 @@ pivoted QR for the retained measurement rows, and hand algebra for the
 stationary-mean formulas.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fvi_bench import gaussian, variational
+from fvi_bench import features, gaussian, variational
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import DegenerateMarginalError, InvalidBoxError
-from fvi_bench.features import PrecomputedFeatureMap, RbfFeatureMap, independent_rows
+from fvi_bench.features import PrecomputedFeatureMap, RbfFeatureMap, evaluate, independent_rows
 from fvi_bench.optimize import finite_diff_check
 from fvi_bench.variational import (
     Exact,
@@ -662,6 +664,63 @@ class TestLikelihoodStatistics:
         assert own_row_arrays(full_batch) == []
         # The walk does find the feature matrix a minibatch objective keeps.
         assert own_row_arrays(Objective(kind, model, data, minibatch_size=10)) == [(57, 5)]
+
+
+FULL_BATCH_KINDS = [
+    Exact(),
+    FixedA(measurement_set_from_points(np.linspace(-1, 1, 3).reshape(-1, 1))),
+    RandA(MeasurementPolicy(4, 0.5, np.array([[-2.0, 2.0]]))),
+    Ssge(MeasurementPolicy(4, 0.5, np.array([[-2.0, 2.0]]))),
+]
+
+
+class TestSharedStatistics:
+    """Full-batch objectives on one (model, data) pair share one set of
+    likelihood statistics."""
+
+    def test_one_feature_evaluation_of_the_data_per_pair(self):
+        model, data = random_problem(np.random.default_rng(41), k=5, n=57)
+        rows_evaluated = []
+
+        def counted(feature_map, inputs):
+            rows_evaluated.append(np.shape(inputs)[0])
+            return evaluate(feature_map, inputs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "evaluate", counted)
+            objectives = [Objective(kind, model, data) for kind in FULL_BATCH_KINDS * 2]
+        # The data once; FixedA's own measurement set once per FixedA objective.
+        assert rows_evaluated == [57, 3, 3]
+        assert all(objective._stats is objectives[0]._stats for objective in objectives)
+
+    def test_new_model_or_new_dataset_gets_fresh_statistics(self):
+        model, data = random_problem(np.random.default_rng(42), k=5, n=57)
+        shared = Objective(Exact(), model, data)._stats
+        same_arrays = Dataset(data.inputs, data.targets)
+        new_model = BlrModel(model.feature_map, model.noise_variance)
+        for other in (
+            Objective(Exact(), model, same_arrays)._stats,
+            Objective(Exact(), new_model, data)._stats,
+        ):
+            assert other is not shared
+            np.testing.assert_array_equal(other.gram, shared.gram)
+            np.testing.assert_array_equal(other.cross, shared.cross)
+
+    def test_shared_arrays_are_read_only(self):
+        model, data = random_problem(np.random.default_rng(43), k=5, n=57)
+        stats = Objective(Exact(), model, data)._stats
+        for array in (stats.gram, stats.cross, stats.anchor):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_dropped_model_frees_its_statistics(self):
+        model, data = random_problem(np.random.default_rng(44), k=5, n=57)
+        objective = Objective(Exact(), model, data)
+        model_ref, stats_ref = weakref.ref(model), weakref.ref(objective._stats)
+        assert model in variational._FULL_BATCH_STATS
+        del model, objective
+        gc.collect()
+        assert model_ref() is None and stats_ref() is None
 
 
 def rows_for_case(seed, case):
