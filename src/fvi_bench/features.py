@@ -45,8 +45,9 @@ class RbfFeatureMap:
     lengthscales: np.ndarray  # (d,), shared across centers
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        lengthscales = np.asarray(self.lengthscales, dtype=float).reshape(-1)
+        # Own read-only copies: models and cached statistics assume a fixed map.
+        centers = np.atleast_2d(np.array(self.centers, dtype=float))
+        lengthscales = np.array(self.lengthscales, dtype=float).reshape(-1)
         if centers.shape[0] < 1 or centers.shape[1] < 1:
             raise ValueError("need at least one center and one input dimension")
         if lengthscales.shape[0] != centers.shape[1]:
@@ -55,6 +56,7 @@ class RbfFeatureMap:
             )
         if np.any(lengthscales <= 0.0):
             raise ValueError("lengthscales must be strictly positive")
+        centers.flags.writeable = lengthscales.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "lengthscales", lengthscales)
 

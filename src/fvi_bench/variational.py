@@ -18,23 +18,26 @@ any other Gaussian prior is rewritten with `blr.whiten` first, and is
 rejected with `NonStandardPriorError` otherwise.
 
 The marginal KL between pushforwards at measurement rows B is evaluated by
-rotating onto an orthonormal basis V of the row space of B: the divergence
-reduces to a weight-space Gaussian KL in the projected coordinates, which is
+rotating onto an orthonormal basis of the row space of B, R^{-T} B for the
+triangular factor R of a QR factorization of B^T: the divergence reduces to
+a weight-space Gaussian KL in the projected coordinates, which is
 algebraically identical to the textbook trace/log-det expression built from
-(B B^T)^{-1} but avoids squaring the condition number of B.
+(B B^T)^{-1} but, like the QR itself, avoids squaring the condition number
+of B.
 
 A full-batch training step costs O(k^3) whatever the number of data points
 n: the expected log-likelihood is read off likelihood statistics formed once
 per (model, dataset) pair and shared by every full-batch objective on that
 pair.  The step path does its linear algebra in numpy only, so it
 runs on numpy's BLAS and never alternates with the separate BLAS that scipy
-bundles; scipy's pivoted QR runs only when a measurement set has dependent
-rows.
+bundles; scipy's pivoted QR runs only for a measurement set whose rows
+fail the rank certificate of `MarginalKl`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import math
 import weakref
@@ -61,6 +64,15 @@ BOX_PAD = 0.5  # `box_from_inputs` widens a zero-width dimension by this on each
 class Family(enum.Enum):
     FULL = "full"
     FFG = "ffg"
+
+
+@functools.lru_cache(maxsize=16)
+def _strict_lower(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(k, -1)``, built once per k; the arrays are read-only."""
+    indices = np.tril_indices(k, -1)
+    for array in indices:
+        array.flags.writeable = False
+    return indices
 
 
 @dataclass(frozen=True)
@@ -123,7 +135,7 @@ class VariationalState:
     def params(self) -> np.ndarray:
         k = self.dim
         if self.is_full:
-            lower = self.scale[np.tril_indices(k, -1)]
+            lower = self.scale[_strict_lower(k)]
             return np.concatenate([self.mean, np.log(np.diag(self.scale)), lower])
         return np.concatenate([self.mean, np.log(self.scale)])
 
@@ -138,7 +150,7 @@ class VariationalState:
         if self.is_full:
             lower = np.zeros((k, k))
             lower[np.diag_indices(k)] = np.exp(vec[k : 2 * k])
-            lower[np.tril_indices(k, -1)] = vec[2 * k :]
+            lower[_strict_lower(k)] = vec[2 * k :]
             return VariationalState(Family.FULL, mean, lower)
         return VariationalState(Family.FFG, mean, np.exp(vec[k : 2 * k]))
 
@@ -147,7 +159,7 @@ class VariationalState:
         k = self.dim
         if self.is_full:
             diag = np.diag(grad_scale) * np.diag(self.scale)
-            return np.concatenate([grad_mean, diag, grad_scale[np.tril_indices(k, -1)]])
+            return np.concatenate([grad_mean, diag, grad_scale[_strict_lower(k)]])
         return np.concatenate([grad_mean, grad_scale * self.scale])
 
     @staticmethod
@@ -385,33 +397,48 @@ def exact_kl(state: VariationalState, model: BlrModel) -> tuple[float, np.ndarra
     return value, state.pack_grad(grad_mean, grad_scale)
 
 
+def _certified_inverse_r(rows: np.ndarray) -> np.ndarray | None:
+    """R^{-1} for the triangle R of a QR factorization of rows^T, or None
+    when R fails the rank certificate of `MarginalKl`."""
+    r = np.linalg.qr(rows.T, mode="r")
+    try:
+        inverse = np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        return None
+    bound = float(np.linalg.norm(r)) * float(np.linalg.norm(inverse))
+    return inverse if bound < 1.0 / RANK_RTOL else None
+
+
 class MarginalKl:
     """KL between variational and prior pushforwards at a measurement set.
 
     Dependent feature rows are dropped up front, matching the assumption
     that the retained rows B are linearly independent; the count is exposed
-    as ``rows_dropped``.  One SVD B = U S V^T serves both the KL (through V)
-    and the prior marginal N(0, B B^T) (through U and S).
+    as ``rows_dropped``.  One QR factorization B^T = Q R, of which only the
+    (m, m) triangle R is formed, serves both the KL (through the orthonormal
+    rows R^{-T} B = Q^T) and the prior marginal N(0, B B^T = R^T R).
 
-    The SVD of all m rows comes first.  Only when m > k or it finds a
-    singular value at or below ``RANK_RTOL`` times the largest does the
-    pivoted QR of `independent_rows` pick the rows to keep, followed by a
-    second SVD.  This keeps the same rows as running the QR every time: for
-    the R of any QR, sigma_min <= min |R_ii|, and pivoting makes |R_00| <=
-    sigma_max, so an SVD that finds full rank means the QR keeps every row.
+    The QR of all m rows comes first.  Only when m > k or R fails the
+    certificate 1 / (||R^{-1}||_F ||R||_F) > ``RANK_RTOL`` does the pivoted
+    QR of `independent_rows` pick the rows to keep, followed by a second QR.
+    This keeps the same rows as running the pivoted QR every time.  Since
+    sigma_min >= 1 / ||R^{-1}||_F and sigma_max <= ||R||_F, a certified R
+    has sigma_min / sigma_max > ``RANK_RTOL``; for the R of any QR,
+    sigma_min <= min |R_ii|, and pivoting makes |R_00| <= sigma_max, so the
+    pivoted QR would keep every row too.
     """
 
     def __init__(self, model: BlrModel, measurement_set: MeasurementSet):
         _require_standard_prior(model)
         rows = model.features(measurement_set.points)
         num_rows, k = rows.shape
-        svd = np.linalg.svd(rows, full_matrices=False) if num_rows <= k else None
-        if svd is None or not svd[1][-1] > RANK_RTOL * svd[1][0]:
+        inverse = _certified_inverse_r(rows) if num_rows <= k else None
+        if inverse is None:
             kept = independent_rows(rows)
             if kept.size == 0:
                 raise DegenerateMarginalError("no linearly independent measurement rows")
             rows = rows[kept]
-            svd = np.linalg.svd(rows, full_matrices=False)
+            inverse = np.linalg.inv(np.linalg.qr(rows.T, mode="r"))
         self.rows_dropped = num_rows - rows.shape[0]
         if self.rows_dropped:
             _log.debug(
@@ -419,15 +446,13 @@ class MarginalKl:
             )
         self.size = rows.shape[0]
         self.rows = rows  # (m, k), the retained rows B
-        left, singular, v_rows = svd
-        self._transform = v_rows  # (m, k), orthonormal rows
-        self._basis = left  # (m, m)
-        self._inv_sq_singular = singular**-2
+        self._inverse_r = inverse  # (m, m), R^{-1} with B B^T = R^T R
+        self._transform = inverse.T @ rows  # (m, k), orthonormal rows
 
     def prior_score(self, values: np.ndarray) -> np.ndarray:
         """Score of the prior marginal N(0, B B^T) at rows of function values,
-        -(B B^T)^{-1} f for each row f."""
-        return -((values @ self._basis) * self._inv_sq_singular) @ self._basis.T
+        -(B B^T)^{-1} f = -R^{-1} R^{-T} f for each row f."""
+        return -(values @ self._inverse_r) @ self._inverse_r.T
 
     @property
     def projection(self) -> np.ndarray:

@@ -102,6 +102,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             RbfFeatureMap(np.zeros((2, 1)), np.array([0.0]))
 
+    def test_owns_read_only_copies(self):
+        centers, lengthscales = np.linspace(-1.0, 1.0, 5).reshape(-1, 1), np.array([0.5])
+        fmap = RbfFeatureMap(centers, lengthscales)
+        points = np.linspace(-1.5, 1.5, 7).reshape(-1, 1)
+        before = fmap(points)
+        centers[0, 0], lengthscales[0] = 5.0, 2.0
+        np.testing.assert_array_equal(fmap(points), before)
+        with pytest.raises(ValueError, match="read-only"):
+            fmap.centers[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            fmap.lengthscales[0] = 2.0
+
 
 def expansion_squared_distances(a, b, clip=True):
     """The allocating |a|^2 - 2 a.b + |b|^2 expression (oracle for the bits)."""

@@ -1,28 +1,32 @@
 """Tests for the spectral score estimator and the SSGE KL gradient.
 
-Oracles: the closed-form score of a Gaussian, a dense solve for the prior
-marginal score, and the closed-form gradient of the marginal KL on the same
-measurement set.  The estimator is stochastic, so the checks are Monte Carlo
-bounds whose thresholds sit between the errors measured on these fixed seeds
-and the errors of an estimator that drops or flips the prior score (a
-relative gradient error of 1.4 to 3.6).
+Oracles: the closed-form score of a Gaussian, a dense solve and the SVD
+form for the prior marginal score, and the closed-form gradient of the
+marginal KL on the same measurement set.  The estimator is stochastic, so
+the checks are Monte Carlo bounds whose thresholds sit between the errors
+measured on these fixed seeds and the errors of an estimator that drops or
+flips the prior score (a relative gradient error of 1.4 to 3.6).
 """
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from conftest import random_spd_matrix
+from conftest import (
+    ILL_CONDITIONED_LENGTHSCALES,
+    WORKLOAD_SHAPES,
+    ill_conditioned_set,
+    random_spd_matrix,
+    relative_error,
+    svd_form,
+    workload_shaped_sets,
+)
 from fvi_bench.blr import BlrModel
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.ssge import EIGEN_RTOL, SsgeConfig, fit_score, kl_gradient_estimate
 from fvi_bench.variational import Family, MarginalKl, VariationalState, measurement_set_from_points
 
 SEEDS = range(20)
-
-
-def relative_error(estimate, exact):
-    return float(np.linalg.norm(estimate - exact) / np.linalg.norm(exact))
 
 
 def marginal_problem(family):
@@ -68,6 +72,31 @@ class TestPriorScore:
         values = rng.standard_normal((7, 3))
         expected = -np.linalg.solve(rows @ rows.T, values.T).T
         np.testing.assert_allclose(marginal.prior_score(values), expected, rtol=1e-9)
+
+    @staticmethod
+    def svd_prior_score(marginal, values):
+        """-(B B^T)^{-1} f through B = U S V^T, as the SVD form computed it."""
+        _, (left, singular, _) = svd_form(marginal.rows)
+        return -((values @ left) * singular**-2) @ left.T
+
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
+    def test_matches_svd_form_on_workload_shaped_sets(self, shape):
+        model, sets = workload_shaped_sets(shape, seed=41, count=3)
+        rng = np.random.default_rng(42)
+        for mset in sets:
+            marginal = MarginalKl(model, mset)
+            values = rng.standard_normal((100, marginal.size))
+            expected = self.svd_prior_score(marginal, values)
+            assert relative_error(marginal.prior_score(values), expected) < 1e-12
+
+    @pytest.mark.parametrize("lengthscale", ILL_CONDITIONED_LENGTHSCALES)
+    def test_ill_conditioned_sets_agree_within_the_condition_number(self, lengthscale):
+        marginal = MarginalKl(*ill_conditioned_set(lengthscale))
+        singular = np.linalg.svd(marginal.rows, compute_uv=False)
+        values = np.random.default_rng(43).standard_normal((100, marginal.size))
+        expected = self.svd_prior_score(marginal, values)
+        error = relative_error(marginal.prior_score(values), expected)
+        assert error < 1e-15 * singular[0] / singular[-1]
 
 
 class TestFitScore:

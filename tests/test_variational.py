@@ -3,8 +3,8 @@
 The independent oracles here: central finite differences for every gradient,
 Monte Carlo and a direct residual evaluation for the expected log-likelihood,
 the directly-evaluated textbook trace/log-det expression for the marginal KL,
-pivoted QR for the retained measurement rows, and hand algebra for the
-stationary-mean formulas.
+the SVD form of the marginal KL that the QR form replaced, pivoted QR for the
+retained measurement rows, and hand algebra for the stationary-mean formulas.
 """
 
 import gc
@@ -16,10 +16,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    ILL_CONDITIONED_LENGTHSCALES,
+    WORKLOAD_SHAPES,
+    ill_conditioned_set,
+    relative_error,
+    svd_form,
+    workload_shaped_sets,
+)
 from fvi_bench import features, gaussian, variational
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import DegenerateMarginalError, InvalidBoxError
-from fvi_bench.features import PrecomputedFeatureMap, RbfFeatureMap, evaluate, independent_rows
+from fvi_bench.features import (
+    RANK_RTOL,
+    PrecomputedFeatureMap,
+    RbfFeatureMap,
+    evaluate,
+    independent_rows,
+)
 from fvi_bench.optimize import finite_diff_check
 from fvi_bench.variational import (
     Exact,
@@ -120,6 +134,13 @@ class TestVariationalState:
             return float(value), at.pack_grad(grad_mean, grad_scale)
 
         assert finite_diff_check(linear, state.params()).max_rel_error < 1e-7
+
+    def test_strict_lower_indices_are_built_once_and_read_only(self):
+        indices = variational._strict_lower(6)
+        assert variational._strict_lower(6) is indices
+        for cached, expected in zip(indices, np.tril_indices(6, -1)):
+            np.testing.assert_array_equal(cached, expected)
+            assert not cached.flags.writeable
 
     def test_prior_state_is_standard_normal(self):
         for family in (Family.FULL, Family.FFG):
@@ -768,3 +789,97 @@ class TestRowSelection:
         np.testing.assert_array_equal(op.rows, expected)
         assert op.rows_dropped == rows.shape[0] - expected.shape[0]
         assert calls == ([] if full_rank else [rows.shape])
+
+
+def svd_value_and_grad(state, basis):
+    """Marginal KL and its gradient in the rotated coordinates of the SVD
+    basis V^T, as the SVD form of `MarginalKl` evaluated them (oracle)."""
+    shifted = basis @ state.mean
+    rotated = basis @ state.scale if state.is_full else basis * state.scale
+    cov = rotated @ rotated.T
+    log_det = np.linalg.slogdet(cov)[1]
+    value = 0.5 * (shifted @ shifted + np.sum(rotated**2) - basis.shape[0] - log_det)
+    residual = rotated - np.linalg.solve(cov, rotated)
+    if state.is_full:
+        grad_scale = np.tril(basis.T @ residual)
+    else:
+        grad_scale = np.einsum("ai,ai->i", basis, residual)
+    return value, state.pack_grad(basis.T @ shifted, grad_scale)
+
+
+class TestQrForm:
+    """`MarginalKl` from the triangle R of a QR of B^T against the SVD form
+    B = U S V^T that it replaced, kept in `svd_form` as the oracle."""
+
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    def test_matches_svd_form_on_workload_shaped_sets(self, shape, family):
+        model, sets = workload_shaped_sets(shape, seed=37, count=3)
+        rng = np.random.default_rng(38)
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return independent_rows(matrix)
+
+        for mset in sets:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(variational, "independent_rows", counted)
+                op = MarginalKl(model, mset)
+            rows, (_, _, basis) = svd_form(model.features(mset.points))
+            np.testing.assert_array_equal(op.rows, rows)
+            state = random_state(rng, family, model.num_features)
+            value, grad = op.value_and_grad(state)
+            expected_value, expected_grad = svd_value_and_grad(state, basis)
+            assert value == pytest.approx(expected_value, rel=1e-12)
+            assert relative_error(grad, expected_grad) < 1e-12
+        assert calls == []  # every set is certified and keeps every row
+
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
+    def test_transform_rows_are_orthonormal(self, shape):
+        model, sets = workload_shaped_sets(shape, seed=39, count=3)
+        for mset in sets:
+            transform = MarginalKl(model, mset)._transform
+            np.testing.assert_allclose(
+                transform @ transform.T, np.eye(transform.shape[0]), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("lengthscale", ILL_CONDITIONED_LENGTHSCALES)
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    def test_ill_conditioned_sets_agree_within_the_condition_number(self, lengthscale, family):
+        # Both forms lose accuracy in proportion to the condition number of
+        # the kept rows: against a 50-digit reference, the KL value of each
+        # was off by at most 1.3e-17 times it on these sets.
+        model, mset = ill_conditioned_set(lengthscale)
+        op = MarginalKl(model, mset)
+        rows, (_, singular, basis) = svd_form(model.features(mset.points))
+        np.testing.assert_array_equal(op.rows, rows)
+        assert op.rows_dropped == (1 if lengthscale == ILL_CONDITIONED_LENGTHSCALES[-1] else 0)
+        tolerance = 1e-15 * singular[0] / singular[-1]
+        state = random_state(np.random.default_rng(40), family, model.num_features)
+        value, grad = op.value_and_grad(state)
+        expected_value, expected_grad = svd_value_and_grad(state, basis)
+        assert value == pytest.approx(expected_value, rel=tolerance)
+        assert relative_error(grad, expected_grad) < tolerance
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(0.0, 10.0))
+    @example(seed=0, num_rows=8, log_condition=7.9)
+    @example(seed=0, num_rows=2, log_condition=8.1)
+    def test_certificate_implies_the_singular_ratio(self, seed, num_rows, log_condition):
+        """A certified R means sigma_min / sigma_max > RANK_RTOL, so the SVD
+        rule would keep every row too; and since the Frobenius bound is at
+        most m times the condition number, every set with m * cond well
+        below 1 / RANK_RTOL is certified."""
+        rng = np.random.default_rng(seed)
+        k = num_rows + int(rng.integers(0, 4))
+        left = np.linalg.qr(rng.standard_normal((num_rows, num_rows)))[0]
+        right = np.linalg.qr(rng.standard_normal((k, num_rows)))[0]
+        rows = (left * np.logspace(0.0, -log_condition, num_rows)) @ right.T
+        singular = np.linalg.svd(rows, compute_uv=False)
+        ratio = singular[-1] / singular[0]
+        certified = variational._certified_inverse_r(rows) is not None
+        if certified:
+            assert ratio > RANK_RTOL
+        if num_rows / ratio < 0.5 / RANK_RTOL:
+            assert certified
