@@ -40,7 +40,8 @@ class NonFiniteGradientError(FviBenchError):
 
 
 class NonFiniteValueError(FviBenchError):
-    """A loaded or computed array contains NaN or Inf."""
+    """A loaded or computed array contains NaN or Inf, or a positive
+    quantity computed as exp of a parameter underflowed to 0."""
 
 
 class ParseError(FviBenchError):

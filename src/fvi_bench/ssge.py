@@ -8,6 +8,9 @@ treated as implicit (the functional VI of Sun et al., ICLR 2019): the
 approximate-posterior score comes from the estimator, while the prior
 marginal is Gaussian and its score comes in closed form from the prepared
 `MarginalKl`, which takes the standard prior N(0, I) (see `blr.whiten`).
+The estimate is the whole KL gradient of a `variational.Ssge` step, which
+takes only the KL value from the closed form.  One kernel matrix of the
+samples serves the fit and the scores at those samples.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import DegenerateKernelError, DimensionMismatchError
+from .errors import DegenerateKernelError, DimensionMismatchError, NonFiniteValueError
 from .features import squared_distances
 # Unused here; kept because perfbench/tracing.py wraps these two names on this module.
 from .features import independent_rows  # noqa: F401
@@ -57,16 +60,22 @@ class SsgeConfig:
 
 @dataclass(frozen=True)
 class ScoreEstimate:
-    """Fitted spectral expansion of the score, evaluable at arbitrary points."""
+    """Fitted spectral expansion of the score, evaluable at arbitrary points.
+
+    ``sample_scores`` is the score at the fitted samples themselves, formed
+    from the fit's own kernel matrix; it equals ``self(basis_samples)`` bit
+    for bit.
+    """
 
     eigenvalues: np.ndarray  # (J,), descending, strictly positive
     beta: np.ndarray  # (J, m)
     basis_samples: np.ndarray  # (M, m)
     eigvecs: np.ndarray  # (M, J)
     bandwidth_used: float
+    sample_scores: np.ndarray  # (M, m)
 
-    def eigenfunctions(self, points: np.ndarray) -> np.ndarray:
-        """Nystrom eigenfunction values, shape (N, J)."""
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Estimated score at each point, shape (N, m)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.basis_samples.shape[1]:
             raise DimensionMismatchError(
@@ -74,16 +83,19 @@ class ScoreEstimate:
                 f"basis has {self.basis_samples.shape[1]}"
             )
         gram = _rbf_kernel(points, self.basis_samples, self.bandwidth_used)
-        m_samples = self.basis_samples.shape[0]
-        return gram @ self.eigvecs * (np.sqrt(m_samples) / self.eigenvalues)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Estimated score at each point, shape (N, m)."""
-        return self.eigenfunctions(points) @ self.beta
+        return _expansion(gram, self.eigvecs, self.eigenvalues, self.beta)
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(-0.5 * squared_distances(a, b) / bandwidth**2)
+
+
+def _expansion(
+    gram: np.ndarray, eigvecs: np.ndarray, eigenvalues: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """Score at N points from their (N, M) kernel against the M samples: the
+    Nystrom eigenfunction values (N, J) times beta."""
+    return (gram @ eigvecs * (np.sqrt(gram.shape[1]) / eigenvalues)) @ beta
 
 
 def fit_score(samples: np.ndarray) -> ScoreEstimate:
@@ -92,7 +104,7 @@ def fit_score(samples: np.ndarray) -> ScoreEstimate:
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 samples to fit a score estimate")
     if not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
+        raise NonFiniteValueError("score samples contain NaN or Inf")
     m_samples = samples.shape[0]
     bandwidth = float(np.median(pdist(samples)))  # median of the distinct pairwise distances
     if bandwidth == 0.0:
@@ -113,7 +125,8 @@ def fit_score(samples: np.ndarray) -> ScoreEstimate:
     col_sums = gram.sum(axis=0)
     summed_grads = -(gram @ samples - samples * col_sums[:, None]) / bandwidth**2
     beta = -(eigvecs.T @ summed_grads) / (np.sqrt(m_samples) * eigvals[:, None])
-    return ScoreEstimate(eigvals, beta, samples, eigvecs, bandwidth)
+    sample_scores = _expansion(gram, eigvecs, eigvals, beta)
+    return ScoreEstimate(eigvals, beta, samples, eigvecs, bandwidth, sample_scores)
 
 
 def kl_gradient_estimate(
@@ -136,7 +149,7 @@ def kl_gradient_estimate(
     eps = rng.standard_normal((config.num_samples, state.dim))
     weights = state.mean + state.apply_scale(eps)
     values = weights @ rows.T  # (M, m)
-    q_score = fit_score(values)(values)
+    q_score = fit_score(values).sample_scores
     if config.estimate_prior_score:
         prior_values = rng.standard_normal((config.num_samples, state.dim)) @ rows.T
         p_score = fit_score(prior_values)(values)

@@ -50,6 +50,7 @@ from .errors import (
     DegenerateMarginalError,
     DimensionMismatchError,
     InvalidBoxError,
+    NonFiniteValueError,
     NonStandardPriorError,
 )
 from .features import RANK_RTOL, independent_rows
@@ -147,12 +148,18 @@ class VariationalState:
                 f"expected {self.num_params(self.family, k)} parameters, got {vec.shape}"
             )
         mean = vec[:k]
+        with np.errstate(over="ignore"):
+            scales = np.exp(vec[k : 2 * k])
+        if not 0.0 < scales.min() <= scales.max() < np.inf:  # NaN fails too
+            raise NonFiniteValueError(
+                "log-scale parameters left the range of exp: a scale is 0, inf or NaN"
+            )
         if self.is_full:
             lower = np.zeros((k, k))
-            lower[np.diag_indices(k)] = np.exp(vec[k : 2 * k])
+            lower[np.diag_indices(k)] = scales
             lower[_strict_lower(k)] = vec[2 * k :]
             return VariationalState(Family.FULL, mean, lower)
-        return VariationalState(Family.FFG, mean, np.exp(vec[k : 2 * k]))
+        return VariationalState(Family.FFG, mean, scales)
 
     def pack_grad(self, grad_mean: np.ndarray, grad_scale: np.ndarray) -> np.ndarray:
         """Chain a gradient w.r.t. (mean, natural scale) into parameter space."""
@@ -459,7 +466,11 @@ class MarginalKl:
         """Projection onto the span of the retained feature rows (weight space)."""
         return self._transform.T @ self._transform
 
-    def value_and_grad(self, state: VariationalState) -> tuple[float, np.ndarray]:
+    def _value_terms(
+        self, state: VariationalState
+    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """The KL with the rotated mean T mu, the rotated scale T S and the
+        marginal covariance H = (T S)(T S)^T it is built from."""
         transform = self._transform
         shifted = transform @ state.mean
         if state.is_full:
@@ -476,9 +487,19 @@ class MarginalKl:
         trace = float(np.sum(rotated_scale**2))
         log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
         value = 0.5 * (float(shifted @ shifted) + trace - self.size - log_det)
+        return value, shifted, rotated_scale, marginal_cov
+
+    def value(self, state: VariationalState) -> float:
+        """The KL alone, as `value_and_grad` computes it, without the solve
+        its gradient needs."""
+        return self._value_terms(state)[0]
+
+    def value_and_grad(self, state: VariationalState) -> tuple[float, np.ndarray]:
+        value, shifted, rotated_scale, marginal_cov = self._value_terms(state)
+        transform = self._transform
         grad_mean = transform.T @ shifted
-        # The Cholesky factor above is the positive-definiteness test; the
-        # solve stays in numpy so the step never crosses into scipy's BLAS.
+        # The Cholesky factor of the value is the positive-definiteness test;
+        # the solve stays in numpy so the step never crosses into scipy's BLAS.
         solved = np.linalg.solve(marginal_cov, rotated_scale)  # (m, k) = H^{-1} (T scale)
         if state.is_full:
             grad_scale = np.tril(transform.T @ (rotated_scale - solved))
@@ -545,7 +566,8 @@ class RandA:
 @dataclass(frozen=True)
 class Ssge:
     """Like RandA, but the KL gradient comes from the spectral score
-    estimator; the reported KL value stays the closed form for logging."""
+    estimator.  The step takes only the closed-form KL value, for the ELBO
+    and the log; the closed-form gradient is never formed."""
 
     policy: MeasurementPolicy
     config: SsgeConfig = field(default_factory=SsgeConfig)
@@ -597,7 +619,8 @@ class Objective:
     keeps the feature matrix and forms the statistics of each batch,
     anchored at the current mean.  Every kind but
     `Exact` takes its KL from one `MarginalKl` (prepared here for `FixedA`,
-    drawn each step otherwise); `Ssge` swaps in the estimated KL gradient.
+    drawn each step otherwise); `Ssge` takes only its value and the
+    estimated KL gradient.
     """
 
     def __init__(
@@ -637,7 +660,9 @@ class Objective:
         if marginal is None:
             drawn = sample_measurement_set(self.kind.policy, self.data, rng)
             marginal = MarginalKl(self.model, drawn)
-        kl, kl_grad = marginal.value_and_grad(state)
         if isinstance(self.kind, Ssge):
+            kl = marginal.value(state)
             kl_grad = kl_gradient_estimate(state, marginal, self.kind.config, rng)
+        else:
+            kl, kl_grad = marginal.value_and_grad(state)
         return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad, marginal.rows_dropped)

@@ -5,15 +5,20 @@ import pytest
 
 from fvi_bench import gaussian
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
-from fvi_bench.errors import DegenerateMarginalError, NonFiniteGradientError
+from fvi_bench.errors import DegenerateMarginalError, NonFiniteGradientError, NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.optimize import AdamConfig, finite_diff_check, run
+from fvi_bench.ssge import SsgeConfig
 from fvi_bench.variational import (
     Exact,
     Family,
     FixedA,
+    MeasurementPolicy,
     Objective,
+    RandA,
+    Ssge,
     VariationalState,
+    box_from_inputs,
     fixed_a_optimal_mean,
     measurement_set_from_points,
 )
@@ -139,6 +144,29 @@ class TestAdamRun:
         assert [record.step for record in trace.records] == [1, 2]
         assert trace.final_state is not None
         assert not np.array_equal(trace.final_state.params(), initial.params())
+
+    @pytest.mark.parametrize("kind_name", ["rand_a", "ssge"])
+    def test_diverging_scale_ends_in_a_package_error_with_trace(self, kind_name):
+        # At this rate a few Adam steps push a log-scale out of exp's range.
+        model, data, _ = toy_problem(0)
+        policy = MeasurementPolicy(10, 0.5, box_from_inputs(data.inputs))
+        kind = RandA(policy) if kind_name == "rand_a" else Ssge(policy, SsgeConfig(50))
+        objective = Objective(kind, model, data)
+        initial = VariationalState.prior_state(Family.FULL, 20)
+        config = AdamConfig(300.0, 50, decay_tail_fraction=0.0)
+        with pytest.raises(NonFiniteValueError) as err:
+            run(objective, initial, config, np.random.default_rng(0))
+        trace = err.value.trace
+        assert trace.steps_run >= 1
+        # The final state is the last valid one: a run stopped after as many
+        # steps ends on the same parameters.
+        replay = run(
+            objective,
+            initial,
+            AdamConfig(300.0, trace.steps_run, decay_tail_fraction=0.0),
+            np.random.default_rng(0),
+        )
+        assert np.array_equal(trace.final_state.params(), replay.final_state.params())
 
     def test_rows_dropped_recorded(self):
         model, data, _ = toy_problem(0)

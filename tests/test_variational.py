@@ -26,7 +26,7 @@ from conftest import (
 )
 from fvi_bench import features, gaussian, variational
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
-from fvi_bench.errors import DegenerateMarginalError, InvalidBoxError
+from fvi_bench.errors import DegenerateMarginalError, InvalidBoxError, NonFiniteValueError
 from fvi_bench.features import (
     RANK_RTOL,
     PrecomputedFeatureMap,
@@ -153,6 +153,17 @@ class TestVariationalState:
             VariationalState(Family.FFG, np.zeros(2), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             VariationalState(Family.FULL, np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    @pytest.mark.parametrize("log_scale", [-1000.0, 1000.0, np.nan])
+    def test_with_params_outside_the_range_of_exp_raises_a_package_error(
+        self, family, log_scale
+    ):
+        state = VariationalState.prior_state(family, 3)
+        params = state.params()
+        params[4] = log_scale  # the second log-scale
+        with pytest.raises(NonFiniteValueError):
+            state.with_params(params)
 
     def test_apply_scale_matches_cov(self):
         rng = np.random.default_rng(1)
@@ -383,11 +394,25 @@ class TestMarginalKl:
         rng = np.random.default_rng(22)
         model, data = random_problem(rng, k=4)
         mset = random_measurement(rng, data, 3)
-        tiny = np.eye(4)
-        tiny[np.diag_indices(4)] = 1e-200
-        state = VariationalState(Family.FULL, np.zeros(4), tiny)
-        with pytest.raises(DegenerateMarginalError):
-            marginal_kl(state, model, mset)
+        tiny = np.full(4, 1e-200)
+        for state in (
+            VariationalState(Family.FULL, np.zeros(4), np.diag(tiny)),
+            VariationalState(Family.FFG, np.zeros(4), tiny),
+        ):
+            with pytest.raises(DegenerateMarginalError):
+                marginal_kl(state, model, mset)
+            with pytest.raises(DegenerateMarginalError):
+                MarginalKl(model, mset).value(state)
+
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    def test_value_is_the_value_of_value_and_grad(self, shape, family):
+        model, sets = workload_shaped_sets(shape, seed=23, count=3)
+        rng = np.random.default_rng(24)
+        for mset in sets:
+            op = MarginalKl(model, mset)
+            state = random_state(rng, family, model.num_features)
+            assert op.value(state) == op.value_and_grad(state)[0]
 
 
 class TestMeasurementSampling:
@@ -515,6 +540,34 @@ class TestObjectives:
         rand_eval = rand_obj.value_and_grad(state, np.random.default_rng(5), 0)
         assert ssge_eval.kl_term == pytest.approx(rand_eval.kl_term, rel=1e-12)
         assert not np.allclose(ssge_eval.grad, rand_eval.grad)
+
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    def test_ssge_step_forms_no_closed_form_kl_gradient(self, family, monkeypatch):
+        from fvi_bench.ssge import SsgeConfig
+
+        rng = np.random.default_rng(33)
+        model, data = random_problem(rng, k=5, n=10)
+        state = random_state(rng, family, 5)
+        policy = MeasurementPolicy(3, 0.5, box_from_inputs(data.inputs))
+        ssge = Objective(Ssge(policy, SsgeConfig(num_samples=20)), model, data)
+        rand_a = Objective(RandA(policy), model, data)
+        calls = []
+
+        def counting(name, func):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(
+            MarginalKl, "value_and_grad", counting("value_and_grad", MarginalKl.value_and_grad)
+        )
+        for objective, expected in [(ssge, []), (rand_a, ["value_and_grad", "solve"])]:
+            calls.clear()
+            objective.value_and_grad(state, np.random.default_rng(0))
+            assert calls == expected
 
     def test_exact_objective_is_deterministic(self):
         rng = np.random.default_rng(32)
