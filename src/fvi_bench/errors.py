@@ -57,7 +57,8 @@ class ParseError(FviBenchError):
 
 
 class InvalidBoxError(FviBenchError):
-    """A sampling box has lo >= hi in some dimension."""
+    """A sampling box whose width hi - lo is not finite and positive in some
+    dimension: lo >= hi, a NaN or infinite bound, or a width that overflows."""
 
 
 class NonStandardPriorError(FviBenchError):

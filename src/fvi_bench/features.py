@@ -9,20 +9,30 @@ The module also has a k-means + median-heuristic featurizer for tabular data
 and a numerical injectivity certificate: inputs whose feature vectors are
 linearly independent, certifying that distinct weights give distinct functions.
 
-The featurizer's k-means++ seeding costs O(n k d) and draws the same random
-numbers as scipy's `kmeans2(minit="++")`, which costs O(n k^2 d), so centers
-and lengthscales are bit for bit scipy's; unlike scipy, it stops seeding once
-every input row is a seed.
+The featurizer's k-means gives scipy's `kmeans2(minit="++")` centers bit for
+bit, at less cost.  Its k-means++ seeding draws scipy's random numbers in
+O(n k d) instead of O(n k^2 d), and stops once every input row is a seed.
+Its Lloyd passes do scipy's arithmetic: -2 X C^T by one matrix product, then
++ |x|^2, then + |c|^2, each norm summed one column at a time; a row's label
+is its first minimum, and a new center is the row-order sum of its rows
+over their count.  For d >= 5 scipy's `vq` makes the same dgemm call (on the
+BLAS scipy bundles); for d <= 4 it sums (x - c)^2 directly, which can differ
+only at a near tie and matches on every input tested.  Unlike scipy, the
+loop forms the distances ``_LLOYD_BLOCK_ROWS`` rows at a time, so each block
+stays in cache.  On 20000 x 8 inputs and 200 centers it took 100-130 ms,
+against 130-220 ms for `kmeans2` and 170-230 ms for the same loop
+unblocked (2-vCPU x86-64 host, shared).  It also keeps the featurizer off
+scipy's BLAS, whose idle threads would otherwise spin against numpy's.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 from scipy.linalg import qr as _scipy_qr
 from scipy.spatial.distance import cdist, pdist
 
@@ -35,6 +45,8 @@ from .errors import (
 
 RANK_RTOL = 1e-8  # singular values below RANK_RTOL * sigma_max count as zero
 LENGTHSCALE_MAX_POINTS = 1000  # median heuristic subsample size
+LLOYD_ITERATIONS = 10  # k-means refinement passes, scipy's `kmeans2` default
+_LLOYD_BLOCK_ROWS = 256  # rows per distance block: (256, k) stays in cache
 
 
 @dataclass(frozen=True)
@@ -293,12 +305,20 @@ def median_heuristic_lengthscales(
         diffs = pdist(inputs[:, dim : dim + 1], "cityblock")
         if diffs.size == 0:
             continue
-        half = diffs.size // 2
-        diffs.partition(half)
-        median = diffs[half] if diffs.size % 2 else (diffs[:half].max() + diffs[half]) / 2
+        median = _median_in_place(diffs)
         if median > 0.0:
             scales[dim] = median
     return scales
+
+
+def _median_in_place(values: np.ndarray) -> float:
+    """`np.median` of a non-empty 1-D array from one partition, which
+    reorders the array."""
+    half = values.size // 2
+    values.partition(half)
+    if values.size % 2:
+        return float(values[half])
+    return float((values[:half].max() + values[half]) / 2)
 
 
 def _kmeans_pp_seeds(
@@ -323,6 +343,50 @@ def _kmeans_pp_seeds(
     return np.array(seeds)
 
 
+def _lloyd(inputs: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``LLOYD_ITERATIONS`` Lloyd passes from the given centers, as scipy's
+    `kmeans2(inputs, centers, minit="matrix")` computes them (see the module
+    docstring).  An empty cluster keeps its center, with a warning."""
+    inputs = np.ascontiguousarray(inputs)
+    n, dim = inputs.shape
+    num_centers = centers.shape[0]
+    row_norms = _column_sum_of_squares(inputs)
+    labels = np.empty(n, dtype=np.intp)
+    block = np.empty((min(n, _LLOYD_BLOCK_ROWS), num_centers))
+    for _ in range(LLOYD_ITERATIONS):
+        scaled = -2.0 * centers
+        center_norms = _column_sum_of_squares(centers)
+        for start in range(0, n, _LLOYD_BLOCK_ROWS):
+            stop = min(start + _LLOYD_BLOCK_ROWS, n)
+            dist = block[: stop - start]
+            np.matmul(inputs[start:stop], scaled.T, out=dist)
+            dist += row_norms[start:stop, None]
+            dist += center_norms
+            dist.argmin(axis=1, out=labels[start:stop])
+        # bincount adds the weights in row order, as scipy's cluster means do.
+        counts = np.bincount(labels, minlength=num_centers)
+        sums = np.column_stack(
+            [np.bincount(labels, weights=inputs[:, j], minlength=num_centers) for j in range(dim)]
+        )
+        empty = counts == 0
+        if empty.any():
+            warnings.warn(
+                "k-means left a cluster empty; it keeps its previous center", stacklevel=3
+            )
+            sums[empty] = centers[empty]
+            counts[empty] = 1
+        centers = sums / counts[:, None]
+    return centers
+
+
+def _column_sum_of_squares(rows: np.ndarray) -> np.ndarray:
+    """sum_j rows[:, j]^2, added one column at a time in column order."""
+    total = rows[:, 0] ** 2
+    for j in range(1, rows.shape[1]):
+        total += rows[:, j] ** 2
+    return total
+
+
 def fit_rbf_featurizer(
     inputs: np.ndarray, num_centers: int = 100, rng: np.random.Generator | None = None
 ) -> RbfFeatureMap:
@@ -335,5 +399,5 @@ def fit_rbf_featurizer(
         raise ValueError(f"num_centers must be at least 1, got {num_centers}")
     rng = rng or np.random.default_rng(0)
     seeds = _kmeans_pp_seeds(inputs, min(num_centers, inputs.shape[0]), rng)
-    centers, _ = kmeans2(inputs, seeds, minit="matrix")
+    centers = _lloyd(inputs, seeds)
     return RbfFeatureMap(centers, median_heuristic_lengthscales(inputs, rng=rng))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .errors import DegenerateKernelError, DimensionMismatchError, NonFiniteValueError
-from .features import squared_distances
+from .features import _median_in_place, squared_distances
 # Unused here; kept because perfbench/tracing.py wraps these two names on this module.
 from .features import independent_rows  # noqa: F401
 from .gaussian import cholesky_psd  # noqa: F401
@@ -106,7 +106,7 @@ def fit_score(samples: np.ndarray) -> ScoreEstimate:
     if not np.all(np.isfinite(samples)):
         raise NonFiniteValueError("score samples contain NaN or Inf")
     m_samples = samples.shape[0]
-    bandwidth = float(np.median(pdist(samples)))  # median of the distinct pairwise distances
+    bandwidth = _median_in_place(pdist(samples))  # median of the distinct pairwise distances
     if bandwidth == 0.0:
         raise DegenerateKernelError(
             "all pairwise sample distances are zero; bandwidth undefined"
@@ -159,7 +159,7 @@ def kl_gradient_estimate(
     per_sample_mean_grad = diff @ rows  # (M, k)
     grad_mean = per_sample_mean_grad.mean(axis=0)
     if state.is_full:
-        grad_scale = np.tril(per_sample_mean_grad.T @ eps / config.num_samples)
+        grad_scale = per_sample_mean_grad.T @ eps / config.num_samples
     else:
         grad_scale = np.mean(per_sample_mean_grad * eps, axis=0)
     return state.pack_grad(grad_mean, grad_scale)

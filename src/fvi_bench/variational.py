@@ -162,7 +162,10 @@ class VariationalState:
         return VariationalState(Family.FFG, mean, scales)
 
     def pack_grad(self, grad_mean: np.ndarray, grad_scale: np.ndarray) -> np.ndarray:
-        """Chain a gradient w.r.t. (mean, natural scale) into parameter space."""
+        """Chain a gradient w.r.t. (mean, natural scale) into parameter space.
+
+        A full-family ``grad_scale`` is read only on its diagonal and strict
+        lower triangle, so callers pass it unmasked."""
         k = self.dim
         if self.is_full:
             diag = np.diag(grad_scale) * np.diag(self.scale)
@@ -227,8 +230,10 @@ class MeasurementPolicy:
         box = np.atleast_2d(np.asarray(self.box, dtype=float))
         if box.shape[1] != 2:
             raise InvalidBoxError(f"box must be (d, 2), got {box.shape}")
-        if np.any(box[:, 0] >= box[:, 1]):
-            raise InvalidBoxError("box must satisfy lo < hi in every dimension")
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = box[:, 1] - box[:, 0]
+        if not np.all(np.isfinite(width) & (width > 0.0)):  # NaN fails too
+            raise InvalidBoxError("box width hi - lo must be finite and positive in each dimension")
         object.__setattr__(self, "box", box)
 
 
@@ -334,7 +339,7 @@ def _ell_terms(
     if state.is_full:
         half = gram @ state.scale
         trace = float(np.sum(state.scale * half))
-        grad_scale = -scale_factor / noise_variance * np.tril(half)
+        grad_scale = -scale_factor / noise_variance * half
     else:
         gram_diag = np.einsum("ii->i", gram)
         trace = float(np.sum(gram_diag * state.scale**2))
@@ -502,7 +507,7 @@ class MarginalKl:
         # the solve stays in numpy so the step never crosses into scipy's BLAS.
         solved = np.linalg.solve(marginal_cov, rotated_scale)  # (m, k) = H^{-1} (T scale)
         if state.is_full:
-            grad_scale = np.tril(transform.T @ (rotated_scale - solved))
+            grad_scale = transform.T @ (rotated_scale - solved)
         else:
             grad_scale = np.einsum("ai,ai->i", transform, rotated_scale - solved)
         return value, state.pack_grad(grad_mean, grad_scale)

@@ -334,6 +334,52 @@ class TestFeaturizer:
         np.testing.assert_array_equal(fmap(inputs), column(inputs[:, None]))
 
 
+BLOCK = features._LLOYD_BLOCK_ROWS
+
+
+class TestLloyd:
+    """The blocked Lloyd loop against scipy's `kmeans2` from the same
+    centers.  For d >= 5 scipy forms the distances with one BLAS product
+    (its d <= 4 branch is reached through `test_matches_scipy_kmeans_plus_plus`)."""
+
+    @pytest.mark.parametrize(
+        "n", [BLOCK // 3, BLOCK, BLOCK + 1, 3 * BLOCK + 57], ids=["part", "one", "one+1", "ragged"]
+    )
+    @pytest.mark.parametrize("d", [5, 8])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_scipy_kmeans2_bit_for_bit(self, n, d, seed):
+        """Every row lies on the plane x0 = x1, and the centers come in pairs
+        mirrored across it, so in exact arithmetic each row is as far from
+        one center of a pair as from the other: the rounding of the
+        distances decides the labels, and with them the centers."""
+        rng = np.random.default_rng([seed, n, d])
+        inputs = np.round(rng.standard_normal((n, d)), 1)
+        inputs[:, 1] = inputs[:, 0]
+        pairs = inputs[rng.choice(n, size=6, replace=False)]
+        pairs[:, :2] = rng.uniform(-1.0, 1.0, (6, 2))
+        seeds = np.vstack([pairs, pairs[:, [1, 0, *range(2, d)]]])
+        with warnings.catch_warnings(record=True) as scipy_warnings:
+            warnings.simplefilter("always")
+            expected, _ = kmeans2(inputs, seeds, minit="matrix")
+        with warnings.catch_warnings(record=True) as own_warnings:
+            warnings.simplefilter("always")
+            centers = features._lloyd(inputs, seeds)
+        np.testing.assert_array_equal(centers, expected)
+        assert len(own_warnings) == len(scipy_warnings)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_empty_cluster_keeps_its_center_and_warns(self, d):
+        inputs = np.random.default_rng([9, d]).standard_normal((BLOCK + 40, d))
+        far = np.full(d, 1e3)
+        seeds = np.vstack([inputs[:6], far])
+        with pytest.warns(UserWarning, match="empty"):
+            expected, _ = kmeans2(inputs, seeds, minit="matrix")
+        with pytest.warns(UserWarning, match="empty"):
+            centers = features._lloyd(inputs, seeds)
+        np.testing.assert_array_equal(centers[-1], far)
+        np.testing.assert_array_equal(centers, expected)
+
+
 class TestMedianHeuristic:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 1001, 1200])
     @pytest.mark.parametrize("seed", [0, 3])

@@ -5,12 +5,16 @@ scipy bundles, so two thread pools do not alternate within a step.  Only the
 pivoted QR of `features.independent_rows`, for a measurement set with
 dependent rows, reaches scipy.  This test keeps `variational` itself free of
 scipy imports.
+
+`features` runs k-means on its own blocked Lloyd loop, so no module of the
+package imports `scipy.cluster` either.
 """
 
 import ast
 from pathlib import Path
 
-VARIATIONAL = Path(__file__).resolve().parents[1] / "src" / "fvi_bench" / "variational.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fvi_bench"
+VARIATIONAL = PACKAGE / "variational.py"
 
 
 def imported_modules(tree: ast.AST) -> list[str]:
@@ -19,7 +23,9 @@ def imported_modules(tree: ast.AST) -> list[str]:
         if isinstance(node, ast.Import):
             modules.extend(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            # `from a import b` may import the module a.b: list both names.
             modules.append(node.module or "")
+            modules.extend(f"{node.module}.{alias.name}" for alias in node.names)
     return modules
 
 
@@ -28,3 +34,15 @@ def test_variational_imports_nothing_from_scipy():
     modules = imported_modules(tree)
     assert "numpy" in modules
     assert [name for name in modules if name.split(".")[0] == "scipy"] == []
+
+
+def test_no_module_imports_scipy_cluster():
+    imports = {
+        path.name: imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert "features.py" in imports
+    assert {
+        name: [module for module in modules if module.split(".")[:2] == ["scipy", "cluster"]]
+        for name, modules in imports.items()
+    } == {name: [] for name in imports}

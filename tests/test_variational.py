@@ -458,6 +458,23 @@ class TestMeasurementSampling:
         with pytest.raises(InvalidBoxError):
             MeasurementPolicy(4, 0.5, np.array([[1.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "box",
+        [[0.0, np.inf], [-np.inf, 0.0], [np.nan, 1.0], [0.0, np.nan], [-1e308, 1e308]],
+        ids=["infinite-hi", "infinite-lo", "nan-lo", "nan-hi", "overflowing-width"],
+    )
+    def test_box_without_finite_width_rejected(self, box):
+        """Each of these boxes once passed and made the first draw raise a
+        bare OverflowError."""
+        with pytest.raises(InvalidBoxError):
+            MeasurementPolicy(10, 0.5, np.array([box]))
+
+    def test_widest_finite_box_samples(self):
+        _, data = random_problem(np.random.default_rng(61), n=5)
+        wide = MeasurementPolicy(10, 0.5, np.array([[-0.5e308, 0.5e308]]))
+        points = sample_measurement_set(wide, data, np.random.default_rng(0)).points
+        assert np.all(np.isfinite(points))
+
 
 class TestObjectives:
     def test_exact_at_posterior_equals_log_evidence(self):
