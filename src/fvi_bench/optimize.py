@@ -8,6 +8,7 @@ budget.  A run is deterministic given its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,14 +45,16 @@ class AdamConfig:
     log_every: int = 50
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:  # NaN fails too
+            raise ValueError("learning rate must be finite and >= 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
         if not 0.0 <= self.decay_tail_fraction <= 1.0:
             raise ValueError("decay_tail_fraction must be in [0, 1]")
 

@@ -8,6 +8,10 @@ magnitudes are log-transformed:
     full: [mean (k) | log diag of L (k) | strict lower triangle of L]
     ffg:  [mean (k) | log scales (k)]
 
+The strict lower triangle is packed row by row, L[1,0], L[2,0], L[2,1], ...,
+the order of ``np.tril_indices(k, -1)``.  One cached boolean mask,
+`_strict_lower`, fixes that order for every gather and scatter.
+
 Objectives maximize the evidence lower bound with one of four KL terms:
 the exact weight-space KL, the marginal KL at a fixed measurement set, the
 marginal KL at a freshly sampled measurement set each step, or the same with
@@ -68,12 +72,13 @@ class Family(enum.Enum):
 
 
 @functools.lru_cache(maxsize=16)
-def _strict_lower(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.tril_indices(k, -1)``, built once per k; the arrays are read-only."""
-    indices = np.tril_indices(k, -1)
-    for array in indices:
-        array.flags.writeable = False
-    return indices
+def _strict_lower(k: int) -> np.ndarray:
+    """Read-only (k, k) boolean mask of the strict lower triangle, built once
+    per k.  A boolean mask selects entries in row-major order, which is the
+    order of ``np.tril_indices(k, -1)``."""
+    mask = np.tri(k, k, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True)
@@ -88,18 +93,20 @@ class VariationalState:
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
         scale = np.asarray(self.scale, dtype=float)
         k = mean.shape[0]
+        if not np.isfinite(mean).all():
+            raise NonFiniteValueError("the mean must be finite")
         if self.family is Family.FULL:
             if scale.shape != (k, k):
                 raise DimensionMismatchError(f"scale must be ({k}, {k}), got {scale.shape}")
-            if np.any(np.triu(scale, 1) != 0.0):
+            if scale.T[_strict_lower(k)].any():  # NaN and inf are nonzero too
                 raise ValueError("full-family scale must be lower triangular")
-            if np.any(np.diag(scale) <= 0.0):
-                raise ValueError("full-family scale needs a strictly positive diagonal")
+            magnitudes = np.diag(scale)
         else:
             if scale.shape != (k,):
                 raise DimensionMismatchError(f"scale must be ({k},), got {scale.shape}")
-            if np.any(scale <= 0.0):
-                raise ValueError("ffg scales must be strictly positive")
+            magnitudes = scale
+        if not np.all((0.0 < magnitudes) & (magnitudes < np.inf)):  # NaN fails too
+            raise ValueError("the full diagonal and the ffg scales must be finite and positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "scale", scale)
 
@@ -223,6 +230,8 @@ class MeasurementPolicy:
     box: np.ndarray  # (d, 2) rows of (lo, hi)
 
     def __post_init__(self):
+        if isinstance(self.total_size, bool) or not isinstance(self.total_size, (int, np.integer)):
+            raise ValueError(f"total_size must be an integer, got {self.total_size!r}")
         if self.total_size < 1:
             raise ValueError("total_size must be >= 1")
         if not 0.0 <= self.data_fraction <= 1.0:

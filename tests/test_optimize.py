@@ -60,6 +60,25 @@ class TestFiniteDiffCheck:
         assert report.numeric.shape == (4,)
 
 
+class TestAdamConfig:
+    @pytest.mark.parametrize("log_every", [0, -1])
+    def test_log_every_below_one_rejected(self, log_every):
+        """log_every=0 once passed and made `run` divide by zero at step 1."""
+        with pytest.raises(ValueError, match="log_every"):
+            AdamConfig(0.01, 10, log_every=log_every)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning rate"):
+            AdamConfig(rate, 10)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        """An infinite epsilon once passed and made every update zero."""
+        with pytest.raises(ValueError, match="epsilon"):
+            AdamConfig(0.01, 10, epsilon=epsilon)
+
+
 class TestAdamRun:
     def test_zero_learning_rate_keeps_state(self):
         model, data, _ = toy_problem(0)

@@ -135,12 +135,32 @@ class TestVariationalState:
 
         assert finite_diff_check(linear, state.params()).max_rel_error < 1e-7
 
-    def test_strict_lower_indices_are_built_once_and_read_only(self):
-        indices = variational._strict_lower(6)
-        assert variational._strict_lower(6) is indices
-        for cached, expected in zip(indices, np.tril_indices(6, -1)):
-            np.testing.assert_array_equal(cached, expected)
-            assert not cached.flags.writeable
+    def test_strict_lower_mask_is_built_once_and_read_only(self):
+        mask = variational._strict_lower(6)
+        assert variational._strict_lower(6) is mask
+        assert mask.dtype == bool and not mask.flags.writeable
+        # A boolean mask selects in row-major order: the np.tril_indices order.
+        np.testing.assert_array_equal(
+            np.flatnonzero(mask), np.ravel_multi_index(np.tril_indices(6, -1), (6, 6))
+        )
+
+    def test_full_parameter_layout_is_row_major(self):
+        """The round trip holds for any packing order; this pins the order
+        itself, which a column-major gather such as ``scale.T[mask]`` breaks."""
+        mean = np.array([0.1, -0.2, 0.3])
+        factor = np.array([[1.5, 0.0, 0.0], [0.4, 2.0, 0.0], [-0.7, 0.9, 0.5]])
+        state = VariationalState(Family.FULL, mean, factor)
+        expected = [0.1, -0.2, 0.3, math.log(1.5), math.log(2.0), math.log(0.5), 0.4, -0.7, 0.9]
+        np.testing.assert_array_equal(state.params(), expected)
+        # Entries above the diagonal are ignored; the diagonal is chained
+        # through exp, so its slot holds grad * scale.
+        grad_scale = np.array([[1.0, 9.0, 9.0], [2.0, 3.0, 9.0], [4.0, 5.0, 6.0]])
+        packed = state.pack_grad(np.array([7.0, 8.0, 9.0]), grad_scale)
+        np.testing.assert_array_equal(packed, [7.0, 8.0, 9.0, 1.5, 6.0, 3.0, 2.0, 4.0, 5.0])
+        rebuilt = state.with_params(expected)
+        np.testing.assert_array_equal(rebuilt.mean, mean)
+        np.testing.assert_array_max_ulp(rebuilt.scale, factor, 1)
+        np.testing.assert_array_equal(np.triu(rebuilt.scale, 1), 0.0)
 
     def test_prior_state_is_standard_normal(self):
         for family in (Family.FULL, Family.FFG):
@@ -153,6 +173,28 @@ class TestVariationalState:
             VariationalState(Family.FFG, np.zeros(2), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             VariationalState(Family.FULL, np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_magnitudes_rejected(self, bad):
+        """`NaN <= 0` is False, so these once passed the positivity checks."""
+        with pytest.raises(ValueError, match="finite and positive"):
+            VariationalState(Family.FFG, np.zeros(2), np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite and positive"):
+            VariationalState(Family.FULL, np.zeros(2), np.diag([1.0, bad]))
+
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, family, bad):
+        state = VariationalState.prior_state(family, 2)
+        with pytest.raises(NonFiniteValueError):
+            VariationalState(family, np.array([0.0, bad]), state.scale)
+
+    @pytest.mark.parametrize("above", [0.5, np.nan, np.inf, -np.inf])
+    def test_full_scale_with_an_entry_above_the_diagonal_rejected(self, above):
+        scale = np.eye(3)
+        scale[0, 2] = above
+        with pytest.raises(ValueError, match="lower triangular"):
+            VariationalState(Family.FULL, np.zeros(3), scale)
 
     @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
     @pytest.mark.parametrize("log_scale", [-1000.0, 1000.0, np.nan])
@@ -457,6 +499,18 @@ class TestMeasurementSampling:
     def test_invalid_box_rejected(self):
         with pytest.raises(InvalidBoxError):
             MeasurementPolicy(4, 0.5, np.array([[1.0, 1.0]]))
+
+    @pytest.mark.parametrize("total_size", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_total_size_rejected(self, total_size):
+        """2.5 once passed and made the first draw raise a bare TypeError;
+        True passed and drew one point."""
+        with pytest.raises(ValueError, match="integer"):
+            MeasurementPolicy(total_size, 0.5, np.array([[0.0, 1.0]]))
+
+    def test_numpy_integer_total_size_accepted(self):
+        _, data = random_problem(np.random.default_rng(62), n=5)
+        policy = MeasurementPolicy(np.int64(3), 0.5, np.array([[0.0, 1.0]]))
+        assert sample_measurement_set(policy, data, np.random.default_rng(0)).size == 3
 
     @pytest.mark.parametrize(
         "box",
