@@ -93,8 +93,6 @@ class VariationalState:
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
         scale = np.asarray(self.scale, dtype=float)
         k = mean.shape[0]
-        if not np.isfinite(mean).all():
-            raise NonFiniteValueError("the mean must be finite")
         if self.family is Family.FULL:
             if scale.shape != (k, k):
                 raise DimensionMismatchError(f"scale must be ({k}, {k}), got {scale.shape}")

@@ -182,13 +182,6 @@ class TestVariationalState:
         with pytest.raises(ValueError, match="finite and positive"):
             VariationalState(Family.FULL, np.zeros(2), np.diag([1.0, bad]))
 
-    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_mean_rejected(self, family, bad):
-        state = VariationalState.prior_state(family, 2)
-        with pytest.raises(NonFiniteValueError):
-            VariationalState(family, np.array([0.0, bad]), state.scale)
-
     @pytest.mark.parametrize("above", [0.5, np.nan, np.inf, -np.inf])
     def test_full_scale_with_an_entry_above_the_diagonal_rejected(self, above):
         scale = np.eye(3)
