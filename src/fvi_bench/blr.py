@@ -12,14 +12,13 @@ standard-prior problem, in the weights v of w = mu + L v.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from . import gaussian
-from .errors import DimensionMismatchError, NonFiniteValueError, ParseError
+from .errors import DimensionMismatchError, NonFiniteValueError
 from .gaussian import CovKind, GaussianDist, cholesky_psd, full_gaussian, standard_gaussian
 
 # A feature map is anything callable on an (n, d) array returning (n, k).
@@ -54,16 +53,6 @@ class Dataset:
     @property
     def size(self) -> int:
         return self.targets.shape[0]
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    """CSV with the target in the last column; '#' lines are comments."""
-    from .features import _read_numeric_csv
-
-    values = _read_numeric_csv(Path(path))
-    if values.shape[1] < 2:
-        raise ParseError(f"{path}: need at least one input column plus the target")
-    return Dataset(values[:, :-1], values[:, -1])
 
 
 @dataclass(frozen=True, eq=False)

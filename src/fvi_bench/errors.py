@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check on integer counts."""
+
+import numbers
 
 
 class FviBenchError(Exception):
@@ -40,20 +42,8 @@ class NonFiniteGradientError(FviBenchError):
 
 
 class NonFiniteValueError(FviBenchError):
-    """A loaded or computed array contains NaN or Inf, or a positive
+    """An input or computed array contains NaN or Inf, or a positive
     quantity computed as exp of a parameter underflowed to 0."""
-
-
-class ParseError(FviBenchError):
-    """A file does not conform to the expected CSV schema."""
-
-    def __init__(self, message: str, row: int | None = None, column: int | None = None):
-        loc = ""
-        if row is not None:
-            loc = f" (row {row}" + (f", column {column})" if column is not None else ")")
-        super().__init__(message + loc)
-        self.row = row
-        self.column = column
 
 
 class InvalidBoxError(FviBenchError):
@@ -66,5 +56,11 @@ class NonStandardPriorError(FviBenchError):
     ``blr.whiten`` rewrites such a model under the standard prior."""
 
 
-class UnknownInputError(FviBenchError):
-    """A precomputed feature map was asked to evaluate an unseen input row."""
+def require_count(name: str, value, minimum: int):
+    """Raise ValueError unless ``value`` is an int or numpy integer, not a
+    bool, and at least ``minimum``.  A float count would construct and then
+    fail with a bare TypeError at its first use; ``True`` would mean 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")

@@ -1,13 +1,11 @@
 """Feature maps for the linear-in-features regression model.
 
-Features are computed or looked up.  `RbfFeatureMap` computes radial basis
-function features (unnormalized Gaussians, one per center, with a shared
-per-dimension lengthscale); `evaluate` returns them as an (n, k) array.
-`PrecomputedFeatureMap` is a stored (inputs, values) table of features made
-elsewhere; `load_features` and `save_features` read and write it as CSV.
-The module also has a k-means + median-heuristic featurizer for tabular data
-and a numerical injectivity certificate: inputs whose feature vectors are
-linearly independent, certifying that distinct weights give distinct functions.
+`RbfFeatureMap` computes radial basis function features (unnormalized
+Gaussians, one per center, with a shared per-dimension lengthscale);
+`evaluate` returns them as an (n, k) array.  The module also has a
+k-means + median-heuristic featurizer for tabular data and a numerical
+injectivity certificate: inputs whose feature vectors are linearly
+independent, certifying that distinct weights give distinct functions.
 
 The featurizer's k-means gives scipy's `kmeans2(minit="++")` centers bit for
 bit, at less cost.  Its k-means++ seeding draws scipy's random numbers in
@@ -29,19 +27,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import qr as _scipy_qr
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteValueError,
-    ParseError,
-    UnknownInputError,
-)
+from .errors import DimensionMismatchError, NonFiniteValueError
 
 RANK_RTOL = 1e-8  # singular values below RANK_RTOL * sigma_max count as zero
 LENGTHSCALE_MAX_POINTS = 1000  # median heuristic subsample size
@@ -158,130 +149,6 @@ def independent_rows(matrix: np.ndarray) -> np.ndarray:
         return np.arange(0)
     rank = int(np.sum(diag > RANK_RTOL * diag[0]))
     return np.sort(pivots[:rank])
-
-
-@dataclass(frozen=True)
-class PrecomputedFeatureMap:
-    """Feature map backed by a stored (inputs, values) table.
-
-    Evaluation looks rows up by exact match against the stored inputs, which
-    is the contract for externally computed features: they are only defined
-    at the inputs they were computed for.
-    """
-
-    inputs: np.ndarray  # (n, d)
-    values: np.ndarray  # (n, k)
-
-    def __post_init__(self):
-        # Keys are float row bytes: cast, and fold -0.0 to +0.0 like each query.
-        inputs = np.asarray(self.inputs, dtype=float) + 0.0
-        values = np.asarray(self.values, dtype=float)
-        if inputs.ndim != 2 or values.ndim != 2 or inputs.shape[0] != values.shape[0]:
-            raise DimensionMismatchError(
-                f"inputs {inputs.shape} and values {values.shape} must be 2-D, equal row counts"
-            )
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def num_features(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.inputs.shape[1]
-
-    @cached_property
-    def _index(self) -> dict[bytes, int]:
-        """Stored input row (as bytes) -> its position, built on first lookup."""
-        return {row.tobytes(): i for i, row in enumerate(np.ascontiguousarray(self.inputs))}
-
-    def __call__(self, query: np.ndarray) -> np.ndarray:
-        query = np.atleast_2d(np.asarray(query, dtype=float)) + 0.0
-        if query.shape[1] != self.input_dim:
-            raise DimensionMismatchError(
-                f"query dimension {query.shape[1]} != stored {self.input_dim}"
-            )
-        index = self._index
-        rows = np.empty(query.shape[0], dtype=int)
-        for i, row in enumerate(np.ascontiguousarray(query)):
-            key = row.tobytes()
-            if key not in index:
-                raise UnknownInputError(
-                    f"input row {i} was not among the precomputed feature inputs"
-                )
-            rows[i] = index[key]
-        return self.values[rows]
-
-
-def _read_numeric_csv(path: Path) -> np.ndarray:
-    rows: list[list[float]] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ParseError(
-                    f"{path}: expected {width} columns, got {len(cells)}", row=line_no
-                )
-            parsed = []
-            for col_no, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: cell {cell!r} is not numeric", row=line_no, column=col_no
-                    ) from None
-            rows.append(parsed)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values))[0]
-        raise NonFiniteValueError(
-            f"{path}: non-finite value at row {bad[0] + 1}, column {bad[1] + 1}"
-        )
-    return values
-
-
-def save_features(
-    table: PrecomputedFeatureMap, path: str | Path, inputs_path: str | Path | None = None
-):
-    """Write feature values (and inputs alongside) in the plain CSV schema."""
-    path = Path(path)
-    if inputs_path is None:
-        inputs_path = path.with_suffix(".inputs.csv")
-    np.savetxt(path, table.values, delimiter=",", fmt="%.17g")
-    np.savetxt(inputs_path, table.inputs, delimiter=",", fmt="%.17g")
-
-
-def load_features(
-    path: str | Path, inputs_path: str | Path | None = None
-) -> PrecomputedFeatureMap:
-    """Load a feature table from CSV.
-
-    The inputs CSV defaults to ``<path>.inputs.csv`` alongside; if absent,
-    rows are indexed by position (inputs = row indices).
-    """
-    path = Path(path)
-    values = _read_numeric_csv(path)
-    if inputs_path is None:
-        inputs_path = path.with_suffix(".inputs.csv")
-    inputs_path = Path(inputs_path)
-    if inputs_path.exists():
-        inputs = _read_numeric_csv(inputs_path)
-        if inputs.shape[0] != values.shape[0]:
-            raise ParseError(
-                f"{inputs_path}: {inputs.shape[0]} input rows for {values.shape[0]} feature rows"
-            )
-    else:
-        inputs = np.arange(values.shape[0], dtype=float).reshape(-1, 1)
-    return PrecomputedFeatureMap(inputs, values)
 
 
 def median_heuristic_lengthscales(

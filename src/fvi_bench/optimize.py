@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FviBenchError, NonFiniteGradientError
+from .errors import FviBenchError, NonFiniteGradientError, require_count
 from .variational import Objective, ObjectiveEval, VariationalState
 
 FINAL_LR_FACTOR = 1e-6  # the decay tail ends at this multiple of the base rate
@@ -51,10 +51,8 @@ class AdamConfig:
             raise ValueError("beta1 and beta2 must be in [0, 1)")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+        require_count("max_steps", self.max_steps, 0)
+        require_count("log_every", self.log_every, 1)
         if not 0.0 <= self.decay_tail_fraction <= 1.0:
             raise ValueError("decay_tail_fraction must be in [0, 1]")
 

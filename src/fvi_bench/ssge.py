@@ -21,7 +21,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import DegenerateKernelError, DimensionMismatchError, NonFiniteValueError
+from .errors import (
+    DegenerateKernelError,
+    DimensionMismatchError,
+    NonFiniteValueError,
+    require_count,
+)
 from .features import _median_in_place, squared_distances
 # Unused here; kept because perfbench/tracing.py wraps these two names on this module.
 from .features import independent_rows  # noqa: F401
@@ -54,8 +59,7 @@ class SsgeConfig:
     estimate_prior_score: bool = False
 
     def __post_init__(self):
-        if self.num_samples < 2:
-            raise ValueError("need at least 2 samples")
+        require_count("num_samples", self.num_samples, 2)
 
 
 @dataclass(frozen=True)

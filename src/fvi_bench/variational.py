@@ -56,6 +56,7 @@ from .errors import (
     InvalidBoxError,
     NonFiniteValueError,
     NonStandardPriorError,
+    require_count,
 )
 from .features import RANK_RTOL, independent_rows
 from .gaussian import GaussianDist, diagonal_gaussian, full_gaussian
@@ -203,7 +204,7 @@ class MeasurementSet:
         if points.shape[0] < 1:
             raise ValueError("a measurement set needs at least one point")
         if not np.all(np.isfinite(points)):
-            raise ValueError("measurement points must be finite")
+            raise NonFiniteValueError("measurement points must be finite")
         if len(self.provenance) != points.shape[0]:
             raise DimensionMismatchError("one provenance tag per point required")
         object.__setattr__(self, "points", points)
@@ -228,10 +229,7 @@ class MeasurementPolicy:
     box: np.ndarray  # (d, 2) rows of (lo, hi)
 
     def __post_init__(self):
-        if isinstance(self.total_size, bool) or not isinstance(self.total_size, (int, np.integer)):
-            raise ValueError(f"total_size must be an integer, got {self.total_size!r}")
-        if self.total_size < 1:
-            raise ValueError("total_size must be >= 1")
+        require_count("total_size", self.total_size, 1)
         if not 0.0 <= self.data_fraction <= 1.0:
             raise ValueError("data_fraction must be in [0, 1]")
         box = np.atleast_2d(np.asarray(self.box, dtype=float))
@@ -601,18 +599,20 @@ class ObjectiveEval:
 
 
 class MinibatchSchedule:
-    """Without-replacement batches, reshuffled at every epoch boundary."""
+    """Without-replacement batches, reshuffled at every epoch boundary and
+    whenever the caller asks for a new epoch."""
 
     def __init__(self, data_size: int, batch_size: int):
-        if not 1 <= batch_size <= data_size:
+        require_count("batch size", batch_size, 1)
+        if batch_size > data_size:
             raise ValueError("batch size must be in [1, data size]")
         self.data_size = data_size
         self.batch_size = batch_size
         self._order: np.ndarray | None = None
         self._cursor = 0
 
-    def next_batch(self, rng: np.random.Generator) -> np.ndarray:
-        if self._order is None or self._cursor >= self.data_size:
+    def next_batch(self, rng: np.random.Generator, new_epoch: bool = False) -> np.ndarray:
+        if new_epoch or self._order is None or self._cursor >= self.data_size:
             self._order = rng.permutation(self.data_size)
             self._cursor = 0
         batch = self._order[self._cursor : self._cursor + self.batch_size]
@@ -629,7 +629,8 @@ class Objective:
     are formed once per (model, data) pair: every full-batch objective on
     the same model and dataset objects shares them.  A minibatch objective
     keeps the feature matrix and forms the statistics of each batch,
-    anchored at the current mean.  Every kind but
+    anchored at the current mean; it starts a new epoch at a run's first
+    step (``step == 1``), so a run depends only on its rng.  Every kind but
     `Exact` takes its KL from one `MarginalKl` (prepared here for `FixedA`,
     drawn each step otherwise); `Ssge` takes only its value and the
     estimated KL gradient.
@@ -661,7 +662,7 @@ class Objective:
     ) -> ObjectiveEval:
         stats, scale_factor = self._stats, 1.0
         if self._schedule is not None:
-            batch = self._schedule.next_batch(rng)
+            batch = self._schedule.next_batch(rng, new_epoch=step == 1)
             stats = _likelihood_stats(self._phi[batch], self.data.targets[batch], state.mean)
             scale_factor = self.data.size / batch.size
         ell, ell_grad = _ell_terms(state, stats, self.model.noise_variance, scale_factor)

@@ -17,13 +17,12 @@ from fvi_bench.blr import (
     BlrModel,
     Dataset,
     exact_posterior,
-    load_dataset,
     log_marginal_likelihood,
     nlpd,
     predictive,
     predictive_marginals,
 )
-from fvi_bench.errors import NonFiniteValueError, ParseError
+from fvi_bench.errors import NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.gaussian import diagonal_gaussian, full_gaussian, standard_gaussian
 
@@ -241,19 +240,6 @@ class TestElboProperties:
 
 
 class TestDatasetIo:
-    def test_last_column_is_target(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("# x1,x2,y\n1,2,3\n4,5,6\n")
-        data = load_dataset(path)
-        np.testing.assert_array_equal(data.inputs, [[1, 2], [4, 5]])
-        np.testing.assert_array_equal(data.targets, [3, 6])
-
-    def test_single_column_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1\n2\n")
-        with pytest.raises(ParseError):
-            load_dataset(path)
-
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteValueError):
             Dataset([[1.0]], [float("inf")])

@@ -1,4 +1,4 @@
-"""Tests for RBF feature maps, injectivity certificates, and feature CSV IO."""
+"""Tests for RBF feature maps, the featurizer and injectivity certificates."""
 
 import math
 import warnings
@@ -9,21 +9,13 @@ from scipy.cluster.vq import kmeans2
 from scipy.spatial.distance import cdist
 
 from fvi_bench import features
-from fvi_bench.errors import (
-    DimensionMismatchError,
-    NonFiniteValueError,
-    ParseError,
-    UnknownInputError,
-)
+from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError
 from fvi_bench.features import (
-    PrecomputedFeatureMap,
     RbfFeatureMap,
     evaluate,
     fit_rbf_featurizer,
     independent_rows,
     injectivity_certificate,
-    load_features,
-    save_features,
     squared_distances,
 )
 
@@ -201,68 +193,6 @@ class TestIndependentRows:
         rng = np.random.default_rng(4)
         m = rng.standard_normal((4, 6))
         np.testing.assert_array_equal(independent_rows(m), np.arange(4))
-
-
-class TestFeatureCsv:
-    def test_identity_round(self, tmp_path):
-        path = tmp_path / "feat.csv"
-        path.write_text("1,0\n0,1\n")
-        stub = load_features(path)
-        np.testing.assert_array_equal(stub.values, np.eye(2))
-        assert stub.num_features == 2
-
-    def test_nan_rejected(self, tmp_path):
-        path = tmp_path / "feat.csv"
-        path.write_text("1,nan\n0,1\n")
-        with pytest.raises(NonFiniteValueError):
-            load_features(path)
-
-    def test_parse_error_reports_location(self, tmp_path):
-        path = tmp_path / "feat.csv"
-        path.write_text("# header\n1,2\n3,oops\n")
-        with pytest.raises(ParseError) as err:
-            load_features(path)
-        assert err.value.row == 3
-
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(5)
-        values, inputs = rng.standard_normal((8, 3)), rng.standard_normal((8, 2))
-        original = PrecomputedFeatureMap(inputs, values)
-        path = tmp_path / "feat.csv"
-        save_features(original, path)
-        loaded = load_features(path)
-        np.testing.assert_array_equal(loaded.values, original.values)
-        np.testing.assert_array_equal(loaded.inputs, original.inputs)
-        np.testing.assert_array_equal(loaded(original.inputs), original.values)
-
-    def test_stub_rejects_unknown_rows(self, tmp_path):
-        rng = np.random.default_rng(6)
-        values, inputs = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
-        original = PrecomputedFeatureMap(inputs, values)
-        path = tmp_path / "feat.csv"
-        save_features(original, path)
-        stub = load_features(path)
-        with pytest.raises(UnknownInputError):
-            stub(np.array([[100.0, 100.0]]))
-
-    def test_table_with_unequal_row_counts_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            PrecomputedFeatureMap(np.zeros((3, 1)), np.ones((2, 4)))
-
-    def test_one_dimensional_inputs_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            PrecomputedFeatureMap(np.arange(3.0), np.ones((3, 4)))
-
-    def test_integer_table_matches_float_query(self):
-        table = PrecomputedFeatureMap(np.array([[0], [1]]), np.eye(2))
-        np.testing.assert_array_equal(table(np.array([[1]])), [[0.0, 1.0]])
-        np.testing.assert_array_equal(table(np.array([[0.0], [1.0]])), np.eye(2))
-
-    def test_signed_zeros_match_each_other(self):
-        table = PrecomputedFeatureMap(np.array([[0.0], [1.0]]), np.eye(2))
-        np.testing.assert_array_equal(table(np.array([[-0.0]])), [[1.0, 0.0]])
-        table = PrecomputedFeatureMap(np.array([[-0.0], [1.0]]), np.eye(2))
-        np.testing.assert_array_equal(table(np.array([[0.0]])), [[1.0, 0.0]])
 
 
 class TestFeaturizer:

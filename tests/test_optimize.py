@@ -78,6 +78,15 @@ class TestAdamConfig:
         with pytest.raises(ValueError, match="epsilon"):
             AdamConfig(0.01, 10, epsilon=epsilon)
 
+    @pytest.mark.parametrize("field", ["max_steps", "log_every"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_counts_rejected(self, field, value):
+        """max_steps=2.5 once passed and made `run` raise a bare TypeError,
+        which lost the trace; log_every=2.5 logged every fifth step; True
+        passed as 1."""
+        with pytest.raises(ValueError, match="integer"):
+            AdamConfig(0.1, **{"max_steps": 10, field: value})
+
 
 class TestAdamRun:
     def test_zero_learning_rate_keeps_state(self):
@@ -100,6 +109,23 @@ class TestAdamRun:
         a = run(Objective(Exact(), model, data), initial, cfg, np.random.default_rng(5))
         b = run(Objective(Exact(), model, data), initial, cfg, np.random.default_rng(5))
         assert np.array_equal(a.final_state.params(), b.final_state.params())
+
+    def test_minibatch_run_deterministic_given_seed(self):
+        """A minibatch objective once kept its epoch position across runs, so
+        a second run from the same seed took other batches."""
+        fmap = RbfFeatureMap(np.linspace(-2, 2, 5).reshape(-1, 1), np.array([0.5]))
+        model = BlrModel(fmap, noise_variance=0.1)
+        rng = np.random.default_rng(9)
+        data = Dataset(rng.uniform(-2, 2, (30, 1)), rng.standard_normal(30))
+        config = AdamConfig(0.1, 3, decay_tail_fraction=0.0)
+        initial = VariationalState.prior_state(Family.FFG, 5)
+        reused = Objective(Exact(), model, data, 7)
+        finals = [
+            run(objective, initial, config, np.random.default_rng(1)).final_state.params()
+            for objective in (reused, reused, Objective(Exact(), model, data, 7))
+        ]
+        np.testing.assert_array_equal(finals[1], finals[0])
+        np.testing.assert_array_equal(finals[2], finals[0])
 
     def test_step_count_honored(self):
         model, data, _ = toy_problem(2)

@@ -206,3 +206,11 @@ class TestKlGradientEstimate:
         ablated = kl_gradient_estimate(state, marginal, config, np.random.default_rng(0))
         assert ablated.shape == exact_prior.shape
         assert not np.allclose(ablated, exact_prior)
+
+
+class TestSsgeConfig:
+    @pytest.mark.parametrize("num_samples", [50.5, 50.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_sample_count_rejected(self, num_samples):
+        """50.5 once passed and made the first step raise a bare TypeError."""
+        with pytest.raises(ValueError, match="integer"):
+            SsgeConfig(num_samples=num_samples)

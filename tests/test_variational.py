@@ -29,7 +29,6 @@ from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likel
 from fvi_bench.errors import DegenerateMarginalError, InvalidBoxError, NonFiniteValueError
 from fvi_bench.features import (
     RANK_RTOL,
-    PrecomputedFeatureMap,
     RbfFeatureMap,
     evaluate,
     independent_rows,
@@ -500,6 +499,11 @@ class TestMeasurementSampling:
         with pytest.raises(ValueError, match="integer"):
             MeasurementPolicy(total_size, 0.5, np.array([[0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_points_raise_a_package_error(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            measurement_set_from_points(np.array([[0.0], [bad]]))
+
     def test_numpy_integer_total_size_accepted(self):
         _, data = random_problem(np.random.default_rng(62), n=5)
         policy = MeasurementPolicy(np.int64(3), 0.5, np.array([[0.0, 1.0]]))
@@ -537,6 +541,14 @@ class TestObjectives:
             assert evaluation.elbo_estimate == pytest.approx(
                 log_marginal_likelihood(model, data), abs=1e-8
             )
+
+    @pytest.mark.parametrize("size", [7.5, 7.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_minibatch_size_rejected(self, size):
+        """7.5 once passed and made the first step raise a bare TypeError;
+        True passed and trained on batches of one row."""
+        model, data = random_problem(np.random.default_rng(63), n=10)
+        with pytest.raises(ValueError, match="integer"):
+            Objective(Exact(), model, data, minibatch_size=size)
 
     @pytest.mark.parametrize("kind_name", ["rand_a", "ssge"])
     def test_resampling_kinds_draw_a_fresh_set_every_call(self, kind_name):
@@ -892,7 +904,7 @@ class TestRowSelection:
     def test_keeps_the_rows_pivoted_qr_selects(self, seed, case):
         rows, full_rank = rows_for_case(seed, case)
         inputs = np.arange(rows.shape[0], dtype=float).reshape(-1, 1)
-        model = BlrModel(PrecomputedFeatureMap(inputs, rows), noise_variance=0.1)
+        model = BlrModel(lambda x: rows[x[:, 0].astype(int)], 0.1, num_features=rows.shape[1])
         expected = rows[independent_rows(rows)]
         calls = []
 
