@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from . import gaussian
 from .errors import DimensionMismatchError, NonFiniteValueError
 from .gaussian import CovKind, GaussianDist, cholesky_psd, full_gaussian, standard_gaussian
 
@@ -152,22 +151,6 @@ def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:
     rhs = prior_precision @ model.prior.mean + phi.T @ data.targets / model.noise_variance
     mean = cho_solve((post_chol.matrix, True), rhs)
     return full_gaussian(mean, 0.5 * (cov + cov.T))
-
-
-def predictive(
-    model: BlrModel, weights_dist: GaussianDist, test_inputs: np.ndarray
-) -> tuple[GaussianDist, GaussianDist]:
-    """Joint predictive over outputs at the test inputs.
-
-    Returns (noiseless, noisy): the pushforward of the weight distribution
-    through the test feature matrix, and the same plus sigma^2 I.
-    """
-    phi = model.features(np.asarray(test_inputs, dtype=float))
-    noiseless = gaussian.pushforward_linear(weights_dist, phi)
-    noisy = full_gaussian(
-        noiseless.mean, noiseless.cov + model.noise_variance * np.eye(phi.shape[0])
-    )
-    return noiseless, noisy
 
 
 def predictive_marginals(

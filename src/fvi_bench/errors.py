@@ -24,10 +24,6 @@ class SingularReferenceError(FviBenchError):
     required, e.g. the reference distribution of a KL divergence.
     """
 
-    def __init__(self, message: str, jitter_tried: float = 0.0):
-        super().__init__(message)
-        self.jitter_tried = jitter_tried
-
 
 class DegenerateMarginalError(FviBenchError):
     """The variational marginal is rank-deficient on the retained rows."""

@@ -118,32 +118,8 @@ def cholesky_psd(cov: np.ndarray, *, what: str = "covariance") -> CholeskyFactor
             continue
         return CholeskyFactor(lower, jitter)
     raise SingularReferenceError(
-        f"{what} is singular: Cholesky failed up to jitter {jitters[-1]:g}",
-        jitter_tried=jitters[-1],
+        f"{what} is singular: Cholesky failed up to jitter {jitters[-1]:g}"
     )
-
-
-def psd_sqrt(dist: GaussianDist) -> CholeskyFactor:
-    """A square root L with L @ L.T == cov, tolerating PSD rank deficiency.
-
-    Tries the jittered Cholesky first; on failure falls back to a symmetric
-    eigendecomposition with near-zero eigenvalues clipped, so exactly singular
-    (e.g. all-zero) covariances still get an exact factor.
-    """
-    if dist.kind is CovKind.DIAGONAL:
-        return CholeskyFactor(np.diag(np.sqrt(dist.cov)), 0.0)
-    try:
-        return cholesky_psd(dist.cov)
-    except SingularReferenceError:
-        pass
-    eigvals, eigvecs = np.linalg.eigh(dist.cov)
-    scale = max(1.0, float(eigvals.max()) if eigvals.size else 1.0)
-    if eigvals.size and float(eigvals.min()) < -1e-10 * scale:
-        raise SingularReferenceError(
-            f"covariance is not PSD: min eigenvalue {eigvals.min():g}"
-        )
-    root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
-    return CholeskyFactor(root, 0.0)
 
 
 def _check_same_dim(q: GaussianDist, p: GaussianDist):
@@ -180,64 +156,3 @@ def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
         np.sum(np.log(np.diag(lp))) - np.sum(np.log(np.diag(lq)))
     )
     return 0.5 * (trace_term + mean_term - n + log_det_term)
-
-
-def pushforward_linear(weights_dist: GaussianDist, linear_map: np.ndarray) -> GaussianDist:
-    """Distribution of ``map @ w`` for ``w ~ weights_dist``; full kind.
-
-    The result may be rank-deficient whenever the map has more rows than
-    columns; callers diagnosing degeneracy rely on that.
-    """
-    linear_map = np.asarray(linear_map, dtype=float)
-    if linear_map.ndim != 2 or linear_map.shape[1] != weights_dist.dim:
-        raise DimensionMismatchError(
-            f"map must have {weights_dist.dim} columns, got shape {linear_map.shape}"
-        )
-    mean = linear_map @ weights_dist.mean
-    if weights_dist.kind is CovKind.DIAGONAL:
-        cov = (linear_map * weights_dist.cov) @ linear_map.T
-    else:
-        cov = linear_map @ weights_dist.cov @ linear_map.T
-    return full_gaussian(mean, 0.5 * (cov + cov.T))
-
-
-def sample(
-    dist: GaussianDist, rng: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` samples; also return the standard-normal draws used.
-
-    Samples are ``mean + eps @ L.T`` with eps ~ N(0, I), so a caller holding
-    (mean, L) can differentiate through the draw (reparameterization).
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    eps = rng.standard_normal((count, dist.dim))
-    if dist.kind is CovKind.DIAGONAL:
-        samples = dist.mean + eps * np.sqrt(dist.cov)
-        return samples, eps
-    root = psd_sqrt(dist)
-    return dist.mean + eps @ root.matrix.T, eps
-
-
-def log_density(dist: GaussianDist, x: np.ndarray):
-    """Gaussian log-density at ``x`` (a vector, or a batch of row vectors)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = x.reshape(1, -1) if single else x
-    if rows.shape[1] != dist.dim:
-        raise DimensionMismatchError(
-            f"points must have dimension {dist.dim}, got {rows.shape[1]}"
-        )
-    delta = rows - dist.mean
-    if dist.kind is CovKind.DIAGONAL:
-        if np.any(dist.cov <= 0.0):
-            raise SingularReferenceError("diagonal covariance has a zero variance")
-        quad = np.sum(delta**2 / dist.cov, axis=1)
-        log_det = float(np.sum(np.log(dist.cov)))
-    else:
-        factor = cholesky_psd(dist.cov, what="covariance for log-density")
-        white = solve_triangular(factor.matrix, delta.T, lower=True)
-        quad = np.sum(white**2, axis=0)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(factor.matrix))))
-    values = -0.5 * (dist.dim * np.log(2.0 * np.pi) + log_det + quad)
-    return float(values[0]) if single else values

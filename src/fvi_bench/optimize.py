@@ -1,4 +1,4 @@
-"""Adam ascent on variational parameters, plus a finite-difference checker.
+"""Adam ascent on variational parameters.
 
 The optimizer is deliberately plain: bias-corrected Adam on the
 unconstrained parameter vector, on the learning-rate schedule of
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -82,18 +81,6 @@ class TrainTrace:
     final_state: VariationalState | None = None
     steps_run: int = 0
 
-    def summary(self) -> dict:
-        last = self.records[-1] if self.records else None
-        return {
-            "steps_run": self.steps_run,
-            "records": len(self.records),
-            "final_elbo_estimate": last.elbo_estimate if last else None,
-            "final_kl_term": last.kl_term if last else None,
-            "final_expected_ll": last.expected_ll_term if last else None,
-            "final_grad_norm": last.grad_norm if last else None,
-            "rows_dropped": sum(r.rows_dropped for r in self.records),
-        }
-
 
 def run(
     objective: Objective,
@@ -151,39 +138,3 @@ def run(
         raise
     trace.final_state = state
     return trace
-
-
-@dataclass(frozen=True)
-class GradientCheckReport:
-    max_rel_error: float
-    rel_errors: np.ndarray
-    analytic: np.ndarray
-    numeric: np.ndarray
-
-
-def finite_diff_check(
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    point: np.ndarray,
-    step: float = 1e-5,
-) -> GradientCheckReport:
-    """Central finite differences against the analytic gradient.
-
-    The callable must be deterministic; stochastic objectives need to be
-    wrapped with a frozen seed by the caller.  Relative error per coordinate
-    uses max(|analytic|, |numeric|, 1) as the denominator so near-zero
-    coordinates are compared absolutely.
-    """
-    point = np.asarray(point, dtype=float)
-    _, analytic = value_and_grad(point)
-    analytic = np.asarray(analytic, dtype=float)
-    numeric = np.empty_like(analytic)
-    for i in range(point.size):
-        bumped = point.copy()
-        bumped[i] += step
-        plus, _ = value_and_grad(bumped)
-        bumped[i] -= 2.0 * step
-        minus, _ = value_and_grad(bumped)
-        numeric[i] = (plus - minus) / (2.0 * step)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-    rel_errors = np.abs(numeric - analytic) / denom
-    return GradientCheckReport(float(rel_errors.max()), rel_errors, analytic, numeric)

@@ -47,16 +47,9 @@ class SsgeConfig:
 
     The kernel bandwidth is always the median pairwise distance between the
     samples, and the eigenpair count J always follows ``EIGEN_MASS``.
-
-    ``estimate_prior_score=True`` is an ablation that estimates the prior
-    score from prior samples as well.  It subtracts two independently fitted
-    estimates and is biased: its gradient is 0.2-0.4 away from the
-    closed-form marginal-KL gradient (relative error of the mean over many
-    draws), and the bias does not shrink as ``num_samples`` grows.
     """
 
     num_samples: int = 100
-    estimate_prior_score: bool = False
 
     def __post_init__(self):
         require_count("num_samples", self.num_samples, 2)
@@ -144,22 +137,16 @@ def kl_gradient_estimate(
     Draws ``config.num_samples`` function values at the retained rows of the
     prepared marginal through the reparameterization, replaces the
     intractable variational-marginal score with the spectral estimate, uses
-    the exact Gaussian score of the prior marginal (or, for ablation, an
-    estimated one), and averages the path derivative back to the state
-    parameters.  Returns a gradient in the state's unconstrained parameter
-    layout.
+    the exact Gaussian score of the prior marginal, and averages the path
+    derivative back to the state parameters.  Returns a gradient in the
+    state's unconstrained parameter layout.
     """
     rows = marginal.rows
     eps = rng.standard_normal((config.num_samples, state.dim))
     weights = state.mean + state.apply_scale(eps)
     values = weights @ rows.T  # (M, m)
-    q_score = fit_score(values).sample_scores
-    if config.estimate_prior_score:
-        prior_values = rng.standard_normal((config.num_samples, state.dim)) @ rows.T
-        p_score = fit_score(prior_values)(values)
-    else:
-        p_score = marginal.prior_score(values)
-    diff = q_score - p_score  # (M, m), the integrand's df term
+    # (M, m), the integrand's df term
+    diff = fit_score(values).sample_scores - marginal.prior_score(values)
     per_sample_mean_grad = diff @ rows  # (M, k)
     grad_mean = per_sample_mean_grad.mean(axis=0)
     if state.is_full:

@@ -64,7 +64,6 @@ from .gaussian import cholesky_psd  # noqa: F401  (unused; perfbench/tracing.py 
 from .ssge import SsgeConfig, kl_gradient_estimate
 
 _log = logging.getLogger(__name__)
-BOX_PAD = 0.5  # `box_from_inputs` widens a zero-width dimension by this on each side
 
 
 class Family(enum.Enum):
@@ -240,16 +239,6 @@ class MeasurementPolicy:
         if not np.all(np.isfinite(width) & (width > 0.0)):  # NaN fails too
             raise InvalidBoxError("box width hi - lo must be finite and positive in each dimension")
         object.__setattr__(self, "box", box)
-
-
-def box_from_inputs(inputs: np.ndarray) -> np.ndarray:
-    """Bounding box of the rows; zero-width dimensions are padded by ``BOX_PAD``."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    lo, hi = inputs.min(axis=0), inputs.max(axis=0)
-    degenerate = lo >= hi
-    lo = np.where(degenerate, lo - BOX_PAD, lo)
-    hi = np.where(degenerate, hi + BOX_PAD, hi)
-    return np.column_stack([lo, hi])
 
 
 def sample_measurement_set(
@@ -647,7 +636,7 @@ class Objective:
         self.kind = kind
         self.model = model
         self.data = data
-        if minibatch_size:
+        if minibatch_size is not None:
             self._schedule = MinibatchSchedule(data.size, minibatch_size)
             self._phi, self._stats = model.features(data.inputs), None
         else:

@@ -5,7 +5,6 @@ from fvi_bench.blr import BlrModel, Dataset
 from fvi_bench.features import RANK_RTOL, RbfFeatureMap, fit_rbf_featurizer, independent_rows
 from fvi_bench.variational import (
     MeasurementPolicy,
-    box_from_inputs,
     measurement_set_from_points,
     sample_measurement_set,
 )
@@ -23,6 +22,20 @@ def random_full_gaussian(rng: np.random.Generator, n: int) -> gaussian.GaussianD
 
 def random_diagonal_gaussian(rng: np.random.Generator, n: int) -> gaussian.GaussianDist:
     return gaussian.diagonal_gaussian(rng.standard_normal(n), rng.uniform(0.2, 3.0, n))
+
+
+def max_gradient_error(value_and_grad, point: np.ndarray, step: float = 1e-5) -> float:
+    """Largest error of the analytic gradient of ``value_and_grad`` at
+    ``point`` against central differences of its value, each coordinate
+    relative to max(|analytic|, |numeric|, 1) so that near-zero coordinates
+    compare absolutely.  The callable must be deterministic."""
+    analytic = np.asarray(value_and_grad(point)[1], dtype=float)
+    numeric = np.empty_like(analytic)
+    for i, bump in enumerate(step * np.eye(point.size)):
+        plus, minus = value_and_grad(point + bump)[0], value_and_grad(point - bump)[0]
+        numeric[i] = (plus - minus) / (2 * step)
+    denominator = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
+    return float(np.max(np.abs(numeric - analytic) / denominator))
 
 
 # --- measurement sets for the QR form of `MarginalKl` -------------------------
@@ -45,7 +58,7 @@ def workload_shaped_sets(shape, seed: int, count: int):
     inputs = rng.uniform(size=(5 * k, d))
     model = BlrModel(fit_rbf_featurizer(inputs, k, rng=rng), noise_variance=0.01)
     data = Dataset(inputs, np.zeros(inputs.shape[0]))
-    policy = MeasurementPolicy(m, 0.5, box_from_inputs(inputs))
+    policy = MeasurementPolicy(m, 0.5, np.column_stack([inputs.min(0), inputs.max(0)]))
     return model, [sample_measurement_set(policy, data, rng) for _ in range(count)]
 
 

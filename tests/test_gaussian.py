@@ -14,16 +14,7 @@ from scipy import stats
 from conftest import random_diagonal_gaussian, random_full_gaussian, random_spd_matrix
 from fvi_bench import gaussian
 from fvi_bench.errors import DimensionMismatchError, SingularReferenceError
-from fvi_bench.gaussian import (
-    CovKind,
-    diagonal_gaussian,
-    full_gaussian,
-    kl_divergence,
-    log_density,
-    pushforward_linear,
-    sample,
-    standard_gaussian,
-)
+from fvi_bench.gaussian import diagonal_gaussian, full_gaussian, kl_divergence, standard_gaussian
 
 
 def mc_kl_oracle(q, p, num_samples, seed):
@@ -97,7 +88,10 @@ class TestKlDivergence:
                 if abs(np.linalg.det(m)) > 1e-3:
                     break
             base = kl_divergence(q, p)
-            mapped = kl_divergence(pushforward_linear(q, m), pushforward_linear(p, m))
+            mapped = kl_divergence(
+                full_gaussian(m @ q.mean, m @ q.cov @ m.T),
+                full_gaussian(m @ p.mean, m @ p.cov @ m.T),
+            )
             assert mapped == pytest.approx(base, rel=1e-8)
 
     def test_monotone_under_marginalization(self):
@@ -109,15 +103,18 @@ class TestKlDivergence:
             q = random_full_gaussian(rng, n)
             p = random_full_gaussian(rng, n)
             assert kl_divergence(
-                pushforward_linear(q, projection), pushforward_linear(p, projection)
+                full_gaussian(projection @ q.mean, projection @ q.cov @ projection.T),
+                full_gaussian(projection @ p.mean, projection @ p.cov @ projection.T),
             ) <= kl_divergence(q, p) + 1e-10
 
     def test_sample_log_density_consistency(self):
         rng = np.random.default_rng(7)
         q = random_full_gaussian(rng, 3)
         p = random_full_gaussian(rng, 3)
-        draws, _ = sample(q, np.random.default_rng(8), 10**5)
-        diffs = log_density(q, draws) - log_density(p, draws)
+        eps = np.random.default_rng(8).standard_normal((10**5, 3))
+        draws = q.mean + eps @ np.linalg.cholesky(q.cov).T
+        log_q = stats.multivariate_normal.logpdf(draws, q.mean, q.cov)
+        diffs = log_q - stats.multivariate_normal.logpdf(draws, p.mean, p.cov)
         stderr = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs)))
         assert abs(float(np.mean(diffs)) - kl_divergence(q, p)) < 3 * stderr
 
@@ -130,89 +127,6 @@ class TestKlDivergence:
         p = full_gaussian([0.0, 0.0], np.zeros((2, 2)))
         with pytest.raises(SingularReferenceError):
             kl_divergence(q, p)
-
-
-class TestPushforwardLinear:
-    def test_identity_map(self):
-        q = full_gaussian([0.0, 0.0], np.eye(2))
-        out = pushforward_linear(q, np.eye(2))
-        np.testing.assert_allclose(out.mean, q.mean)
-        np.testing.assert_allclose(out.cov, np.eye(2))
-        assert out.kind is CovKind.FULL
-
-    def test_ones_map_gives_rank_one_cov(self):
-        out = pushforward_linear(standard_gaussian(2), np.ones((3, 2)))
-        np.testing.assert_allclose(out.mean, np.zeros(3))
-        np.testing.assert_allclose(out.cov, 2.0 * np.ones((3, 3)))
-
-    def test_coordinate_marginalization(self):
-        q = diagonal_gaussian([1.0, 2.0], [1.0, 4.0])
-        out = pushforward_linear(q, np.array([[1.0, 0.0]]))
-        np.testing.assert_allclose(out.mean, [1.0])
-        np.testing.assert_allclose(out.cov, [[1.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            pushforward_linear(standard_gaussian(2), np.ones((2, 3)))
-
-
-class TestSample:
-    def test_deterministic_given_seed(self):
-        q = random_full_gaussian(np.random.default_rng(9), 4)
-        a, eps_a = sample(q, np.random.default_rng(123), 2)
-        b, eps_b = sample(q, np.random.default_rng(123), 2)
-        assert np.array_equal(a, b)
-        assert np.array_equal(eps_a, eps_b)
-
-    def test_zero_covariance_returns_mean(self):
-        q = full_gaussian([1.0, -2.0], np.zeros((2, 2)))
-        draws, _ = sample(q, np.random.default_rng(0), 5)
-        np.testing.assert_array_equal(draws, np.tile(q.mean, (5, 1)))
-
-    def test_sample_mean_clt_bound(self):
-        draws, _ = sample(standard_gaussian(1), np.random.default_rng(10), 10**5)
-        assert abs(float(draws.mean())) < 4.0 / math.sqrt(10**5)
-
-    def test_returned_eps_reproduces_draws(self):
-        q = random_full_gaussian(np.random.default_rng(11), 3)
-        draws, eps = sample(q, np.random.default_rng(12), 7)
-        root = gaussian.psd_sqrt(q).matrix
-        np.testing.assert_allclose(draws, q.mean + eps @ root.T, rtol=1e-12, atol=1e-12)
-
-    def test_sample_covariance_matches(self):
-        q = random_full_gaussian(np.random.default_rng(13), 2)
-        draws, _ = sample(q, np.random.default_rng(14), 10**5)
-        np.testing.assert_allclose(np.cov(draws.T), q.cov_matrix(), atol=0.08)
-
-
-class TestLogDensity:
-    def test_standard_normal_at_origin(self):
-        got = log_density(diagonal_gaussian([0.0], [1.0]), np.array([0.0]))
-        assert got == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
-        assert got == pytest.approx(-0.91894, abs=5e-6)
-
-    def test_standard_2d_at_ones(self):
-        got = log_density(standard_gaussian(2), np.array([1.0, 1.0]))
-        assert got == pytest.approx(-math.log(2 * math.pi) - 1.0, abs=1e-12)
-
-    def test_scaled_1d_at_mean(self):
-        got = log_density(full_gaussian([3.0], [[4.0]]), np.array([3.0]))
-        assert got == pytest.approx(-0.5 * math.log(8 * math.pi), abs=1e-12)
-
-    def test_batch_matches_scipy(self):
-        rng = np.random.default_rng(15)
-        q = random_full_gaussian(rng, 3)
-        points = rng.standard_normal((50, 3))
-        np.testing.assert_allclose(
-            log_density(q, points),
-            stats.multivariate_normal.logpdf(points, q.mean, q.cov_matrix()),
-            rtol=1e-10,
-        )
-
-    def test_singular_covariance_raises(self):
-        q = full_gaussian([0.0, 0.0], np.zeros((2, 2)))
-        with pytest.raises(SingularReferenceError):
-            log_density(q, np.zeros(2))
 
 
 class TestConstruction:

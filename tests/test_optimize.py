@@ -1,4 +1,4 @@
-"""Tests for the Adam loop and the finite-difference checker."""
+"""Tests for the Adam loop."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from fvi_bench import gaussian
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import DegenerateMarginalError, NonFiniteGradientError, NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap
-from fvi_bench.optimize import AdamConfig, finite_diff_check, run
+from fvi_bench.optimize import AdamConfig, run
 from fvi_bench.ssge import SsgeConfig
 from fvi_bench.variational import (
     Exact,
@@ -18,7 +18,6 @@ from fvi_bench.variational import (
     RandA,
     Ssge,
     VariationalState,
-    box_from_inputs,
     fixed_a_optimal_mean,
     measurement_set_from_points,
 )
@@ -36,28 +35,6 @@ def toy_problem(seed):
     weights = rng.standard_normal(20)
     targets = model.features(inputs) @ weights + 0.1 * rng.standard_normal(40)
     return model, Dataset(inputs, targets), weights
-
-
-class TestFiniteDiffCheck:
-    def test_quadratic_gradient(self):
-        rng = np.random.default_rng(0)
-        point = rng.standard_normal(6)
-        report = finite_diff_check(
-            lambda x: (0.5 * float(x @ x), x.copy()), point, step=1e-6
-        )
-        assert report.max_rel_error < 1e-9
-
-    def test_detects_wrong_gradient(self):
-        report = finite_diff_check(
-            lambda x: (0.5 * float(x @ x), 2.0 * x), np.array([1.0, -2.0])
-        )
-        assert report.max_rel_error > 0.1
-
-    def test_report_shapes(self):
-        report = finite_diff_check(lambda x: (float(np.sum(x**3)), 3 * x**2), np.ones(4))
-        assert report.rel_errors.shape == (4,)
-        assert report.analytic.shape == (4,)
-        assert report.numeric.shape == (4,)
 
 
 class TestAdamConfig:
@@ -194,7 +171,9 @@ class TestAdamRun:
     def test_diverging_scale_ends_in_a_package_error_with_trace(self, kind_name):
         # At this rate a few Adam steps push a log-scale out of exp's range.
         model, data, _ = toy_problem(0)
-        policy = MeasurementPolicy(10, 0.5, box_from_inputs(data.inputs))
+        policy = MeasurementPolicy(
+            10, 0.5, np.column_stack([data.inputs.min(0), data.inputs.max(0)])
+        )
         kind = RandA(policy) if kind_name == "rand_a" else Ssge(policy, SsgeConfig(50))
         objective = Objective(kind, model, data)
         initial = VariationalState.prior_state(Family.FULL, 20)
@@ -226,7 +205,7 @@ class TestAdamRun:
             np.random.default_rng(0),
         )
         assert [record.rows_dropped for record in trace.records] == [1, 1, 1]
-        assert trace.summary()["rows_dropped"] == 3
+        assert sum(record.rows_dropped for record in trace.records) == 3
 
     def test_learning_rate_schedule_shape(self):
         cfg = AdamConfig(0.01, 1000, decay_tail_fraction=0.5)

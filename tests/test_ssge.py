@@ -192,21 +192,6 @@ class TestKlGradientEstimate:
         assert many < 0.6 * few
         assert bias < 0.1
 
-    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
-    def test_estimated_prior_score_ablation(self, family):
-        # Measured per-draw error at M=200 over these seeds: 0.38 (full) and
-        # 0.42 (ffg).  The second fit adds a bias that does not shrink with M.
-        config = SsgeConfig(num_samples=200, estimate_prior_score=True)
-        per_draw, _ = estimate_errors(family, config)
-        assert per_draw < 0.6
-        state, marginal = marginal_problem(family)
-        exact_prior = kl_gradient_estimate(
-            state, marginal, SsgeConfig(num_samples=200), np.random.default_rng(0)
-        )
-        ablated = kl_gradient_estimate(state, marginal, config, np.random.default_rng(0))
-        assert ablated.shape == exact_prior.shape
-        assert not np.allclose(ablated, exact_prior)
-
 
 class TestSsgeConfig:
     @pytest.mark.parametrize("num_samples", [50.5, 50.0, True], ids=["fraction", "float", "bool"])
