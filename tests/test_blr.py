@@ -1,7 +1,7 @@
 """Tests for the conjugate regression model.
 
 Oracles: hand conjugate computations, 1D quadrature of prior x likelihood,
-Monte Carlo predictive checks, and the function-space (kernel) form of the
+Monte Carlo predictive checks, scipy densities, and the function-space (kernel) form of the
 posterior predictive.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import random_full_gaussian
+from conftest import random_diagonal_gaussian, random_full_gaussian
 from fvi_bench import gaussian
 from fvi_bench.blr import (
     BlrModel,
@@ -102,7 +102,59 @@ class TestExactPosterior:
         assert post.mean[0] == pytest.approx(mean / z, abs=1e-9)
 
 
+def two_coordinate_model() -> BlrModel:
+    return BlrModel(lambda x: x, noise_variance=1.0, num_features=2)
+
+
 class TestPredictive:
+    def test_point_mass_weights(self):
+        model = identity_feature_model(noise_variance=0.25)
+        w = full_gaussian([2.0], [[0.0]])
+        means, variances = predictive_marginals(model, w, [[3.0]])
+        np.testing.assert_allclose(means, [6.0])
+        np.testing.assert_allclose(variances, [0.0], atol=1e-15)
+        # With no weight uncertainty the predictive density is the noise alone.
+        expected = -stats.norm.logpdf(5.0, loc=6.0, scale=0.5)
+        assert nlpd(model, w, Dataset([[3.0]], [5.0])) == pytest.approx(expected, abs=1e-12)
+
+    def test_prior_predictive_variance_floor(self):
+        fmap = RbfFeatureMap(np.linspace(-2, 2, 20).reshape(-1, 1), np.array([0.2]))
+        model = BlrModel(fmap, noise_variance=0.01)
+        _, variances = predictive_marginals(model, model.prior, fmap.centers)
+        assert np.all(variances >= 0.0)
+        phi = model.features(fmap.centers)
+        np.testing.assert_allclose(variances, np.sum(phi**2, axis=1), rtol=1e-12)
+
+    def test_coordinate_marginalization(self):
+        w = diagonal_gaussian([1.0, 2.0], [1.0, 4.0])
+        means, variances = predictive_marginals(two_coordinate_model(), w, np.eye(2))
+        np.testing.assert_allclose(means, [1.0, 2.0])
+        np.testing.assert_allclose(variances, [1.0, 4.0])
+
+    def test_ones_map_sums_the_variances(self):
+        means, variances = predictive_marginals(
+            two_coordinate_model(), standard_gaussian(2), np.ones((3, 2))
+        )
+        np.testing.assert_allclose(means, np.zeros(3))
+        np.testing.assert_allclose(variances, np.full(3, 2.0))
+
+    def test_diagonal_and_full_kinds_agree(self):
+        rng = np.random.default_rng(8)
+        model, data = random_model_and_data(rng)
+        weights = random_diagonal_gaussian(rng, model.num_features)
+        as_full = full_gaussian(weights.mean, weights.cov_matrix())
+        got = predictive_marginals(model, weights, data.inputs)
+        want = predictive_marginals(model, as_full, data.inputs)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+    def test_roundoff_negative_variance_clipped(self):
+        w = full_gaussian([0.0, 0.0], 0.1 * np.ones((2, 2)))
+        row = np.array([[0.1, -0.1000000001]])  # exact variance 1e-21
+        assert np.einsum("ij,jk,ik->i", row, w.cov, row)[0] < 0.0  # rounds below zero
+        _, variances = predictive_marginals(two_coordinate_model(), w, row)
+        assert 0.0 <= variances[0] < 1e-18
+
     def test_against_monte_carlo(self):
         rng = np.random.default_rng(1)
         model, data = random_model_and_data(rng, k_max=4, n_max=6)
@@ -155,6 +207,17 @@ class TestNlpd:
         assert nlpd(model, post, data) < nlpd(model, model.prior, data)
 
 
+    def test_matches_scipy_norm_logpdf(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            model, data = random_model_and_data(rng)
+            weights = random_full_gaussian(rng, model.num_features)
+            phi = model.features(data.inputs)
+            scale = np.sqrt(np.diag(phi @ weights.cov @ phi.T) + model.noise_variance)
+            expected = -np.mean(stats.norm.logpdf(data.targets, phi @ weights.mean, scale))
+            assert nlpd(model, weights, data) == pytest.approx(expected, rel=1e-10)
+
+
 class TestLogMarginalLikelihood:
     def test_hand_computed_single_point(self):
         model = identity_feature_model()
@@ -168,6 +231,17 @@ class TestLogMarginalLikelihood:
             phi = model.features(data.inputs)
             cov = phi @ phi.T + model.noise_variance * np.eye(data.size)
             dense = stats.multivariate_normal.logpdf(data.targets, np.zeros(data.size), cov)
+            assert log_marginal_likelihood(model, data) == pytest.approx(dense, rel=1e-10)
+
+    def test_general_prior_matches_scipy(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            model, data = random_model_and_data(rng)
+            prior = random_full_gaussian(rng, model.num_features)
+            model = BlrModel(model.feature_map, model.noise_variance, prior=prior)
+            phi = model.features(data.inputs)
+            cov = phi @ prior.cov @ phi.T + model.noise_variance * np.eye(data.size)
+            dense = stats.multivariate_normal.logpdf(data.targets, phi @ prior.mean, cov)
             assert log_marginal_likelihood(model, data) == pytest.approx(dense, rel=1e-10)
 
     def test_tight_at_exact_posterior(self):

@@ -142,6 +142,20 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError):
             full_gaussian([0.0, 0.0], np.eye(3))
 
+    def test_diagonal_roundoff_negative_clipped(self):
+        q = diagonal_gaussian([0.0, 0.0], [-1e-12, 2.0])
+        np.testing.assert_array_equal(q.cov, [0.0, 2.0])
+
+    def test_full_covariance_stored_symmetric(self):
+        cov = np.array([[2.0, 0.5], [0.5 + 1e-12, 1.0]])
+        q = full_gaussian([0.0, 0.0], cov)
+        np.testing.assert_array_equal(q.cov, q.cov.T)
+        np.testing.assert_allclose(q.cov, cov, atol=1e-12)
+
+    def test_cov_matrix_of_diagonal_kind_is_dense(self):
+        q = diagonal_gaussian([1.0, 2.0, 3.0], [1.0, 4.0, 9.0])
+        np.testing.assert_array_equal(q.cov_matrix(), np.diag([1.0, 4.0, 9.0]))
+
     def test_jitter_ladder_recorded(self):
         cov = np.eye(3)
         factor = gaussian.cholesky_psd(cov)
@@ -154,3 +168,19 @@ class TestConstruction:
             rank_deficient + factor.jitter_used * np.eye(3),
             rtol=1e-8,
         )
+
+
+class TestCholeskyPsd:
+    def test_positive_definite_needs_no_jitter(self):
+        cov = random_spd_matrix(np.random.default_rng(16), 4)
+        factor = gaussian.cholesky_psd(cov)
+        assert factor.jitter_used == 0.0
+        np.testing.assert_allclose(factor.matrix, np.linalg.cholesky(cov), rtol=1e-12)
+
+    def test_zero_matrix_raises(self):
+        with pytest.raises(SingularReferenceError):
+            gaussian.cholesky_psd(np.zeros((2, 2)))
+
+    def test_indefinite_matrix_raises_naming_the_jitter(self):
+        with pytest.raises(SingularReferenceError, match="jitter"):
+            gaussian.cholesky_psd(np.diag([1.0, -1.0]), what="test matrix")

@@ -1,8 +1,9 @@
-"""Tests for the Adam loop."""
+"""Tests for the Adam loop and the central-difference gradient reference."""
 
 import numpy as np
 import pytest
 
+from conftest import max_gradient_error
 from fvi_bench import gaussian
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import DegenerateMarginalError, NonFiniteGradientError, NonFiniteValueError
@@ -35,6 +36,27 @@ def toy_problem(seed):
     weights = rng.standard_normal(20)
     targets = model.features(inputs) @ weights + 0.1 * rng.standard_normal(40)
     return model, Dataset(inputs, targets), weights
+
+
+class TestFiniteDiffCheck:
+    """The central-difference reference that every gradient test compares to."""
+
+    def test_quadratic_gradient(self):
+        point = np.random.default_rng(0).standard_normal(6)
+        error = max_gradient_error(lambda x: (0.5 * float(x @ x), x.copy()), point, step=1e-6)
+        assert error < 1e-9
+
+    def test_detects_wrong_gradient(self):
+        error = max_gradient_error(lambda x: (0.5 * float(x @ x), 2.0 * x), np.array([1.0, -2.0]))
+        assert error > 0.1
+
+    def test_small_coordinates_compare_absolutely(self):
+        # Gradient 0 at the origin; an analytic error of 1e-3 there is measured
+        # against 1, not against the near-zero true value.
+        error = max_gradient_error(
+            lambda x: (0.5 * float(x @ x), x + 1e-3), np.zeros(3), step=1e-6
+        )
+        assert error == pytest.approx(1e-3, rel=1e-6)
 
 
 class TestAdamConfig:

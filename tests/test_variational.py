@@ -211,6 +211,25 @@ class TestVariationalState:
             )
 
 
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    def test_reparameterized_draws_match_numpy_cholesky(self, family):
+        state = random_state(np.random.default_rng(2), family, 4)
+        eps = np.random.default_rng(3).standard_normal((7, 4))
+        expected = state.mean + eps @ np.linalg.cholesky(state.cov_matrix()).T
+        np.testing.assert_allclose(
+            state.mean + state.apply_scale(eps), expected, rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    def test_to_gaussian_keeps_mean_and_covariance(self, family):
+        state = random_state(np.random.default_rng(4), family, 3)
+        dist = state.to_gaussian()
+        expected_kind = gaussian.CovKind.FULL if state.is_full else gaussian.CovKind.DIAGONAL
+        assert dist.kind is expected_kind
+        np.testing.assert_array_equal(dist.mean, state.mean)
+        np.testing.assert_allclose(dist.cov_matrix(), state.cov_matrix(), rtol=1e-12)
+
+
 class TestExpectedLogLikelihood:
     def test_point_mass_perfect_fit(self):
         rng = np.random.default_rng(2)
