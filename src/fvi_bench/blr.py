@@ -1,24 +1,25 @@
 """Bayesian linear regression in feature space.
 
-Model: y = w . phi(x) + noise, noise ~ N(0, sigma^2), w ~ Gaussian prior
-(standard normal by default).  The posterior over weights is conjugate and
-computed exactly with k x k Cholesky solves; the log marginal likelihood uses
-the Woodbury identity so no n x n matrix is ever formed.  These closed forms
-take any Gaussian prior.  The variational objectives take only the standard
-prior N(0, I): `whiten` rewrites a model with prior N(mu, L L^T) as that
+Model: y = w . phi(x) + noise, noise ~ N(0, sigma^2), w ~ N(mu, Sigma), the
+prior a `GaussianDist` (N(0, I) by default).  The posterior over weights is
+conjugate and computed exactly with k x k Cholesky solves; the log marginal
+likelihood uses the Woodbury identity so no n x n matrix is ever formed.
+These closed forms take any Gaussian prior.  The variational objectives take
+only the standard prior N(0, I), which a model detects once, at
+construction: `whiten` rewrites a model with prior N(mu, L L^T) as that
 standard-prior problem, in the weights v of w = mu + L v.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import DimensionMismatchError, NonFiniteValueError
-from .gaussian import CovKind, GaussianDist, cholesky_psd, full_gaussian, standard_gaussian
+from .errors import DimensionMismatchError, NonFiniteValueError, require_count
+from .gaussian import GaussianDist, cholesky_psd, standard_gaussian
 
 # A feature map is anything callable on an (n, d) array returning (n, k).
 FeatureMapLike = Callable[[np.ndarray], np.ndarray]
@@ -67,10 +68,12 @@ class BlrModel:
     noise_variance: float
     prior: GaussianDist | None = None
     num_features: int = 0
+    _standard_prior: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.noise_variance <= 0.0:
-            raise ValueError("noise variance must be positive")
+        if not 0.0 < self.noise_variance < np.inf:  # NaN fails too
+            raise ValueError("noise variance must be finite and positive")
+        require_count("num_features", self.num_features, 0)
         k = self.num_features
         if k == 0:
             k = getattr(self.feature_map, "num_features", 0)
@@ -83,8 +86,11 @@ class BlrModel:
             raise DimensionMismatchError(
                 f"prior dimension {prior.dim} != feature count {k}"
             )
+        # The prior's arrays are read-only, so this answer cannot go stale.
+        standard = not prior.mean.any() and np.array_equal(prior.cov, np.eye(prior.dim))
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "num_features", prior.dim)
+        object.__setattr__(self, "_standard_prior", standard)
 
     def features(self, inputs: np.ndarray) -> np.ndarray:
         phi = np.asarray(self.feature_map(inputs), dtype=float)
@@ -97,11 +103,8 @@ class BlrModel:
         return phi
 
     def has_standard_prior(self) -> bool:
-        if np.any(self.prior.mean != 0.0):
-            return False
-        if self.prior.kind is CovKind.DIAGONAL:
-            return bool(np.all(self.prior.cov == 1.0))
-        return bool(np.array_equal(self.prior.cov, np.eye(self.prior.dim)))
+        """Whether the prior is exactly N(0, I), decided at construction."""
+        return self._standard_prior
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def whiten(model: BlrModel, *datasets: Dataset) -> tuple:
     """
     if model.has_standard_prior():
         return (model, *datasets)
-    factor = cholesky_psd(model.prior.cov_matrix(), what="prior covariance").matrix
+    factor = cholesky_psd(model.prior.cov, what="prior covariance").matrix
     whitened = BlrModel(WhitenedFeatureMap(model, factor), model.noise_variance)
     shifted = (
         Dataset(data.inputs, data.targets - model.features(data.inputs) @ model.prior.mean)
@@ -141,16 +144,21 @@ def whiten(model: BlrModel, *datasets: Dataset) -> tuple:
 
 
 def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:
-    """Conjugate posterior over weights, full covariance kind."""
+    """Conjugate posterior over weights.
+
+    The covariance is symmetrized explicitly: ``cho_solve`` of an
+    ill-conditioned precision can come out asymmetric by more than the
+    tolerance of `GaussianDist`.
+    """
     phi = model.features(data.inputs)
-    prior_chol = cholesky_psd(model.prior.cov_matrix(), what="prior covariance")
+    prior_chol = cholesky_psd(model.prior.cov, what="prior covariance")
     prior_precision = cho_solve((prior_chol.matrix, True), np.eye(model.num_features))
     precision = prior_precision + phi.T @ phi / model.noise_variance
     post_chol = cholesky_psd(precision, what="posterior precision")
     cov = cho_solve((post_chol.matrix, True), np.eye(model.num_features))
     rhs = prior_precision @ model.prior.mean + phi.T @ data.targets / model.noise_variance
     mean = cho_solve((post_chol.matrix, True), rhs)
-    return full_gaussian(mean, 0.5 * (cov + cov.T))
+    return GaussianDist(mean, 0.5 * (cov + cov.T))
 
 
 def predictive_marginals(
@@ -159,10 +167,7 @@ def predictive_marginals(
     """Per-point predictive means and noiseless variances, O(n k^2)."""
     phi = model.features(np.asarray(inputs, dtype=float))
     means = phi @ weights_dist.mean
-    if weights_dist.kind is CovKind.DIAGONAL:
-        variances = np.einsum("ij,j,ij->i", phi, weights_dist.cov, phi)
-    else:
-        variances = np.einsum("ij,jk,ik->i", phi, weights_dist.cov, phi)
+    variances = np.einsum("ij,jk,ik->i", phi, weights_dist.cov, phi)
     return means, np.maximum(variances, 0.0)
 
 
@@ -185,7 +190,7 @@ def log_marginal_likelihood(model: BlrModel, data: Dataset) -> float:
     phi = model.features(data.inputs)
     n, k = phi.shape
     sigma2 = model.noise_variance
-    prior_chol = cholesky_psd(model.prior.cov_matrix(), what="prior covariance").matrix
+    prior_chol = cholesky_psd(model.prior.cov, what="prior covariance").matrix
     residual = data.targets - phi @ model.prior.mean
     # C = sigma^2 Sigma0^{-1} + Phi^T Phi
     prior_precision = cho_solve((prior_chol, True), np.eye(k))

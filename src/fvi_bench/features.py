@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import qr as _scipy_qr
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import DimensionMismatchError, NonFiniteValueError
+from .errors import DimensionMismatchError, NonFiniteValueError, require_count
 
 RANK_RTOL = 1e-8  # singular values below RANK_RTOL * sigma_max count as zero
 LENGTHSCALE_MAX_POINTS = 1000  # median heuristic subsample size
@@ -57,6 +57,8 @@ class RbfFeatureMap:
             raise DimensionMismatchError(
                 f"lengthscales must have length {centers.shape[1]}, got {lengthscales.shape[0]}"
             )
+        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(lengthscales))):
+            raise NonFiniteValueError("centers and lengthscales must be finite")
         if np.any(lengthscales <= 0.0):
             raise ValueError("lengthscales must be strictly positive")
         centers.flags.writeable = lengthscales.flags.writeable = False
@@ -262,8 +264,7 @@ def fit_rbf_featurizer(
     inputs = _as_rows(inputs)
     if not np.all(np.isfinite(inputs)):
         raise NonFiniteValueError("featurizer inputs contain NaN or Inf")
-    if num_centers < 1:
-        raise ValueError(f"num_centers must be at least 1, got {num_centers}")
+    require_count("num_centers", num_centers, 1)
     rng = rng or np.random.default_rng(0)
     seeds = _kmeans_pp_seeds(inputs, min(num_centers, inputs.shape[0]), rng)
     centers = _lloyd(inputs, seeds)

@@ -1,15 +1,14 @@
 """Multivariate Gaussian value type and closed-form operations.
 
-The distribution is stored as a mean vector plus either a full symmetric
-positive semidefinite covariance matrix or just its diagonal.  All operations
-are pure; factorizations use Cholesky with a bounded escalating jitter ladder
-(starting at 1e-10 times the mean diagonal, escalating by 10x up to 1e-4 times
-the mean diagonal) so that failure is explicit rather than silent.
+The distribution is stored as a mean vector plus a dense symmetric positive
+semidefinite covariance matrix.  All operations are pure; factorizations use
+Cholesky with a bounded escalating jitter ladder (starting at 1e-10 times the
+mean diagonal, escalating by 10x up to 1e-4 times the mean diagonal) so that
+failure is explicit rather than silent.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,49 +21,31 @@ from .errors import DimensionMismatchError, SingularReferenceError
 _JITTER_LADDER = tuple(10.0 ** e for e in range(-10, -3))
 
 
-class CovKind(enum.Enum):
-    FULL = "full"
-    DIAGONAL = "diagonal"
-
-
 @dataclass(frozen=True)
 class GaussianDist:
-    """Gaussian with mean vector and full or diagonal covariance.
+    """Gaussian with a mean vector and an ``(n, n)`` symmetric PSD covariance.
 
-    Immutable after construction.  ``cov`` is an ``(n, n)`` symmetric PSD
-    matrix for ``CovKind.FULL`` or an ``(n,)`` vector of variances for
-    ``CovKind.DIAGONAL``.
+    The distribution owns read-only copies of its arrays, so a property
+    decided once from them (such as a model's standard prior) stays true.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    kind: CovKind
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.array(self.mean, dtype=float).reshape(-1)
         cov = np.asarray(self.cov, dtype=float)
         n = mean.shape[0]
-        if self.kind is CovKind.FULL:
-            if cov.shape != (n, n):
-                raise DimensionMismatchError(
-                    f"full covariance must be ({n}, {n}), got {cov.shape}"
-                )
-            scale = max(1.0, float(np.abs(cov).max()) if cov.size else 1.0)
-            if float(np.abs(cov - cov.T).max()) > 1e-10 * scale:
-                raise ValueError("covariance is not symmetric within 1e-10")
-            cov = 0.5 * (cov + cov.T)
-            diag = np.einsum("ii->i", cov)
-        else:
-            if cov.shape != (n,):
-                raise DimensionMismatchError(
-                    f"diagonal covariance must be ({n},), got {cov.shape}"
-                )
-            diag = cov
+        if cov.shape != (n, n):
+            raise DimensionMismatchError(f"covariance must be ({n}, {n}), got {cov.shape}")
+        scale = max(1.0, float(np.abs(cov).max()) if cov.size else 1.0)
+        if float(np.abs(cov - cov.T).max()) > 1e-10 * scale:
+            raise ValueError("covariance is not symmetric within 1e-10")
+        cov = 0.5 * (cov + cov.T)
+        diag = np.diag(cov)
         if diag.size and float(diag.min()) < -1e-10 * max(1.0, float(np.abs(diag).max())):
             raise ValueError("covariance has a negative diagonal entry")
-        # Clip roundoff-level negatives so downstream sqrt/factorization is safe.
-        if self.kind is CovKind.DIAGONAL:
-            cov = np.maximum(cov, 0.0)
+        mean.flags.writeable = cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -72,25 +53,9 @@ class GaussianDist:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def cov_matrix(self) -> np.ndarray:
-        """Covariance as a dense (n, n) matrix regardless of kind."""
-        if self.kind is CovKind.FULL:
-            return self.cov
-        return np.diag(self.cov)
-
-
-def full_gaussian(mean, cov) -> GaussianDist:
-    return GaussianDist(np.asarray(mean, dtype=float), np.asarray(cov, dtype=float), CovKind.FULL)
-
-
-def diagonal_gaussian(mean, variances) -> GaussianDist:
-    return GaussianDist(
-        np.asarray(mean, dtype=float), np.asarray(variances, dtype=float), CovKind.DIAGONAL
-    )
-
 
 def standard_gaussian(n: int) -> GaussianDist:
-    return diagonal_gaussian(np.zeros(n), np.ones(n))
+    return GaussianDist(np.zeros(n), np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -131,22 +96,12 @@ def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
     """KL(q || p) in closed form; ``p`` must be full rank within jitter.
 
     Uses Cholesky solves and log-determinants throughout, never explicit
-    inverses.  Both-diagonal inputs take an O(n) path.
+    inverses.
     """
     _check_same_dim(q, p)
     n = q.dim
-    if q.kind is CovKind.DIAGONAL and p.kind is CovKind.DIAGONAL:
-        if np.any(p.cov <= 0.0):
-            raise SingularReferenceError("reference covariance has a zero variance")
-        if np.any(q.cov <= 0.0):
-            raise SingularReferenceError("approximate covariance has a zero variance")
-        ratio = q.cov / p.cov
-        delta = q.mean - p.mean
-        return 0.5 * float(
-            np.sum(ratio) + np.sum(delta**2 / p.cov) - n - np.sum(np.log(ratio))
-        )
-    factor_p = cholesky_psd(p.cov_matrix(), what="reference covariance")
-    factor_q = cholesky_psd(q.cov_matrix(), what="approximate covariance")
+    factor_p = cholesky_psd(p.cov, what="reference covariance")
+    factor_q = cholesky_psd(q.cov, what="approximate covariance")
     lp, lq = factor_p.matrix, factor_q.matrix
     half_rotated = solve_triangular(lp, lq, lower=True)
     trace_term = float(np.sum(half_rotated**2))

@@ -59,7 +59,7 @@ from .errors import (
     require_count,
 )
 from .features import RANK_RTOL, independent_rows
-from .gaussian import GaussianDist, diagonal_gaussian, full_gaussian
+from .gaussian import GaussianDist
 from .gaussian import cholesky_psd  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 from .ssge import SsgeConfig, kl_gradient_estimate
 
@@ -122,9 +122,7 @@ class VariationalState:
         return np.diag(self.scale**2)
 
     def to_gaussian(self) -> GaussianDist:
-        if self.is_full:
-            return full_gaussian(self.mean, self.cov_matrix())
-        return diagonal_gaussian(self.mean, self.scale**2)
+        return GaussianDist(self.mean, self.cov_matrix())
 
     def apply_scale(self, eps: np.ndarray) -> np.ndarray:
         """Map standard-normal rows through the scale factor (reparameterization)."""
@@ -186,17 +184,11 @@ class VariationalState:
 # --- measurement sets --------------------------------------------------------
 
 
-class Provenance(enum.Enum):
-    FROM_DATA = "data"
-    UNIFORM_BOX = "box"
-
-
 @dataclass(frozen=True)
 class MeasurementSet:
     """Finite index set at which marginals are compared."""
 
     points: np.ndarray  # (m, d)
-    provenance: tuple[Provenance, ...]
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -204,8 +196,6 @@ class MeasurementSet:
             raise ValueError("a measurement set needs at least one point")
         if not np.all(np.isfinite(points)):
             raise NonFiniteValueError("measurement points must be finite")
-        if len(self.provenance) != points.shape[0]:
-            raise DimensionMismatchError("one provenance tag per point required")
         object.__setattr__(self, "points", points)
 
     @property
@@ -214,8 +204,7 @@ class MeasurementSet:
 
 
 def measurement_set_from_points(points: np.ndarray) -> MeasurementSet:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return MeasurementSet(points, (Provenance.UNIFORM_BOX,) * points.shape[0])
+    return MeasurementSet(points)
 
 
 @dataclass(frozen=True)
@@ -244,20 +233,18 @@ class MeasurementPolicy:
 def sample_measurement_set(
     policy: MeasurementPolicy, data: Dataset, rng: np.random.Generator
 ) -> MeasurementSet:
-    """floor(m * data_fraction) training inputs plus uniform box points."""
+    """floor(m * data_fraction) training inputs, then uniform box points."""
     num_data = math.floor(policy.total_size * policy.data_fraction)
     num_box = policy.total_size - num_data
-    pieces, tags = [], []
+    pieces = []
     if num_data > 0:
         replace = num_data > data.size
         idx = rng.choice(data.size, size=num_data, replace=replace)
         pieces.append(data.inputs[idx])
-        tags += [Provenance.FROM_DATA] * num_data
     if num_box > 0:
         lo, hi = policy.box[:, 0], policy.box[:, 1]
         pieces.append(rng.uniform(lo, hi, size=(num_box, policy.box.shape[0])))
-        tags += [Provenance.UNIFORM_BOX] * num_box
-    return MeasurementSet(np.vstack(pieces), tuple(tags))
+    return MeasurementSet(np.vstack(pieces))
 
 
 # --- closed-form objective terms ---------------------------------------------

@@ -16,12 +16,13 @@ def random_spd_matrix(rng: np.random.Generator, n: int, *, min_eig: float = 0.1)
     return a @ a.T + min_eig * np.eye(n)
 
 
-def random_full_gaussian(rng: np.random.Generator, n: int) -> gaussian.GaussianDist:
-    return gaussian.full_gaussian(rng.standard_normal(n), random_spd_matrix(rng, n))
+def random_gaussian(rng: np.random.Generator, n: int) -> gaussian.GaussianDist:
+    return gaussian.GaussianDist(rng.standard_normal(n), random_spd_matrix(rng, n))
 
 
-def random_diagonal_gaussian(rng: np.random.Generator, n: int) -> gaussian.GaussianDist:
-    return gaussian.diagonal_gaussian(rng.standard_normal(n), rng.uniform(0.2, 3.0, n))
+def random_uncorrelated_gaussian(rng: np.random.Generator, n: int) -> gaussian.GaussianDist:
+    """A random Gaussian whose dense covariance is diagonal."""
+    return gaussian.GaussianDist(rng.standard_normal(n), np.diag(rng.uniform(0.2, 3.0, n)))
 
 
 def max_gradient_error(value_and_grad, point: np.ndarray, step: float = 1e-5) -> float:

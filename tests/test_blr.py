@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import random_diagonal_gaussian, random_full_gaussian
+from conftest import random_gaussian
 from fvi_bench import gaussian
 from fvi_bench.blr import (
     BlrModel,
@@ -23,7 +23,7 @@ from fvi_bench.blr import (
 )
 from fvi_bench.errors import NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap
-from fvi_bench.gaussian import diagonal_gaussian, full_gaussian, standard_gaussian
+from fvi_bench.gaussian import GaussianDist, standard_gaussian
 
 
 def identity_feature_model(noise_variance: float = 1.0) -> BlrModel:
@@ -48,7 +48,7 @@ def elbo_closed_form(q, model, data):
     resid = data.targets - phi @ q.mean
     s2 = model.noise_variance
     expected_ll = -0.5 * data.size * math.log(2 * math.pi * s2) - 0.5 / s2 * (
-        float(resid @ resid) + float(np.trace(phi.T @ phi @ q.cov_matrix()))
+        float(resid @ resid) + float(np.trace(phi.T @ phi @ q.cov))
     )
     return expected_ll - gaussian.kl_divergence(q, model.prior)
 
@@ -86,11 +86,11 @@ class TestExactPosterior:
         washed = BlrModel(model.feature_map, noise_variance=1e12, prior=model.prior)
         post = exact_posterior(washed, data)
         np.testing.assert_allclose(post.mean, model.prior.mean, atol=1e-5)
-        np.testing.assert_allclose(post.cov, model.prior.cov_matrix(), atol=1e-5)
+        np.testing.assert_allclose(post.cov, model.prior.cov, atol=1e-5)
 
     def test_general_prior_against_quadrature(self):
         model = BlrModel(
-            lambda x: x, noise_variance=0.5, prior=full_gaussian([0.3], [[2.0]])
+            lambda x: x, noise_variance=0.5, prior=GaussianDist([0.3], [[2.0]])
         )
         post = exact_posterior(model, Dataset([[2.0]], [1.5]))
 
@@ -109,7 +109,7 @@ def two_coordinate_model() -> BlrModel:
 class TestPredictive:
     def test_point_mass_weights(self):
         model = identity_feature_model(noise_variance=0.25)
-        w = full_gaussian([2.0], [[0.0]])
+        w = GaussianDist([2.0], [[0.0]])
         means, variances = predictive_marginals(model, w, [[3.0]])
         np.testing.assert_allclose(means, [6.0])
         np.testing.assert_allclose(variances, [0.0], atol=1e-15)
@@ -126,7 +126,7 @@ class TestPredictive:
         np.testing.assert_allclose(variances, np.sum(phi**2, axis=1), rtol=1e-12)
 
     def test_coordinate_marginalization(self):
-        w = diagonal_gaussian([1.0, 2.0], [1.0, 4.0])
+        w = GaussianDist([1.0, 2.0], np.diag([1.0, 4.0]))
         means, variances = predictive_marginals(two_coordinate_model(), w, np.eye(2))
         np.testing.assert_allclose(means, [1.0, 2.0])
         np.testing.assert_allclose(variances, [1.0, 4.0])
@@ -138,18 +138,8 @@ class TestPredictive:
         np.testing.assert_allclose(means, np.zeros(3))
         np.testing.assert_allclose(variances, np.full(3, 2.0))
 
-    def test_diagonal_and_full_kinds_agree(self):
-        rng = np.random.default_rng(8)
-        model, data = random_model_and_data(rng)
-        weights = random_diagonal_gaussian(rng, model.num_features)
-        as_full = full_gaussian(weights.mean, weights.cov_matrix())
-        got = predictive_marginals(model, weights, data.inputs)
-        want = predictive_marginals(model, as_full, data.inputs)
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
-
     def test_roundoff_negative_variance_clipped(self):
-        w = full_gaussian([0.0, 0.0], 0.1 * np.ones((2, 2)))
+        w = GaussianDist([0.0, 0.0], 0.1 * np.ones((2, 2)))
         row = np.array([[0.1, -0.1000000001]])  # exact variance 1e-21
         assert np.einsum("ij,jk,ik->i", row, w.cov, row)[0] < 0.0  # rounds below zero
         _, variances = predictive_marginals(two_coordinate_model(), w, row)
@@ -158,7 +148,7 @@ class TestPredictive:
     def test_against_monte_carlo(self):
         rng = np.random.default_rng(1)
         model, data = random_model_and_data(rng, k_max=4, n_max=6)
-        weights = random_full_gaussian(rng, model.num_features)
+        weights = random_gaussian(rng, model.num_features)
         means, variances = predictive_marginals(model, weights, data.inputs)
         eps = np.random.default_rng(2).standard_normal((10**5, model.num_features))
         draws = weights.mean + eps @ np.linalg.cholesky(weights.cov).T
@@ -173,7 +163,7 @@ class TestPredictive:
     def test_marginals_match_joint_diagonal(self):
         rng = np.random.default_rng(3)
         model, data = random_model_and_data(rng)
-        weights = random_full_gaussian(rng, model.num_features)
+        weights = random_gaussian(rng, model.num_features)
         phi = model.features(data.inputs)
         means, variances = predictive_marginals(model, weights, data.inputs)
         np.testing.assert_allclose(means, phi @ weights.mean, rtol=1e-12)
@@ -185,14 +175,14 @@ class TestPredictive:
 class TestNlpd:
     def test_perfect_prediction_value(self):
         model = identity_feature_model(noise_variance=0.3)
-        w = full_gaussian([1.0], [[0.2]])
+        w = GaussianDist([1.0], [[0.2]])
         data = Dataset([[2.0]], [2.0])  # prediction mean is exactly the target
         total_var = 0.2 * 4.0 + 0.3
         assert nlpd(model, w, data) == pytest.approx(0.5 * math.log(2 * math.pi * total_var))
 
     def test_standard_normal_predictive_at_zero(self):
         model = identity_feature_model(noise_variance=0.5)
-        w = full_gaussian([0.0], [[0.5]])  # predictive at x=1: N(0, 0.5 + 0.5) = N(0, 1)
+        w = GaussianDist([0.0], [[0.5]])  # predictive at x=1: N(0, 0.5 + 0.5) = N(0, 1)
         assert nlpd(model, w, Dataset([[1.0]], [0.0])) == pytest.approx(0.91894, abs=5e-6)
 
     def test_posterior_beats_prior_on_training_data(self):
@@ -211,7 +201,7 @@ class TestNlpd:
         rng = np.random.default_rng(9)
         for _ in range(10):
             model, data = random_model_and_data(rng)
-            weights = random_full_gaussian(rng, model.num_features)
+            weights = random_gaussian(rng, model.num_features)
             phi = model.features(data.inputs)
             scale = np.sqrt(np.diag(phi @ weights.cov @ phi.T) + model.noise_variance)
             expected = -np.mean(stats.norm.logpdf(data.targets, phi @ weights.mean, scale))
@@ -237,7 +227,7 @@ class TestLogMarginalLikelihood:
         rng = np.random.default_rng(10)
         for _ in range(10):
             model, data = random_model_and_data(rng)
-            prior = random_full_gaussian(rng, model.num_features)
+            prior = random_gaussian(rng, model.num_features)
             model = BlrModel(model.feature_map, model.noise_variance, prior=prior)
             phi = model.features(data.inputs)
             cov = phi @ prior.cov @ phi.T + model.noise_variance * np.eye(data.size)
@@ -268,7 +258,7 @@ class TestElboProperties:
         rng = np.random.default_rng(8)
         for _ in range(200):
             model, data = random_model_and_data(rng, k_max=5, n_max=8)
-            q = random_full_gaussian(rng, model.num_features)
+            q = random_gaussian(rng, model.num_features)
             assert elbo_closed_form(q, model, data) <= log_marginal_likelihood(model, data) + 1e-8
 
     def test_exact_posterior_is_the_maximizer(self):
@@ -280,7 +270,7 @@ class TestElboProperties:
             mean = post.mean + 1e-3 * rng.standard_normal(post.dim)
             bump = rng.standard_normal((post.dim, post.dim))
             cov = post.cov + 1e-4 * (bump + bump.T) + 1e-3 * np.eye(post.dim)
-            perturbed = full_gaussian(mean, cov)
+            perturbed = GaussianDist(mean, cov)
             assert elbo_closed_form(perturbed, model, data) <= best + 1e-10
 
     def test_predictive_matches_kernel_regression(self):
@@ -301,6 +291,34 @@ class TestElboProperties:
             np.testing.assert_allclose(
                 phi @ post.cov @ phi.T, gp_cov, atol=1e-8 * (1 + np.abs(gram).max())
             )
+
+
+class TestModel:
+    @pytest.mark.parametrize("noise_variance", [np.nan, np.inf, 0.0, -1.0])
+    def test_noise_variance_must_be_finite_and_positive(self, noise_variance):
+        """NaN and inf once constructed, and every later value was NaN."""
+        with pytest.raises(ValueError, match="finite and positive"):
+            BlrModel(lambda x: x, noise_variance, num_features=1)
+
+    def test_non_integer_feature_count_rejected(self):
+        """2.5 once failed later with a bare numpy TypeError."""
+        with pytest.raises(ValueError, match="integer"):
+            BlrModel(lambda x: x, 1.0, num_features=2.5)
+
+    @pytest.mark.parametrize(
+        "prior, standard",
+        [
+            (None, True),
+            (GaussianDist(np.zeros(2), np.eye(2)), True),
+            (GaussianDist([0.0, 0.1], np.eye(2)), False),
+            (GaussianDist(np.zeros(2), np.diag([1.0, 2.0])), False),
+            (GaussianDist(np.zeros(2), [[1.0, 0.1], [0.1, 1.0]]), False),
+        ],
+        ids=["default", "explicit", "shifted", "scaled", "correlated"],
+    )
+    def test_standard_prior_detected(self, prior, standard):
+        model = BlrModel(lambda x: x, 1.0, prior=prior, num_features=2)
+        assert model.has_standard_prior() is standard
 
 
 class TestDatasetIo:

@@ -94,6 +94,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             RbfFeatureMap(np.zeros((2, 1)), np.array([0.0]))
 
+    @pytest.mark.parametrize(
+        "centers, lengthscales",
+        [([[0.0]], [np.nan]), ([[0.0]], [np.inf]), ([[np.nan]], [1.0]), ([[np.inf]], [1.0])],
+        ids=["nan-lengthscale", "inf-lengthscale", "nan-center", "inf-center"],
+    )
+    def test_nonfinite_parameters_rejected(self, centers, lengthscales):
+        """A NaN lengthscale or centre once constructed, and every feature was NaN."""
+        with pytest.raises(NonFiniteValueError):
+            RbfFeatureMap(centers, lengthscales)
+
     def test_owns_read_only_copies(self):
         centers, lengthscales = np.linspace(-1.0, 1.0, 5).reshape(-1, 1), np.array([0.5])
         fmap = RbfFeatureMap(centers, lengthscales)
@@ -247,6 +257,12 @@ class TestFeaturizer:
     def test_no_centers_rejected(self):
         with pytest.raises(ValueError):
             fit_rbf_featurizer(np.zeros((3, 1)), num_centers=0)
+
+    @pytest.mark.parametrize("num_centers", [2.5, True], ids=["fraction", "bool"])
+    def test_non_integer_center_count_rejected(self, num_centers):
+        """2.5 once fitted 3 centres and True fitted 1."""
+        with pytest.raises(ValueError, match="integer"):
+            fit_rbf_featurizer(np.linspace(0.0, 1.0, 10), num_centers=num_centers)
 
     def test_constant_dimension_gets_unit_lengthscale(self):
         inputs = np.column_stack([np.linspace(0, 1, 50), np.zeros(50)])

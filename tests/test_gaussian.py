@@ -11,19 +11,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_diagonal_gaussian, random_full_gaussian, random_spd_matrix
+from conftest import random_gaussian, random_spd_matrix, random_uncorrelated_gaussian
 from fvi_bench import gaussian
 from fvi_bench.errors import DimensionMismatchError, SingularReferenceError
-from fvi_bench.gaussian import diagonal_gaussian, full_gaussian, kl_divergence, standard_gaussian
+from fvi_bench.gaussian import GaussianDist, kl_divergence, standard_gaussian
 
 
 def mc_kl_oracle(q, p, num_samples, seed):
     """Monte Carlo KL estimate using scipy densities, independent of the
     implementation under test.  Returns (estimate, standard_error)."""
     rng = np.random.default_rng(seed)
-    draws = rng.multivariate_normal(q.mean, q.cov_matrix(), size=num_samples)
-    log_q = stats.multivariate_normal.logpdf(draws, q.mean, q.cov_matrix())
-    log_p = stats.multivariate_normal.logpdf(draws, p.mean, p.cov_matrix())
+    draws = rng.multivariate_normal(q.mean, q.cov, size=num_samples)
+    log_q = stats.multivariate_normal.logpdf(draws, q.mean, q.cov)
+    log_p = stats.multivariate_normal.logpdf(draws, p.mean, p.cov)
     diffs = log_q - log_p
     return float(np.mean(diffs)), float(np.std(diffs, ddof=1) / math.sqrt(num_samples))
 
@@ -34,16 +34,16 @@ class TestKlDivergence:
         assert kl_divergence(q, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_shifted_mean_unit_covariance(self):
-        q = full_gaussian([1.0, 0.0], np.eye(2))
-        p = full_gaussian([0.0, 0.0], np.eye(2))
+        q = GaussianDist([1.0, 0.0], np.eye(2))
+        p = GaussianDist([0.0, 0.0], np.eye(2))
         value = kl_divergence(q, p)
         assert value == pytest.approx(0.5, abs=1e-12)
         estimate, stderr = mc_kl_oracle(q, p, 10**6, seed=1)
         assert abs(estimate - value) < 3 * stderr
 
     def test_scaled_variance_1d(self):
-        q = full_gaussian([0.0], [[2.0]])
-        p = full_gaussian([0.0], [[1.0]])
+        q = GaussianDist([0.0], [[2.0]])
+        p = GaussianDist([0.0], [[1.0]])
         value = kl_divergence(q, p)
         assert value == pytest.approx((2.0 - 1.0 - math.log(2.0)) / 2.0, abs=1e-12)
         assert value == pytest.approx(0.15343, abs=5e-6)
@@ -54,43 +54,45 @@ class TestKlDivergence:
         rng = np.random.default_rng(0)
         for _ in range(100):
             n = int(rng.integers(1, 11))
-            q = random_full_gaussian(rng, n)
+            q = random_gaussian(rng, n)
             assert abs(kl_divergence(q, q)) < 1e-10
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             n = int(rng.integers(1, 8))
-            q = random_full_gaussian(rng, n)
-            p = random_full_gaussian(rng, n)
+            q = random_gaussian(rng, n)
+            p = random_gaussian(rng, n)
             assert kl_divergence(q, p) >= -1e-10
 
-    def test_diagonal_and_full_paths_agree(self):
+    def test_diagonal_covariances_match_the_closed_form(self):
+        # KL of two diagonal Gaussians, O(n): with variance ratio r = q / p
+        # and mean gap delta, 0.5 * sum(r + delta^2 / p - 1 - log r).
         rng = np.random.default_rng(4)
         for _ in range(20):
             n = int(rng.integers(1, 7))
-            q = random_diagonal_gaussian(rng, n)
-            p = random_diagonal_gaussian(rng, n)
-            fast = kl_divergence(q, p)
-            dense = kl_divergence(
-                full_gaussian(q.mean, q.cov_matrix()), full_gaussian(p.mean, p.cov_matrix())
-            )
-            assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
+            q = random_uncorrelated_gaussian(rng, n)
+            p = random_uncorrelated_gaussian(rng, n)
+            q_var, p_var = np.diag(q.cov), np.diag(p.cov)
+            ratio = q_var / p_var
+            delta = q.mean - p.mean
+            expected = 0.5 * float(np.sum(ratio + delta**2 / p_var - 1.0 - np.log(ratio)))
+            assert kl_divergence(q, p) == pytest.approx(expected, rel=1e-12)
 
     def test_invariance_under_invertible_maps(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             n = int(rng.integers(1, 7))
-            q = random_full_gaussian(rng, n)
-            p = random_full_gaussian(rng, n)
+            q = random_gaussian(rng, n)
+            p = random_gaussian(rng, n)
             while True:
                 m = rng.standard_normal((n, n))
                 if abs(np.linalg.det(m)) > 1e-3:
                     break
             base = kl_divergence(q, p)
             mapped = kl_divergence(
-                full_gaussian(m @ q.mean, m @ q.cov @ m.T),
-                full_gaussian(m @ p.mean, m @ p.cov @ m.T),
+                GaussianDist(m @ q.mean, m @ q.cov @ m.T),
+                GaussianDist(m @ p.mean, m @ p.cov @ m.T),
             )
             assert mapped == pytest.approx(base, rel=1e-8)
 
@@ -100,17 +102,17 @@ class TestKlDivergence:
             n = int(rng.integers(2, 8))
             keep = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
             projection = np.eye(n)[keep]
-            q = random_full_gaussian(rng, n)
-            p = random_full_gaussian(rng, n)
+            q = random_gaussian(rng, n)
+            p = random_gaussian(rng, n)
             assert kl_divergence(
-                full_gaussian(projection @ q.mean, projection @ q.cov @ projection.T),
-                full_gaussian(projection @ p.mean, projection @ p.cov @ projection.T),
+                GaussianDist(projection @ q.mean, projection @ q.cov @ projection.T),
+                GaussianDist(projection @ p.mean, projection @ p.cov @ projection.T),
             ) <= kl_divergence(q, p) + 1e-10
 
     def test_sample_log_density_consistency(self):
         rng = np.random.default_rng(7)
-        q = random_full_gaussian(rng, 3)
-        p = random_full_gaussian(rng, 3)
+        q = random_gaussian(rng, 3)
+        p = random_gaussian(rng, 3)
         eps = np.random.default_rng(8).standard_normal((10**5, 3))
         draws = q.mean + eps @ np.linalg.cholesky(q.cov).T
         log_q = stats.multivariate_normal.logpdf(draws, q.mean, q.cov)
@@ -124,7 +126,7 @@ class TestKlDivergence:
 
     def test_singular_reference_raises(self):
         q = standard_gaussian(2)
-        p = full_gaussian([0.0, 0.0], np.zeros((2, 2)))
+        p = GaussianDist([0.0, 0.0], np.zeros((2, 2)))
         with pytest.raises(SingularReferenceError):
             kl_divergence(q, p)
 
@@ -132,29 +134,31 @@ class TestKlDivergence:
 class TestConstruction:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError):
-            full_gaussian([0.0, 0.0], [[1.0, 0.5], [0.1, 1.0]])
+            GaussianDist([0.0, 0.0], [[1.0, 0.5], [0.1, 1.0]])
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            diagonal_gaussian([0.0], [-1.0])
+        with pytest.raises(ValueError, match="negative diagonal"):
+            GaussianDist([0.0, 0.0], np.diag([1.0, -1.0]))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            full_gaussian([0.0, 0.0], np.eye(3))
-
-    def test_diagonal_roundoff_negative_clipped(self):
-        q = diagonal_gaussian([0.0, 0.0], [-1e-12, 2.0])
-        np.testing.assert_array_equal(q.cov, [0.0, 2.0])
+            GaussianDist([0.0, 0.0], np.eye(3))
 
     def test_full_covariance_stored_symmetric(self):
         cov = np.array([[2.0, 0.5], [0.5 + 1e-12, 1.0]])
-        q = full_gaussian([0.0, 0.0], cov)
+        q = GaussianDist([0.0, 0.0], cov)
         np.testing.assert_array_equal(q.cov, q.cov.T)
         np.testing.assert_allclose(q.cov, cov, atol=1e-12)
 
-    def test_cov_matrix_of_diagonal_kind_is_dense(self):
-        q = diagonal_gaussian([1.0, 2.0, 3.0], [1.0, 4.0, 9.0])
-        np.testing.assert_array_equal(q.cov_matrix(), np.diag([1.0, 4.0, 9.0]))
+    def test_owns_read_only_copies(self):
+        mean, cov = np.zeros(2), np.eye(2)
+        q = GaussianDist(mean, cov)
+        for array in (q.mean, q.cov):
+            with pytest.raises(ValueError):
+                array[0] = 99.0
+        # Writing to the caller's arrays leaves the distribution as it was.
+        mean[0], cov[0, 0] = 99.0, 99.0
+        assert q.mean[0] == 0.0 and q.cov[0, 0] == 1.0
 
     def test_jitter_ladder_recorded(self):
         cov = np.eye(3)

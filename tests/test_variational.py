@@ -43,7 +43,6 @@ from fvi_bench.variational import (
     MeasurementSet,
     MinibatchSchedule,
     Objective,
-    Provenance,
     RandA,
     Ssge,
     VariationalState,
@@ -224,10 +223,8 @@ class TestVariationalState:
     def test_to_gaussian_keeps_mean_and_covariance(self, family):
         state = random_state(np.random.default_rng(4), family, 3)
         dist = state.to_gaussian()
-        expected_kind = gaussian.CovKind.FULL if state.is_full else gaussian.CovKind.DIAGONAL
-        assert dist.kind is expected_kind
         np.testing.assert_array_equal(dist.mean, state.mean)
-        np.testing.assert_allclose(dist.cov_matrix(), state.cov_matrix(), rtol=1e-12)
+        np.testing.assert_allclose(dist.cov, state.cov_matrix(), rtol=1e-12)
 
 
 class TestExpectedLogLikelihood:
@@ -429,7 +426,7 @@ class TestMarginalKl:
             state = random_state(rng, family, k)
             big = random_measurement(rng, data, int(rng.integers(2, k + 1)))
             keep = int(rng.integers(1, big.size))
-            small = MeasurementSet(big.points[:keep], big.provenance[:keep])
+            small = MeasurementSet(big.points[:keep])
             small_kl, _ = marginal_kl(state, model, small)
             big_kl, _ = marginal_kl(state, model, big)
             assert small_kl <= big_kl + 1e-9
@@ -476,13 +473,13 @@ class TestMeasurementSampling:
             10, 0.5, np.column_stack([data.inputs.min(0), data.inputs.max(0)])
         )
         mset = sample_measurement_set(policy, data, rng)
-        tags = list(mset.provenance)
-        assert tags.count(Provenance.FROM_DATA) == 5
-        assert tags.count(Provenance.UNIFORM_BOX) == 5
+        assert mset.size == 10
+        # floor(10 * 0.5) data rows come first, then the box draws.
         data_rows = {tuple(row) for row in data.inputs}
-        for point, tag in zip(mset.points, mset.provenance):
-            if tag is Provenance.FROM_DATA:
-                assert tuple(point) in data_rows
+        assert all(tuple(point) in data_rows for point in mset.points[:5])
+        assert not any(tuple(point) in data_rows for point in mset.points[5:])
+        lo, hi = policy.box[:, 0], policy.box[:, 1]
+        assert np.all(mset.points[5:] >= lo) and np.all(mset.points[5:] <= hi)
 
     def test_zero_fraction_all_box(self):
         rng = np.random.default_rng(24)
@@ -491,7 +488,8 @@ class TestMeasurementSampling:
             6, 0.0, np.column_stack([data.inputs.min(0), data.inputs.max(0)])
         )
         mset = sample_measurement_set(policy, data, rng)
-        assert all(tag is Provenance.UNIFORM_BOX for tag in mset.provenance)
+        data_rows = {tuple(row) for row in data.inputs}
+        assert not any(tuple(point) in data_rows for point in mset.points)
         lo, hi = policy.box[:, 0], policy.box[:, 1]
         assert np.all(mset.points >= lo) and np.all(mset.points <= hi)
 
@@ -504,7 +502,6 @@ class TestMeasurementSampling:
         a = sample_measurement_set(policy, data, np.random.default_rng(42))
         b = sample_measurement_set(policy, data, np.random.default_rng(42))
         assert np.array_equal(a.points, b.points)
-        assert a.provenance == b.provenance
 
     def test_oversized_data_fraction_samples_with_replacement(self):
         rng = np.random.default_rng(26)

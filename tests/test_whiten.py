@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_diagonal_gaussian, random_full_gaussian
+from conftest import random_gaussian, random_uncorrelated_gaussian
 from fvi_bench import gaussian
 from fvi_bench.blr import (
     BlrModel,
@@ -55,7 +55,7 @@ def make_problem(seed, prior_kind, family):
     fmap = RbfFeatureMap(
         np.sort(rng.uniform(-2, 2, k)).reshape(-1, 1), np.array([float(rng.uniform(0.4, 1.2))])
     )
-    make_prior = random_full_gaussian if prior_kind == "full" else random_diagonal_gaussian
+    make_prior = random_gaussian if prior_kind == "full" else random_uncorrelated_gaussian
     model = BlrModel(fmap, noise_variance=float(rng.uniform(0.1, 0.8)), prior=make_prior(rng, k))
     n, n_test = int(rng.integers(3, 11)), 5
     train = Dataset(rng.uniform(-2, 2, (n, 1)), 3.0 * rng.standard_normal(n))
@@ -108,13 +108,13 @@ class TestWhitenInvariance:
         rng, model, _, _, state = make_problem(*problem)
         points = rng.uniform(-2, 2, (int(rng.integers(1, model.num_features + 1)), 1))
         rows = model.features(points)
-        prior_cov = model.prior.cov_matrix()
-        prior_marginal = gaussian.full_gaussian(rows @ model.prior.mean, rows @ prior_cov @ rows.T)
+        prior_cov = model.prior.cov
+        prior_marginal = gaussian.GaussianDist(rows @ model.prior.mean, rows @ prior_cov @ rows.T)
         assume(np.linalg.cond(prior_marginal.cov) < 1e6)
         (white,) = whiten(model)
         value, _ = marginal_kl(state, white, measurement_set_from_points(points))
         q = to_weights(white, state).to_gaussian()
-        q_marginal = gaussian.full_gaussian(rows @ q.mean, rows @ q.cov_matrix() @ rows.T)
+        q_marginal = gaussian.GaussianDist(rows @ q.mean, rows @ q.cov @ rows.T)
         assert value == pytest.approx(
             gaussian.kl_divergence(q_marginal, prior_marginal), rel=1e-6, abs=1e-9
         )
