@@ -159,8 +159,8 @@ def median_heuristic_lengthscales(
     """Per-dimension median absolute pairwise difference; 1.0 for constant dims.
 
     Above ``LENGTHSCALE_MAX_POINTS`` rows, the pairs of a random subsample.
-    The median is the one `np.median` gives, taken from a single partition
-    of each dimension's pair differences.
+    The median is `np.median`'s, from one partition of each dimension's pair
+    differences, all written into one buffer: a fit allocates it once.
     """
     inputs = _as_rows(inputs)
     if not np.all(np.isfinite(inputs)):
@@ -169,9 +169,9 @@ def median_heuristic_lengthscales(
     if n > LENGTHSCALE_MAX_POINTS:
         rng = rng or np.random.default_rng(0)
         inputs = inputs[rng.choice(n, size=LENGTHSCALE_MAX_POINTS, replace=False)]
-    scales = np.ones(inputs.shape[1])
+    scales, pairs = np.ones(inputs.shape[1]), np.empty(len(inputs) * (len(inputs) - 1) // 2)
     for dim in range(inputs.shape[1]):
-        diffs = pdist(inputs[:, dim : dim + 1], "cityblock")
+        diffs = pdist(inputs[:, dim : dim + 1], "cityblock", out=pairs)
         if diffs.size == 0:
             continue
         median = _median_in_place(diffs)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cholesky as _scipy_cholesky
 from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatchError, SingularReferenceError
+from .errors import DimensionMismatchError, NonFiniteValueError, SingularReferenceError
 
 # Relative ladder of jitter multipliers applied to mean(diag(cov)).
 _JITTER_LADDER = tuple(10.0 ** e for e in range(-10, -3))
@@ -38,6 +38,8 @@ class GaussianDist:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise DimensionMismatchError(f"covariance must be ({n}, {n}), got {cov.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise NonFiniteValueError("mean and covariance must be finite")
         scale = max(1.0, float(np.abs(cov).max()) if cov.size else 1.0)
         if float(np.abs(cov - cov.T).max()) > 1e-10 * scale:
             raise ValueError("covariance is not symmetric within 1e-10")

@@ -32,10 +32,11 @@ of B.
 A full-batch training step costs O(k^3) whatever the number of data points
 n: the expected log-likelihood is read off likelihood statistics formed once
 per (model, dataset) pair and shared by every full-batch objective on that
-pair.  The step path does its linear algebra in numpy only, so it
-runs on numpy's BLAS and never alternates with the separate BLAS that scipy
-bundles; scipy's pivoted QR runs only for a measurement set whose rows
-fail the rank certificate of `MarginalKl`.
+pair; minibatch objectives on one pair share one read-only feature matrix.
+The step path does its linear algebra in numpy only, so it runs on numpy's
+BLAS and never alternates with the separate BLAS that scipy bundles; scipy's
+pivoted QR runs only for a measurement set whose rows fail the rank
+certificate of `MarginalKl`.
 """
 
 from __future__ import annotations
@@ -282,17 +283,23 @@ def _likelihood_stats(
     )
 
 
-# Model -> (weak reference to the dataset, its anchored full-batch statistics).
+# Model -> (weak reference to the dataset, {builder: its read-only result}).
 # An entry lives as long as its model; it serves only the same dataset object.
-_FULL_BATCH_STATS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_PAIR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _per_pair(build, model: BlrModel, data: Dataset):
+    """``build(model, data)``, formed once per (model, data) pair and shared."""
+    entry = _PAIR_CACHE.get(model)
+    if entry is None or entry[0]() is not data:
+        entry = _PAIR_CACHE[model] = (weakref.ref(data), {})
+    if build not in entry[1]:
+        entry[1][build] = build(model, data)
+    return entry[1][build]
 
 
 def _full_batch_stats(model: BlrModel, data: Dataset) -> _LikelihoodStats:
-    """Read-only statistics of all rows of data, anchored at the exact
-    posterior mean, computed once per (model, data) pair."""
-    cached = _FULL_BATCH_STATS.get(model)
-    if cached is not None and cached[0]() is data:
-        return cached[1]
+    """Statistics of all rows of data, anchored at the exact posterior mean."""
     phi = model.features(data.inputs)
     gram = phi.T @ phi
     posterior_mean = np.linalg.solve(
@@ -301,8 +308,14 @@ def _full_batch_stats(model: BlrModel, data: Dataset) -> _LikelihoodStats:
     stats = _likelihood_stats(phi, data.targets, posterior_mean, gram)
     for array in (stats.gram, stats.cross, stats.anchor):
         array.flags.writeable = False
-    _FULL_BATCH_STATS[model] = (weakref.ref(data), stats)
     return stats
+
+
+def _feature_matrix(model: BlrModel, data: Dataset) -> np.ndarray:
+    """Phi of all rows, (n, k), as a read-only view: the map's own array stays writable."""
+    phi = model.features(data.inputs).view()
+    phi.flags.writeable = False
+    return phi
 
 
 def _ell_terms(
@@ -601,15 +614,16 @@ class Objective:
 
     A full-batch objective keeps only the likelihood statistics of the data
     (`_LikelihoodStats`, anchored at the exact posterior mean) and no
-    feature matrix, so a step costs O(k^3) whatever n is.  The statistics
-    are formed once per (model, data) pair: every full-batch objective on
-    the same model and dataset objects shares them.  A minibatch objective
-    keeps the feature matrix and forms the statistics of each batch,
-    anchored at the current mean; it starts a new epoch at a run's first
-    step (``step == 1``), so a run depends only on its rng.  Every kind but
-    `Exact` takes its KL from one `MarginalKl` (prepared here for `FixedA`,
-    drawn each step otherwise); `Ssge` takes only its value and the
-    estimated KL gradient.
+    feature matrix, so a step costs O(k^3) whatever n is.  A minibatch
+    objective keeps the read-only feature matrix Phi of the data and forms
+    the statistics of each batch from its rows, anchored at the current
+    mean; it starts a new epoch at a run's first step (``step == 1``), so a
+    run depends only on its rng.  The statistics and Phi are each formed
+    once per (model, data) pair and shared by every objective on the same
+    model and dataset objects.  Every kind but `Exact` takes its KL from one
+    `MarginalKl` (prepared here for `FixedA`, drawn each step otherwise);
+    `Ssge` takes only its value and the estimated KL gradient.  `RandA` and
+    `Ssge` reject a measurement box whose dimension is not the data's.
     """
 
     def __init__(
@@ -620,15 +634,20 @@ class Objective:
         minibatch_size: int | None = None,
     ):
         _require_standard_prior(model)
+        if isinstance(kind, (RandA, Ssge)) and kind.policy.box.shape[0] != data.inputs.shape[1]:
+            raise DimensionMismatchError(
+                f"measurement box has dimension {kind.policy.box.shape[0]}, "
+                f"data has {data.inputs.shape[1]}"
+            )
         self.kind = kind
         self.model = model
         self.data = data
         if minibatch_size is not None:
             self._schedule = MinibatchSchedule(data.size, minibatch_size)
-            self._phi, self._stats = model.features(data.inputs), None
+            self._phi, self._stats = _per_pair(_feature_matrix, model, data), None
         else:
             self._schedule, self._phi = None, None
-            self._stats = _full_batch_stats(model, data)
+            self._stats = _per_pair(_full_batch_stats, model, data)
         self._fixed_marginal = (
             MarginalKl(model, kind.measurement_set) if isinstance(kind, FixedA) else None
         )

@@ -13,7 +13,7 @@ from scipy import stats
 
 from conftest import random_gaussian, random_spd_matrix, random_uncorrelated_gaussian
 from fvi_bench import gaussian
-from fvi_bench.errors import DimensionMismatchError, SingularReferenceError
+from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError, SingularReferenceError
 from fvi_bench.gaussian import GaussianDist, kl_divergence, standard_gaussian
 
 
@@ -143,6 +143,15 @@ class TestConstruction:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             GaussianDist([0.0, 0.0], np.eye(3))
+
+    @pytest.mark.parametrize(
+        "mean, cov", [([0.0], [[np.nan]]), ([np.inf], [[1.0]])], ids=["nan_cov", "inf_mean"]
+    )
+    def test_non_finite_entries_rejected(self, mean, cov):
+        """Both once constructed; `kl_divergence` then raised scipy's bare
+        ValueError instead of a package error."""
+        with pytest.raises(NonFiniteValueError):
+            GaussianDist(mean, cov)
 
     def test_full_covariance_stored_symmetric(self):
         cov = np.array([[2.0, 0.5], [0.5 + 1e-12, 1.0]])

@@ -4,7 +4,15 @@
 scipy bundles, so two thread pools do not alternate within a step.  Only the
 pivoted QR of `features.independent_rows`, for a measurement set with
 dependent rows, reaches scipy.  This test keeps `variational` itself free of
-scipy imports.
+scipy imports, and keeps `ssge` and `optimize`, the rest of the step path,
+free of `scipy.linalg`.  `scipy.spatial.distance.pdist` in `ssge` is plain C
+and stays allowed.
+
+The reason was measured: with `MarginalKl` taking R^{-1} from scipy's
+`dtrtri` and the gradient solve from its `dpotrs`, training took 3.8x as
+long for tabular-full RandA, 8.6x for tabular-minibatch RandA and 7.7x for
+tabular-full FixedA (8, 8 and 6 alternating pairs on a 2-vCPU host; the
+scipy variant lost every pair).
 
 `features` runs k-means on its own blocked Lloyd loop, so no module of the
 package imports `scipy.cluster` either.
@@ -12,6 +20,8 @@ package imports `scipy.cluster` either.
 
 import ast
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fvi_bench"
 VARIATIONAL = PACKAGE / "variational.py"
@@ -34,6 +44,13 @@ def test_variational_imports_nothing_from_scipy():
     modules = imported_modules(tree)
     assert "numpy" in modules
     assert [name for name in modules if name.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("name", ["ssge.py", "optimize.py"])
+def test_step_path_imports_nothing_from_scipy_linalg(name):
+    modules = imported_modules(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+    assert "numpy" in modules
+    assert [module for module in modules if module.split(".")[:2] == ["scipy", "linalg"]] == []
 
 
 def test_no_module_imports_scipy_cluster():

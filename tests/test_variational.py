@@ -27,7 +27,12 @@ from conftest import (
 )
 from fvi_bench import features, gaussian, variational
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
-from fvi_bench.errors import DegenerateMarginalError, InvalidBoxError, NonFiniteValueError
+from fvi_bench.errors import (
+    DegenerateMarginalError,
+    DimensionMismatchError,
+    InvalidBoxError,
+    NonFiniteValueError,
+)
 from fvi_bench.features import (
     RANK_RTOL,
     RbfFeatureMap,
@@ -581,6 +586,16 @@ class TestObjectives:
         with pytest.raises(ValueError, match="batch size"):
             Objective(Exact(), model, data, minibatch_size=size)
 
+    @pytest.mark.parametrize("data_fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", [RandA, Ssge])
+    def test_box_of_another_dimension_rejected(self, kind, data_fraction):
+        """A 2-D box on 1-D data once built; its first step then raised a
+        bare ValueError (0.5), a typed error (0) or nothing at all (1)."""
+        model, data = random_problem(np.random.default_rng(64), n=10)
+        policy = MeasurementPolicy(4, data_fraction, np.array([[-2.0, 2.0], [-2.0, 2.0]]))
+        with pytest.raises(DimensionMismatchError, match="box has dimension 2, data has 1"):
+            Objective(kind(policy), model, data)
+
     @pytest.mark.parametrize("kind_name", ["rand_a", "ssge"])
     def test_resampling_kinds_draw_a_fresh_set_every_call(self, kind_name):
         from fvi_bench.ssge import SsgeConfig, kl_gradient_estimate
@@ -857,7 +872,7 @@ class TestLikelihoodStatistics:
         assert own_row_arrays(Objective(kind, model, data, minibatch_size=10)) == [(57, 5)]
 
 
-FULL_BATCH_KINDS = [
+EVERY_KIND = [
     Exact(),
     FixedA(measurement_set_from_points(np.linspace(-1, 1, 3).reshape(-1, 1))),
     RandA(MeasurementPolicy(4, 0.5, np.array([[-2.0, 2.0]]))),
@@ -879,7 +894,7 @@ class TestSharedStatistics:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(features, "evaluate", counted)
-            objectives = [Objective(kind, model, data) for kind in FULL_BATCH_KINDS * 2]
+            objectives = [Objective(kind, model, data) for kind in EVERY_KIND * 2]
         # The data once; FixedA's own measurement set once per FixedA objective.
         assert rows_evaluated == [57, 3, 3]
         assert all(objective._stats is objectives[0]._stats for objective in objectives)
@@ -908,10 +923,54 @@ class TestSharedStatistics:
         model, data = random_problem(np.random.default_rng(44), k=5, n=57)
         objective = Objective(Exact(), model, data)
         model_ref, stats_ref = weakref.ref(model), weakref.ref(objective._stats)
-        assert model in variational._FULL_BATCH_STATS
+        assert model in variational._PAIR_CACHE
         del model, objective
         gc.collect()
         assert model_ref() is None and stats_ref() is None
+
+
+class TestSharedFeatureMatrix:
+    """Minibatch objectives on one (model, data) pair share one read-only
+    feature matrix of the data."""
+
+    def test_one_feature_evaluation_of_the_data_per_pair(self):
+        model, data = random_problem(np.random.default_rng(45), k=5, n=57)
+        rows_evaluated = []
+
+        def counted(feature_map, inputs):
+            rows_evaluated.append(np.shape(inputs)[0])
+            return evaluate(feature_map, inputs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "evaluate", counted)
+            objectives = [
+                Objective(kind, model, data, minibatch_size=10) for kind in EVERY_KIND * 2
+            ]
+        # The data once; FixedA's own measurement set once per FixedA objective.
+        assert rows_evaluated == [57, 3, 3]
+        assert all(objective._phi is objectives[0]._phi for objective in objectives)
+        with pytest.raises(ValueError):
+            objectives[0]._phi[0, 0] = 0.0
+
+    def test_new_model_or_new_dataset_gets_its_own_matrix(self):
+        model, data = random_problem(np.random.default_rng(46), k=5, n=57)
+        shared = Objective(Exact(), model, data, minibatch_size=10)._phi
+        same_arrays = Dataset(data.inputs, data.targets)
+        new_model = BlrModel(model.feature_map, model.noise_variance)
+        for other in (
+            Objective(Exact(), model, same_arrays, minibatch_size=10)._phi,
+            Objective(Exact(), new_model, data, minibatch_size=10)._phi,
+        ):
+            assert other is not shared
+            np.testing.assert_array_equal(other, shared)
+
+    def test_dropped_model_frees_its_matrix(self):
+        model, data = random_problem(np.random.default_rng(47), k=5, n=57)
+        objectives = [Objective(kind, model, data, minibatch_size=10) for kind in EVERY_KIND]
+        model_ref, phi_ref = weakref.ref(model), weakref.ref(objectives[0]._phi)
+        del model, objectives
+        gc.collect()
+        assert model_ref() is None and phi_ref() is None
 
 
 def rows_for_case(seed, case):
