@@ -18,10 +18,9 @@ class DimensionMismatchError(FviBenchError):
 
 
 class SingularReferenceError(FviBenchError):
-    """A covariance could not be factorized within the jitter budget.
-
-    Signals a degenerate (rank-deficient) Gaussian where a full-rank one is
-    required, e.g. the reference distribution of a KL divergence.
+    """A covariance that must be positive definite failed its Cholesky
+    factorization: a degenerate (rank-deficient) Gaussian where a full-rank
+    one is required, e.g. the reference distribution of a KL divergence.
     """
 
 

@@ -1,14 +1,15 @@
 """Multivariate Gaussian value type and closed-form operations.
 
 The distribution is stored as a mean vector plus a dense symmetric positive
-semidefinite covariance matrix.  All operations are pure; factorizations use
-Cholesky with a bounded escalating jitter ladder (starting at 1e-10 times the
-mean diagonal, escalating by 10x up to 1e-4 times the mean diagonal) so that
-failure is explicit rather than silent.
+semidefinite covariance matrix.  All operations are pure.  A factorization
+is one plain Cholesky, never of a matrix with an added diagonal: a matrix
+that must be positive definite and is not raises `SingularReferenceError`,
+and a degenerate q makes KL(q || p) infinite, as it is in exact arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,7 @@ from scipy.linalg import cholesky as _scipy_cholesky
 from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatchError, NonFiniteValueError, SingularReferenceError
-
-# Relative ladder of jitter multipliers applied to mean(diag(cov)).
-_JITTER_LADDER = tuple(10.0 ** e for e in range(-10, -3))
+from .features import RANK_RTOL
 
 
 @dataclass(frozen=True)
@@ -62,31 +61,23 @@ def standard_gaussian(n: int) -> GaussianDist:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor with the jitter that was added to obtain it."""
+    """Lower-triangular Cholesky factor of a positive definite matrix."""
 
     matrix: np.ndarray
-    jitter_used: float
+    # Always 0.0: no diagonal is ever added.  Kept while the benchmark's
+    # tracing still reads it for its `gaussian.jitter_retries` count.
+    jitter_used = 0.0
 
 
 def cholesky_psd(cov: np.ndarray, *, what: str = "covariance") -> CholeskyFactor:
-    """Cholesky-factorize ``cov``, escalating jitter until it succeeds.
-
-    Raises:
-        SingularReferenceError: no ladder entry makes the matrix factorizable.
-    """
-    cov = np.asarray(cov, dtype=float)
-    base = float(np.mean(np.diag(cov))) if cov.size else 0.0
-    jitters = [0.0] + [base * mult for mult in _JITTER_LADDER if base > 0.0]
-    eye = np.eye(cov.shape[0])
-    for jitter in jitters:
-        try:
-            lower = _scipy_cholesky(cov + jitter * eye, lower=True)
-        except np.linalg.LinAlgError:
-            continue
-        return CholeskyFactor(lower, jitter)
-    raise SingularReferenceError(
-        f"{what} is singular: Cholesky failed up to jitter {jitters[-1]:g}"
-    )
+    """Cholesky factor of ``cov``; raises `SingularReferenceError` naming
+    it as ``what`` if ``cov`` is not numerically positive definite."""
+    try:
+        return CholeskyFactor(_scipy_cholesky(cov, lower=True))
+    except np.linalg.LinAlgError:
+        raise SingularReferenceError(
+            f"{what} is not positive definite: its Cholesky factorization failed"
+        ) from None
 
 
 def _check_same_dim(q: GaussianDist, p: GaussianDist):
@@ -95,16 +86,24 @@ def _check_same_dim(q: GaussianDist, p: GaussianDist):
 
 
 def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
-    """KL(q || p) in closed form; ``p`` must be full rank within jitter.
-
-    Uses Cholesky solves and log-determinants throughout, never explicit
-    inverses.
+    """KL(q || p) in closed form by Cholesky solves; ``math.inf`` when q is
+    degenerate, as for a q with fewer parameters than points (the paper's
+    first result).  q's covariance C = L L^T counts as degenerate when the
+    factorization fails or a pivot has L_ii^2 <= ``RANK_RTOL`` * C_ii.  With
+    B the leading block of C through row and column i, L_ii^2 =
+    1 / (B^{-1})_ii >= lambda_min(B) >= lambda_min(C) by interlacing, and
+    C_ii <= lambda_max(C), so only a C of eigenvalue ratio <= ``RANK_RTOL``
+    is flagged.  A singular p raises `SingularReferenceError`.
     """
     _check_same_dim(q, p)
     n = q.dim
-    factor_p = cholesky_psd(p.cov, what="reference covariance")
-    factor_q = cholesky_psd(q.cov, what="approximate covariance")
-    lp, lq = factor_p.matrix, factor_q.matrix
+    lp = cholesky_psd(p.cov, what="reference covariance").matrix
+    try:
+        lq = cholesky_psd(q.cov, what="approximate covariance").matrix
+    except SingularReferenceError:
+        return math.inf
+    if np.any(np.diag(lq) ** 2 <= RANK_RTOL * np.diag(q.cov)):
+        return math.inf
     half_rotated = solve_triangular(lp, lq, lower=True)
     trace_term = float(np.sum(half_rotated**2))
     white_delta = solve_triangular(lp, q.mean - p.mean, lower=True)

@@ -20,8 +20,9 @@ from fvi_bench.blr import (
     log_marginal_likelihood,
     nlpd,
     predictive_marginals,
+    whiten,
 )
-from fvi_bench.errors import NonFiniteValueError
+from fvi_bench.errors import NonFiniteValueError, SingularReferenceError
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.gaussian import GaussianDist, standard_gaussian
 
@@ -319,6 +320,18 @@ class TestModel:
     def test_standard_prior_detected(self, prior, standard):
         model = BlrModel(lambda x: x, 1.0, prior=prior, num_features=2)
         assert model.has_standard_prior() is standard
+
+    @pytest.mark.parametrize("closed_form", [whiten, exact_posterior, log_marginal_likelihood])
+    def test_singular_prior_raises(self, closed_form):
+        """A prior covariance with a zero eigenvalue has no Cholesky factor.
+        Factoring it with jitter once returned results, e.g. a log evidence
+        of -7.93 here."""
+        fmap = RbfFeatureMap(np.array([[-1.0], [0.0], [1.0]]), np.array([0.7]))
+        prior = GaussianDist(np.zeros(3), np.diag([1.0, 1.0, 0.0]))
+        model = BlrModel(fmap, 0.1, prior=prior)
+        data = Dataset(np.linspace(-1.5, 1.5, 6).reshape(-1, 1), np.linspace(-1.0, 1.0, 6))
+        with pytest.raises(SingularReferenceError, match="prior covariance"):
+            closed_form(model, data)
 
 
 class TestDatasetIo:

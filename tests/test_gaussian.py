@@ -28,6 +28,14 @@ def mc_kl_oracle(q, p, num_samples, seed):
     return float(np.mean(diffs)), float(np.std(diffs, ddof=1) / math.sqrt(num_samples))
 
 
+def cholesky_succeeds(cov: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class TestKlDivergence:
     def test_identical_standard_normals(self):
         q = standard_gaussian(2)
@@ -130,6 +138,49 @@ class TestKlDivergence:
         with pytest.raises(SingularReferenceError):
             kl_divergence(q, p)
 
+    def test_full_rank_q_against_rank_deficient_reference_raises(self):
+        """A ladder that added jitter to p gave 7.5e9 here."""
+        p = GaussianDist(np.zeros(3), np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(SingularReferenceError, match="reference covariance"):
+            kl_divergence(standard_gaussian(3), p)
+
+
+class TestDegenerateApproximation:
+    """KL(q || p) = +inf when q is rank deficient and p has full rank: q puts
+    all its mass on a subspace that p gives probability zero."""
+
+    def test_rank_three_q_on_five_dimensions(self):
+        """A jitter ladder on q's factor once gave 27.8 here."""
+        basis = np.random.default_rng(17).standard_normal((5, 3))
+        q = GaussianDist(np.zeros(5), basis @ basis.T)
+        assert kl_divergence(q, standard_gaussian(5)) == math.inf
+
+    def test_low_rank_sweep(self):
+        """q = N(mu, B S S^T B^T) with B of shape (m, k), m > k, on many
+        seeds.  Roundoff lets the Cholesky of such a matrix succeed on some
+        seeds; the pivot test must flag those too."""
+        factorized = 0
+        for seed in range(300):
+            rng = np.random.default_rng([18, seed])
+            m = int(rng.integers(2, 13))
+            k = int(rng.integers(1, m))
+            basis = rng.standard_normal((m, k)) * rng.uniform(0.1, 10.0)
+            scale = rng.standard_normal((k, k))
+            cov = basis @ scale @ scale.T @ basis.T
+            q = GaussianDist(rng.standard_normal(m), cov)
+            factorized += cholesky_succeeds(q.cov)
+            assert kl_divergence(q, random_gaussian(rng, m)) == math.inf, seed
+        assert factorized > 0
+
+    def test_well_conditioned_q_stays_finite(self):
+        """The pivot test flags only eigenvalue ratios <= RANK_RTOL: a
+        covariance of ratio 1e-6 keeps its closed-form KL."""
+        rotation = np.linalg.qr(np.random.default_rng(19).standard_normal((4, 4)))[0]
+        variances = np.array([1.0, 1e-2, 1e-4, 1e-6])
+        q = GaussianDist(np.zeros(4), rotation @ np.diag(variances) @ rotation.T)
+        expected = 0.5 * float(np.sum(variances - 1.0 - np.log(variances)))
+        assert kl_divergence(q, standard_gaussian(4)) == pytest.approx(expected, rel=1e-8)
+
 
 class TestConstruction:
     def test_asymmetric_covariance_rejected(self):
@@ -169,31 +220,17 @@ class TestConstruction:
         mean[0], cov[0, 0] = 99.0, 99.0
         assert q.mean[0] == 0.0 and q.cov[0, 0] == 1.0
 
-    def test_jitter_ladder_recorded(self):
-        cov = np.eye(3)
-        factor = gaussian.cholesky_psd(cov)
-        assert factor.jitter_used == 0.0
-        rank_deficient = np.ones((3, 3)) + 1e-9 * np.eye(3)
-        factor = gaussian.cholesky_psd(rank_deficient)
-        assert factor.jitter_used >= 0.0
-        np.testing.assert_allclose(
-            factor.matrix @ factor.matrix.T,
-            rank_deficient + factor.jitter_used * np.eye(3),
-            rtol=1e-8,
-        )
-
 
 class TestCholeskyPsd:
-    def test_positive_definite_needs_no_jitter(self):
+    def test_positive_definite_matches_numpy(self):
         cov = random_spd_matrix(np.random.default_rng(16), 4)
         factor = gaussian.cholesky_psd(cov)
-        assert factor.jitter_used == 0.0
         np.testing.assert_allclose(factor.matrix, np.linalg.cholesky(cov), rtol=1e-12)
 
     def test_zero_matrix_raises(self):
         with pytest.raises(SingularReferenceError):
             gaussian.cholesky_psd(np.zeros((2, 2)))
 
-    def test_indefinite_matrix_raises_naming_the_jitter(self):
-        with pytest.raises(SingularReferenceError, match="jitter"):
+    def test_indefinite_matrix_raises_naming_the_matrix(self):
+        with pytest.raises(SingularReferenceError, match="test matrix"):
             gaussian.cholesky_psd(np.diag([1.0, -1.0]), what="test matrix")
