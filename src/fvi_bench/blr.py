@@ -4,10 +4,11 @@ Model: y = w . phi(x) + noise, noise ~ N(0, sigma^2), w ~ N(mu, Sigma), the
 prior a `GaussianDist` (N(0, I) by default).  The posterior over weights is
 conjugate and computed exactly with k x k Cholesky solves; the log marginal
 likelihood uses the Woodbury identity so no n x n matrix is ever formed.
-These closed forms take any Gaussian prior.  The variational objectives take
-only the standard prior N(0, I), which a model detects once, at
-construction: `whiten` rewrites a model with prior N(mu, L L^T) as that
-standard-prior problem, in the weights v of w = mu + L v.
+A general Gaussian prior is handled in one place, `whiten`, which rewrites a
+model with prior N(mu, L L^T) as the standard-prior problem in the weights v
+of w = mu + L v.  The closed forms solve only that problem, and the
+variational objectives take only the standard prior N(0, I), which a model
+detects once, at construction.
 """
 
 from __future__ import annotations
@@ -146,18 +147,23 @@ def whiten(model: BlrModel, *datasets: Dataset) -> tuple:
 def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:
     """Conjugate posterior over weights.
 
-    The covariance is symmetrized explicitly: ``cho_solve`` of an
-    ill-conditioned precision can come out asymmetric by more than the
-    tolerance of `GaussianDist`.
+    The whitened weights v (see `whiten`) have posterior precision
+    I + Phi^T Phi / sigma^2; a general prior maps back through w = mu + L v,
+    to mean mu + L m_v and covariance L Sigma_v L^T.  The covariance is
+    symmetrized explicitly: ``cho_solve`` of an ill-conditioned precision
+    can come out asymmetric by more than the tolerance of `GaussianDist`.
     """
-    phi = model.features(data.inputs)
-    prior_chol = cholesky_psd(model.prior.cov, what="prior covariance")
-    prior_precision = cho_solve((prior_chol.matrix, True), np.eye(model.num_features))
-    precision = prior_precision + phi.T @ phi / model.noise_variance
-    post_chol = cholesky_psd(precision, what="posterior precision")
-    cov = cho_solve((post_chol.matrix, True), np.eye(model.num_features))
-    rhs = prior_precision @ model.prior.mean + phi.T @ data.targets / model.noise_variance
-    mean = cho_solve((post_chol.matrix, True), rhs)
+    white, white_data = whiten(model, data)
+    phi = white.features(white_data.inputs)
+    eye = np.eye(white.num_features)
+    precision = eye + phi.T @ phi / model.noise_variance
+    post_chol = cholesky_psd(precision, what="posterior precision").matrix
+    cov = cho_solve((post_chol, True), eye)
+    mean = cho_solve((post_chol, True), phi.T @ white_data.targets / model.noise_variance)
+    if white is not model:
+        factor = white.feature_map.factor
+        mean = model.prior.mean + factor @ mean
+        cov = factor @ cov @ factor.T
     return GaussianDist(mean, 0.5 * (cov + cov.T))
 
 
@@ -184,24 +190,17 @@ def nlpd(model: BlrModel, weights_dist: GaussianDist, test_data: Dataset) -> flo
 def log_marginal_likelihood(model: BlrModel, data: Dataset) -> float:
     """log density of the targets under the prior predictive.
 
-    Evaluated in weight space via the Woodbury identity, so the cost is
-    O(n k^2 + k^3) rather than O(n^3).
+    Evaluated on the whitened problem, which has the same evidence, in
+    weight space via the Woodbury identity: O(n k^2 + k^3), not O(n^3).
     """
-    phi = model.features(data.inputs)
+    white, white_data = whiten(model, data)
+    phi = white.features(white_data.inputs)
     n, k = phi.shape
     sigma2 = model.noise_variance
-    prior_chol = cholesky_psd(model.prior.cov, what="prior covariance").matrix
-    residual = data.targets - phi @ model.prior.mean
-    # C = sigma^2 Sigma0^{-1} + Phi^T Phi
-    prior_precision = cho_solve((prior_chol, True), np.eye(k))
-    inner = sigma2 * prior_precision + phi.T @ phi
-    inner_chol = cholesky_psd(inner, what="Woodbury inner matrix").matrix
-    phi_t_r = phi.T @ residual
-    solved = solve_triangular(inner_chol, phi_t_r, lower=True)
+    residual = white_data.targets
+    # det(sigma^2 I_n + Phi Phi^T) = sigma^(2 (n - k)) det(sigma^2 I_k + Phi^T Phi)
+    inner = cholesky_psd(sigma2 * np.eye(k) + phi.T @ phi, what="Woodbury inner matrix").matrix
+    solved = solve_triangular(inner, phi.T @ residual, lower=True)
     quad = (residual @ residual - solved @ solved) / sigma2
-    log_det = (
-        (n - k) * np.log(sigma2)
-        + 2.0 * float(np.sum(np.log(np.diag(prior_chol))))
-        + 2.0 * float(np.sum(np.log(np.diag(inner_chol))))
-    )
+    log_det = (n - k) * np.log(sigma2) + 2.0 * float(np.sum(np.log(np.diag(inner))))
     return float(-0.5 * (n * np.log(2.0 * np.pi) + log_det + quad))

@@ -3,9 +3,10 @@
 `RbfFeatureMap` computes radial basis function features (unnormalized
 Gaussians, one per center, with a shared per-dimension lengthscale);
 `evaluate` returns them as an (n, k) array.  The module also has a
-k-means + median-heuristic featurizer for tabular data and a numerical
-injectivity certificate: inputs whose feature vectors are linearly
-independent, certifying that distinct weights give distinct functions.
+k-means + median-heuristic featurizer for tabular data and
+`independent_rows`, the numerical rank of a feature matrix: when it keeps k
+of the candidate inputs' feature rows, those k inputs witness that distinct
+weights give distinct functions.
 
 The featurizer's k-means gives scipy's `kmeans2(minit="++")` centers bit for
 bit, at less cost.  Its k-means++ seeding draws scipy's random numbers in
@@ -109,34 +110,6 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out += np.sum(a**2, axis=1)[:, None]
     out += np.sum(b**2, axis=1)
     return np.maximum(out, 0.0, out=out)
-
-
-@dataclass(frozen=True)
-class InjectivityCertificate:
-    certified_rank: int
-    witness_subset: np.ndarray | None  # indices into the candidate points, or None
-
-
-def injectivity_certificate(
-    feature_map: RbfFeatureMap, candidate_points: np.ndarray
-) -> InjectivityCertificate:
-    """Numerical rank of the candidate feature matrix, plus a witness.
-
-    If the rank equals the number of features k, returns k candidate indices
-    whose feature vectors are linearly independent (greedy pivoted QR
-    selection), certifying the weight-to-function map injective.
-    """
-    feat = evaluate(feature_map, candidate_points)
-    singular_values = np.linalg.svd(feat, compute_uv=False)
-    cutoff = RANK_RTOL * (singular_values[0] if singular_values.size else 0.0)
-    rank = int(np.sum(singular_values > cutoff))
-    if rank < feature_map.num_features:
-        return InjectivityCertificate(rank, None)
-    # Columns of feat.T are candidate feature vectors; pivoted QR picks a
-    # well-conditioned spanning subset greedily.
-    _, _, pivots = _scipy_qr(feat.T, mode="economic", pivoting=True)
-    witness = np.sort(pivots[: feature_map.num_features])
-    return InjectivityCertificate(rank, witness)
 
 
 def independent_rows(matrix: np.ndarray) -> np.ndarray:

@@ -88,16 +88,18 @@ def _check_same_dim(q: GaussianDist, p: GaussianDist):
 def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
     """KL(q || p) in closed form by Cholesky solves; ``math.inf`` when q is
     degenerate, as for a q with fewer parameters than points (the paper's
-    first result).  q's covariance C = L L^T counts as degenerate when the
+    first result).  A covariance C = L L^T counts as singular when its
     factorization fails or a pivot has L_ii^2 <= ``RANK_RTOL`` * C_ii.  With
     B the leading block of C through row and column i, L_ii^2 =
     1 / (B^{-1})_ii >= lambda_min(B) >= lambda_min(C) by interlacing, and
     C_ii <= lambda_max(C), so only a C of eigenvalue ratio <= ``RANK_RTOL``
-    is flagged.  A singular p raises `SingularReferenceError`.
+    is flagged.  A singular p has no density and raises `SingularReferenceError`.
     """
     _check_same_dim(q, p)
     n = q.dim
     lp = cholesky_psd(p.cov, what="reference covariance").matrix
+    if np.any(np.diag(lp) ** 2 <= RANK_RTOL * np.diag(p.cov)):
+        raise SingularReferenceError("reference covariance is numerically singular")
     try:
         lq = cholesky_psd(q.cov, what="approximate covariance").matrix
     except SingularReferenceError:

@@ -29,27 +29,25 @@ class AdamConfig:
     Adam orbits a deterministic optimum at a distance proportional to the
     rate, which is orders of magnitude above the closed-form oracle
     tolerances this suite checks against; set ``decay_tail_fraction=0`` for a
-    constant rate.  ``beta2`` defaults to 0.99 rather than the textbook 0.999
-    so the second moment tracks the shrinking gradients through the decay
-    tail; with the longer memory the normalizer goes stale and freezes the
-    iterate well away from the optimum.
+    constant rate.  ``beta1``, ``beta2`` and ``epsilon`` are class constants,
+    not settings.  ``beta2`` is 0.99 rather than the textbook 0.999 so the
+    second moment tracks the shrinking gradients through the decay tail; with
+    the longer memory the normalizer goes stale and freezes the iterate well
+    away from the optimum.
     """
+
+    beta1 = 0.9
+    beta2 = 0.99
+    epsilon = 1e-8
 
     learning_rate: float
     max_steps: int
-    beta1: float = 0.9
-    beta2: float = 0.99
-    epsilon: float = 1e-8
     decay_tail_fraction: float = 0.5
     log_every: int = 50
 
     def __post_init__(self):
         if not 0.0 <= self.learning_rate < math.inf:  # NaN fails too
             raise ValueError("learning rate must be finite and >= 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
         require_count("max_steps", self.max_steps, 0)
         require_count("log_every", self.log_every, 1)
         if not 0.0 <= self.decay_tail_fraction <= 1.0:

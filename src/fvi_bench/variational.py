@@ -283,7 +283,7 @@ def _likelihood_stats(
     )
 
 
-# Model -> (weak reference to the dataset, {builder: its read-only result}).
+# Model -> (weak reference to the dataset, {builder: its shared result}).
 # An entry lives as long as its model; it serves only the same dataset object.
 _PAIR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -515,22 +515,16 @@ def marginal_kl(
 
 
 def fixed_a_optimal_mean(
-    model: BlrModel, data: Dataset, measurement_set: MeasurementSet | None
+    model: BlrModel, data: Dataset, measurement_set: MeasurementSet
 ) -> np.ndarray:
-    """Stationary mean of the fixed-measurement-set objective, in closed form.
-
-    Passing ``None`` drops the projection term entirely, which recovers the
-    minimum-norm maximum-likelihood solution (the projection with a square
-    full-rank feature matrix recovers MAP inference).
-    """
+    """Stationary mean of the fixed-measurement-set objective, in closed form
+    (the projection of a square full-rank feature matrix recovers MAP
+    inference)."""
     _require_standard_prior(model)
     stats = _likelihood_stats(
         model.features(data.inputs), data.targets, np.zeros(model.num_features)
     )
-    if measurement_set is None:
-        projection = np.zeros_like(stats.gram)
-    else:
-        projection = MarginalKl(model, measurement_set).projection
+    projection = MarginalKl(model, measurement_set).projection
     # rcond is the package-wide numerical-rank tolerance: directions the
     # data cannot identify are resolved to the minimum-norm solution rather
     # than amplified by roundoff-scale eigenvalues.
@@ -549,9 +543,14 @@ class Exact:
 
 @dataclass(frozen=True)
 class FixedA:
-    """Marginal KL at a measurement set fixed for the whole run."""
+    """Marginal KL at a measurement set fixed for the whole run.  The
+    objectives on one kind, model and dataset share one `MarginalKl`, cached
+    by `_per_pair` under the bound `_marginal`, which hashes by the kind."""
 
     measurement_set: MeasurementSet
+
+    def _marginal(self, model: BlrModel, data: Dataset) -> MarginalKl:
+        return MarginalKl(model, self.measurement_set)
 
 
 @dataclass(frozen=True)
@@ -621,7 +620,8 @@ class Objective:
     run depends only on its rng.  The statistics and Phi are each formed
     once per (model, data) pair and shared by every objective on the same
     model and dataset objects.  Every kind but `Exact` takes its KL from one
-    `MarginalKl` (prepared here for `FixedA`, drawn each step otherwise);
+    `MarginalKl`: drawn each step for `RandA` and `Ssge`, and for `FixedA`
+    prepared once per kind and pair and shared like the statistics;
     `Ssge` takes only its value and the estimated KL gradient.  `RandA` and
     `Ssge` reject a measurement box whose dimension is not the data's.
     """
@@ -649,7 +649,7 @@ class Objective:
             self._schedule, self._phi = None, None
             self._stats = _per_pair(_full_batch_stats, model, data)
         self._fixed_marginal = (
-            MarginalKl(model, kind.measurement_set) if isinstance(kind, FixedA) else None
+            _per_pair(kind._marginal, model, data) if isinstance(kind, FixedA) else None
         )
 
     def value_and_grad(

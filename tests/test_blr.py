@@ -102,6 +102,24 @@ class TestExactPosterior:
         mean, _ = integrate.quad(lambda w: w * unnorm(w), -10, 10)
         assert post.mean[0] == pytest.approx(mean / z, abs=1e-9)
 
+    def test_general_prior_against_precision_form(self):
+        """Independent of `whiten`: the posterior from the prior precision,
+        (Sigma0^{-1} + Phi^T Phi / sigma^2)^{-1}, inverted in numpy."""
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            model, data = random_model_and_data(rng)
+            k = int(rng.integers(2, 7))
+            fmap = RbfFeatureMap(np.sort(rng.uniform(-2, 2, k)).reshape(-1, 1), np.array([0.8]))
+            prior = random_gaussian(rng, k)
+            model = BlrModel(fmap, model.noise_variance, prior=prior)
+            phi = model.features(data.inputs)
+            prior_precision = np.linalg.inv(prior.cov)
+            cov = np.linalg.inv(prior_precision + phi.T @ phi / model.noise_variance)
+            mean = cov @ (prior_precision @ prior.mean + phi.T @ data.targets / model.noise_variance)
+            post = exact_posterior(model, data)
+            np.testing.assert_allclose(post.mean, mean, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(post.cov, cov, rtol=1e-8, atol=1e-10)
+
 
 def two_coordinate_model() -> BlrModel:
     return BlrModel(lambda x: x, noise_variance=1.0, num_features=2)

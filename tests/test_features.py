@@ -1,4 +1,4 @@
-"""Tests for RBF feature maps, the featurizer and injectivity certificates."""
+"""Tests for RBF feature maps, the featurizer and the rank of feature rows."""
 
 import math
 import warnings
@@ -15,7 +15,6 @@ from fvi_bench.features import (
     evaluate,
     fit_rbf_featurizer,
     independent_rows,
-    injectivity_certificate,
     squared_distances,
 )
 
@@ -153,27 +152,28 @@ class TestSquaredDistances:
 
 
 class TestInjectivityCertificate:
+    """The rows `independent_rows` keeps of the candidates' features: their
+    count is the rank, and k of them witness an injective weight-to-function
+    map."""
+
     def test_toy_map_at_own_centers_is_full_rank(self):
         fmap = toy_feature_map()
-        cert = injectivity_certificate(fmap, fmap.centers)
-        assert cert.certified_rank == 20
-        assert cert.witness_subset is not None and len(cert.witness_subset) == 20
+        witness = independent_rows(evaluate(fmap, fmap.centers))
+        assert len(witness) == 20
         # SVD oracle: the witness rows really are linearly independent.
-        witness_feats = evaluate(fmap, fmap.centers[cert.witness_subset])
+        witness_feats = evaluate(fmap, fmap.centers[witness])
         sv = np.linalg.svd(witness_feats, compute_uv=False)
         assert sv[-1] > 1e-8 * sv[0]
 
     def test_duplicate_points_rank_one(self):
         fmap = RbfFeatureMap(np.array([[0.0], [1.0]]), np.array([1.0]))
-        cert = injectivity_certificate(fmap, np.array([[0.5], [0.5]]))
-        assert cert.certified_rank == 1
-        assert cert.witness_subset is None
+        kept = independent_rows(evaluate(fmap, np.array([[0.5], [0.5]])))
+        assert len(kept) == 1 < fmap.num_features
 
     def test_fewer_points_than_features(self):
         fmap = RbfFeatureMap(np.linspace(0, 1, 5).reshape(-1, 1), np.array([0.3]))
-        cert = injectivity_certificate(fmap, np.array([[0.1], [0.9]]))
-        assert cert.certified_rank == 2
-        assert cert.witness_subset is None
+        kept = independent_rows(evaluate(fmap, np.array([[0.1], [0.9]])))
+        assert len(kept) == 2 < fmap.num_features
 
     def test_witness_full_rank_on_random_instances(self):
         rng = np.random.default_rng(3)
@@ -183,10 +183,9 @@ class TestInjectivityCertificate:
                 np.sort(rng.uniform(-2, 2, k)).reshape(-1, 1), np.array([0.4])
             )
             candidates = rng.uniform(-2.5, 2.5, (3 * k, 1))
-            cert = injectivity_certificate(fmap, candidates)
-            if cert.witness_subset is None:
-                continue
-            sub = evaluate(fmap, candidates[cert.witness_subset])
+            witness = independent_rows(evaluate(fmap, candidates))
+            assert len(witness) == k  # every instance here is certified
+            sub = evaluate(fmap, candidates[witness])
             sv = np.linalg.svd(sub, compute_uv=False)
             assert sv[-1] > 1e-8 * sv[0]
 

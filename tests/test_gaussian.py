@@ -182,6 +182,38 @@ class TestDegenerateApproximation:
         assert kl_divergence(q, standard_gaussian(4)) == pytest.approx(expected, rel=1e-8)
 
 
+class TestSingularReference:
+    """KL(q || p) has no value when p is rank deficient: p has no density, so
+    the divergence raises instead of returning a number."""
+
+    def test_low_rank_sweep(self):
+        """`TestDegenerateApproximation.test_low_rank_sweep` with q and p
+        swapped.  Where roundoff lets p's Cholesky succeed, the pivot test
+        must flag it; without it, seed 6 (m = 2, k = 1) returned 4.4e15."""
+        factorized = 0
+        for seed in range(300):
+            rng = np.random.default_rng([18, seed])
+            m = int(rng.integers(2, 13))
+            k = int(rng.integers(1, m))
+            basis = rng.standard_normal((m, k)) * rng.uniform(0.1, 10.0)
+            scale = rng.standard_normal((k, k))
+            cov = basis @ scale @ scale.T @ basis.T
+            p = GaussianDist(rng.standard_normal(m), cov)
+            factorized += cholesky_succeeds(p.cov)
+            with pytest.raises(SingularReferenceError, match="reference covariance"):
+                kl_divergence(random_gaussian(rng, m), p)
+        assert factorized > 0
+
+    def test_well_conditioned_p_stays_finite(self):
+        """A reference covariance of eigenvalue ratio 1e-6 keeps its
+        closed-form KL: tr(P^{-1}) - n + log det P over 2 against N(0, I)."""
+        rotation = np.linalg.qr(np.random.default_rng(19).standard_normal((4, 4)))[0]
+        variances = np.array([1.0, 1e-2, 1e-4, 1e-6])
+        p = GaussianDist(np.zeros(4), rotation @ np.diag(variances) @ rotation.T)
+        expected = 0.5 * float(np.sum(1.0 / variances - 1.0 + np.log(variances)))
+        assert kl_divergence(standard_gaussian(4), p) == pytest.approx(expected, rel=1e-8)
+
+
 class TestConstruction:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for the Adam loop and the central-difference gradient reference."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,11 +73,14 @@ class TestAdamConfig:
         with pytest.raises(ValueError, match="learning rate"):
             AdamConfig(rate, 10)
 
-    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
-    def test_non_finite_epsilon_rejected(self, epsilon):
-        """An infinite epsilon once passed and made every update zero."""
-        with pytest.raises(ValueError, match="epsilon"):
-            AdamConfig(0.01, 10, epsilon=epsilon)
+    def test_moment_constants_are_not_settings(self):
+        config = AdamConfig(0.01, 10)
+        assert (config.beta1, config.beta2, config.epsilon) == (0.9, 0.99, 1e-8)
+        assert [f.name for f in dataclasses.fields(AdamConfig)] == [
+            "learning_rate", "max_steps", "decay_tail_fraction", "log_every"
+        ]
+        with pytest.raises(TypeError):
+            AdamConfig(0.01, 10, epsilon=1e-6)
 
     @pytest.mark.parametrize("field", ["max_steps", "log_every"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "float", "bool"])

@@ -16,10 +16,7 @@ HERE = Path(__file__).resolve()
 ROOT = HERE.parents[1]
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
-TEST_ONLY = {
-    "injectivity_certificate": "its caller is the planned ill-posedness gate on sup_A KL",
-    "whiten": "the library entry point that NonStandardPriorError sends callers to",
-}
+TEST_ONLY = {}
 
 
 def public_names() -> set[str]:

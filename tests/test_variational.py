@@ -725,15 +725,6 @@ class TestFixedAOptimalMean:
             )
             np.testing.assert_allclose(mu, map_solution, rtol=1e-6, atol=1e-8)
 
-    def test_no_projection_recovers_min_norm_mle(self):
-        rng = np.random.default_rng(34)
-        model, data = random_problem(rng, k=5, n=9)
-        mu = fixed_a_optimal_mean(model, data, None)
-        phi = model.features(data.inputs)
-        np.testing.assert_allclose(
-            mu, np.linalg.pinv(phi, rcond=1e-8) @ data.targets, atol=1e-6
-        )
-
     def test_stationarity_residual(self):
         rng = np.random.default_rng(35)
         model, data = random_problem(rng, k=5, n=8)
@@ -895,9 +886,11 @@ class TestSharedStatistics:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(features, "evaluate", counted)
             objectives = [Objective(kind, model, data) for kind in EVERY_KIND * 2]
-        # The data once; FixedA's own measurement set once per FixedA objective.
-        assert rows_evaluated == [57, 3, 3]
+        # The data once; FixedA's own measurement set once for both of its objectives.
+        assert rows_evaluated == [57, 3]
         assert all(objective._stats is objectives[0]._stats for objective in objectives)
+        fixed = [o._fixed_marginal for o in objectives if isinstance(o.kind, FixedA)]
+        assert len(fixed) == 2 and fixed[0] is fixed[1] is not None
 
     def test_new_model_or_new_dataset_gets_fresh_statistics(self):
         model, data = random_problem(np.random.default_rng(42), k=5, n=57)
@@ -946,9 +939,11 @@ class TestSharedFeatureMatrix:
             objectives = [
                 Objective(kind, model, data, minibatch_size=10) for kind in EVERY_KIND * 2
             ]
-        # The data once; FixedA's own measurement set once per FixedA objective.
-        assert rows_evaluated == [57, 3, 3]
+        # The data once; FixedA's own measurement set once for both of its objectives.
+        assert rows_evaluated == [57, 3]
         assert all(objective._phi is objectives[0]._phi for objective in objectives)
+        fixed = [o._fixed_marginal for o in objectives if isinstance(o.kind, FixedA)]
+        assert len(fixed) == 2 and fixed[0] is fixed[1] is not None
         with pytest.raises(ValueError):
             objectives[0]._phi[0, 0] = 0.0
 
@@ -968,9 +963,10 @@ class TestSharedFeatureMatrix:
         model, data = random_problem(np.random.default_rng(47), k=5, n=57)
         objectives = [Objective(kind, model, data, minibatch_size=10) for kind in EVERY_KIND]
         model_ref, phi_ref = weakref.ref(model), weakref.ref(objectives[0]._phi)
+        marginal_ref = weakref.ref(objectives[1]._fixed_marginal)
         del model, objectives
         gc.collect()
-        assert model_ref() is None and phi_ref() is None
+        assert model_ref() is None and phi_ref() is None and marginal_ref() is None
 
 
 def rows_for_case(seed, case):

@@ -3,8 +3,10 @@ variational code.
 
 Oracles: each quantity of the whitened problem is compared with the same
 quantity of the original problem under its own prior N(mu, L L^T), computed
-by code that takes any Gaussian prior (`gaussian`, `blr`) or by a dense
-pushforward, with the variational state mapped back through w = mu + L v.
+by code that takes any Gaussian prior (`gaussian`) or by a dense pushforward,
+with the variational state mapped back through w = mu + L v.  The closed
+forms of `blr` whiten the problem themselves; `test_blr.py` checks them on
+general priors against scipy densities and the prior-precision form.
 """
 
 import numpy as np
