@@ -1,23 +1,28 @@
 """Bayesian linear regression in feature space.
 
 Model: y = w . phi(x) + noise, noise ~ N(0, sigma^2), w ~ N(mu, Sigma), the
-prior a `GaussianDist` (N(0, I) by default).  The posterior over weights is
-conjugate and computed exactly with k x k Cholesky solves; the log marginal
-likelihood uses the Woodbury identity so no n x n matrix is ever formed.
-A general Gaussian prior is handled in one place, `whiten`, which rewrites a
-model with prior N(mu, L L^T) as the standard-prior problem in the weights v
-of w = mu + L v.  The closed forms solve only that problem, and the
-variational objectives take only the standard prior N(0, I), which a model
-detects once, at construction.
+prior a `GaussianDist` (N(0, I) by default).  A general Gaussian prior is
+handled in one place, `whiten`, which rewrites a model with prior
+N(mu, L L^T) as the standard-prior problem in the weights v of w = mu + L v.
+The closed forms solve only that problem, and the variational objectives
+take only the standard prior N(0, I), which a model detects once, at
+construction.
+
+One place forms a dataset's likelihood statistics, `_full_batch_stats`:
+Phi^T Phi and the residual about the exact N(0, I) posterior mean, from the
+one Phi that `_per_pair` keeps for a (model, dataset) pair while the model
+lives, and shares with the objectives and closed forms on that pair.  From
+them the posterior and the log evidence cost O(k^3) each.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .errors import DimensionMismatchError, NonFiniteValueError, require_count
 from .gaussian import GaussianDist, cholesky_psd, standard_gaussian
@@ -144,22 +149,88 @@ def whiten(model: BlrModel, *datasets: Dataset) -> tuple:
     return (whitened, *shifted)
 
 
+@dataclass(frozen=True)
+class _LikelihoodStats:
+    """Sufficient statistics of the Gaussian likelihood of rows (Phi, y), taken
+    about an anchor mean a.  With r = y - Phi a and d = m - a, any mean m has
+
+        ||y - Phi m||^2 = r^T r - 2 d^T Phi^T r + d^T Phi^T Phi d
+        Phi^T (y - Phi m) = Phi^T r - Phi^T Phi d,
+
+    and no evaluation touches the rows again.  An anchor near the fitted
+    mean keeps the expansion from cancelling when ||y|| >> ||y - Phi m||.
+    """
+
+    gram: np.ndarray  # Phi^T Phi, (k, k)
+    cross: np.ndarray  # Phi^T r, (k,)
+    residual_sq: float  # r^T r
+    size: int  # number of rows
+    anchor: np.ndarray  # a, (k,)
+
+
+def _likelihood_stats(
+    phi: np.ndarray, targets: np.ndarray, anchor: np.ndarray, gram: np.ndarray | None = None
+) -> _LikelihoodStats:
+    residual = targets - phi @ anchor
+    return _LikelihoodStats(
+        phi.T @ phi if gram is None else gram,
+        phi.T @ residual,
+        float(residual @ residual),
+        phi.shape[0],
+        anchor,
+    )
+
+
+# Model -> (weak reference to the dataset, {builder: its shared result}).
+# An entry lives as long as its model; it serves only the same dataset object.
+_PAIR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _per_pair(build, model: BlrModel, data: Dataset):
+    """``build(model, data)``, formed once per (model, data) pair and shared."""
+    entry = _PAIR_CACHE.get(model)
+    if entry is None or entry[0]() is not data:
+        entry = _PAIR_CACHE[model] = (weakref.ref(data), {})
+    if build not in entry[1]:
+        entry[1][build] = build(model, data)
+    return entry[1][build]
+
+
+def _full_batch_stats(model: BlrModel, data: Dataset) -> _LikelihoodStats:
+    """Statistics of all rows, anchored at the exact posterior mean under the
+    N(0, I) prior, whatever the model's: `exact_posterior` returns this anchor
+    as its mean, and any anchor serves the expected log-likelihood."""
+    phi = _per_pair(_feature_matrix, model, data)
+    gram = phi.T @ phi
+    posterior_mean = np.linalg.solve(
+        gram + model.noise_variance * np.eye(model.num_features), phi.T @ data.targets
+    )
+    stats = _likelihood_stats(phi, data.targets, posterior_mean, gram)
+    for array in (stats.gram, stats.cross, stats.anchor):
+        array.flags.writeable = False
+    return stats
+
+
+def _feature_matrix(model: BlrModel, data: Dataset) -> np.ndarray:
+    """Phi of all rows, (n, k), as a read-only view: the map's own array stays writable."""
+    phi = model.features(data.inputs).view()
+    phi.flags.writeable = False
+    return phi
+
+
 def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:
     """Conjugate posterior over weights.
 
-    The whitened weights v (see `whiten`) have posterior precision
-    I + Phi^T Phi / sigma^2; a general prior maps back through w = mu + L v,
-    to mean mu + L m_v and covariance L Sigma_v L^T.  The covariance is
-    symmetrized explicitly: ``cho_solve`` of an ill-conditioned precision
-    can come out asymmetric by more than the tolerance of `GaussianDist`.
+    The whitened weights v (see `whiten`) have as mean m_v the anchor of the
+    pair's statistics and as covariance sigma^2 (sigma^2 I + Phi^T Phi)^{-1},
+    from one Cholesky; a general prior maps back through w = mu + L v, to
+    mean mu + L m_v and covariance L Sigma_v L^T, symmetrized explicitly.
     """
     white, white_data = whiten(model, data)
-    phi = white.features(white_data.inputs)
-    eye = np.eye(white.num_features)
-    precision = eye + phi.T @ phi / model.noise_variance
-    post_chol = cholesky_psd(precision, what="posterior precision").matrix
-    cov = cho_solve((post_chol, True), eye)
-    mean = cho_solve((post_chol, True), phi.T @ white_data.targets / model.noise_variance)
+    stats = _per_pair(_full_batch_stats, white, white_data)
+    sigma2, eye = model.noise_variance, np.eye(white.num_features)
+    inner = cholesky_psd(sigma2 * eye + stats.gram, what="scaled posterior precision").matrix
+    mean, cov = stats.anchor, sigma2 * cho_solve((inner, True), eye)
     if white is not model:
         factor = white.feature_map.factor
         mean = model.prior.mean + factor @ mean
@@ -190,17 +261,16 @@ def nlpd(model: BlrModel, weights_dist: GaussianDist, test_data: Dataset) -> flo
 def log_marginal_likelihood(model: BlrModel, data: Dataset) -> float:
     """log density of the targets under the prior predictive.
 
-    Evaluated on the whitened problem, which has the same evidence, in
-    weight space via the Woodbury identity: O(n k^2 + k^3), not O(n^3).
+    Read off the whitened problem's statistics, anchored at its posterior
+    mean m, in O(k^3) where the dense form costs O(n^3):
+
+        y^T (sigma^2 I + Phi Phi^T)^{-1} y = ||y - Phi m||^2 / sigma^2 + ||m||^2,
+        det(sigma^2 I_n + Phi Phi^T) = sigma^(2 (n - k)) det(sigma^2 I_k + Phi^T Phi).
     """
     white, white_data = whiten(model, data)
-    phi = white.features(white_data.inputs)
-    n, k = phi.shape
-    sigma2 = model.noise_variance
-    residual = white_data.targets
-    # det(sigma^2 I_n + Phi Phi^T) = sigma^(2 (n - k)) det(sigma^2 I_k + Phi^T Phi)
-    inner = cholesky_psd(sigma2 * np.eye(k) + phi.T @ phi, what="Woodbury inner matrix").matrix
-    solved = solve_triangular(inner, phi.T @ residual, lower=True)
-    quad = (residual @ residual - solved @ solved) / sigma2
+    stats = _per_pair(_full_batch_stats, white, white_data)
+    n, k, sigma2 = stats.size, white.num_features, model.noise_variance
+    inner = cholesky_psd(sigma2 * np.eye(k) + stats.gram, what="scaled posterior precision").matrix
+    quad = stats.residual_sq / sigma2 + float(stats.anchor @ stats.anchor)
     log_det = (n - k) * np.log(sigma2) + 2.0 * float(np.sum(np.log(np.diag(inner))))
     return float(-0.5 * (n * np.log(2.0 * np.pi) + log_det + quad))

@@ -17,6 +17,7 @@ from .errors import FviBenchError, NonFiniteGradientError, require_count
 from .variational import Objective, ObjectiveEval, VariationalState
 
 FINAL_LR_FACTOR = 1e-6  # the decay tail ends at this multiple of the base rate
+LOG_EVERY = 50  # a run records steps 1, LOG_EVERY, 2 LOG_EVERY, ... and its last
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,11 @@ class AdamConfig:
     learning_rate: float
     max_steps: int
     decay_tail_fraction: float = 0.5
-    log_every: int = 50
 
     def __post_init__(self):
         if not 0.0 <= self.learning_rate < math.inf:  # NaN fails too
             raise ValueError("learning rate must be finite and >= 0")
         require_count("max_steps", self.max_steps, 0)
-        require_count("log_every", self.log_every, 1)
         if not 0.0 <= self.decay_tail_fraction <= 1.0:
             raise ValueError("decay_tail_fraction must be in [0, 1]")
 
@@ -119,7 +118,7 @@ def run(
             if not np.all(np.isfinite(grad)) or not np.isfinite(evaluation.elbo_estimate):
                 raise NonFiniteGradientError(f"non-finite gradient or objective at step {step}")
             grad_norm = float(np.linalg.norm(grad))
-            if step % config.log_every == 0 or step == config.max_steps or step == 1:
+            if step % LOG_EVERY == 0 or step == config.max_steps or step == 1:
                 record(step, evaluation, grad_norm)
             first_moment = config.beta1 * first_moment + (1.0 - config.beta1) * grad
             second_moment = config.beta2 * second_moment + (1.0 - config.beta2) * grad**2

@@ -30,9 +30,9 @@ algebraically identical to the textbook trace/log-det expression built from
 of B.
 
 A full-batch training step costs O(k^3) whatever the number of data points
-n: the expected log-likelihood is read off likelihood statistics formed once
-per (model, dataset) pair and shared by every full-batch objective on that
-pair; minibatch objectives on one pair share one read-only feature matrix.
+n: the expected log-likelihood is read off the likelihood statistics that
+`blr` forms once per (model, dataset) pair for its closed forms too; a
+minibatch step reads its rows from the pair's one read-only feature matrix.
 The step path does its linear algebra in numpy only, so it runs on numpy's
 BLAS and never alternates with the separate BLAS that scipy bundles; scipy's
 pivoted QR runs only for a measurement set whose rows fail the rank
@@ -45,12 +45,12 @@ import enum
 import functools
 import logging
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blr import BlrModel, Dataset
+from .blr import BlrModel, Dataset, _LikelihoodStats
+from .blr import _feature_matrix, _full_batch_stats, _likelihood_stats, _per_pair
 from .errors import (
     DegenerateMarginalError,
     DimensionMismatchError,
@@ -251,73 +251,6 @@ def sample_measurement_set(
 # --- closed-form objective terms ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LikelihoodStats:
-    """Sufficient statistics of the Gaussian likelihood of rows (Phi, y), taken
-    about an anchor mean a.  With r = y - Phi a and d = m - a, any mean m has
-
-        ||y - Phi m||^2 = r^T r - 2 d^T Phi^T r + d^T Phi^T Phi d
-        Phi^T (y - Phi m) = Phi^T r - Phi^T Phi d,
-
-    and no evaluation touches the rows again.  An anchor near the fitted
-    mean keeps the expansion from cancelling when ||y|| >> ||y - Phi m||.
-    """
-
-    gram: np.ndarray  # Phi^T Phi, (k, k)
-    cross: np.ndarray  # Phi^T r, (k,)
-    residual_sq: float  # r^T r
-    size: int  # number of rows
-    anchor: np.ndarray  # a, (k,)
-
-
-def _likelihood_stats(
-    phi: np.ndarray, targets: np.ndarray, anchor: np.ndarray, gram: np.ndarray | None = None
-) -> _LikelihoodStats:
-    residual = targets - phi @ anchor
-    return _LikelihoodStats(
-        phi.T @ phi if gram is None else gram,
-        phi.T @ residual,
-        float(residual @ residual),
-        phi.shape[0],
-        anchor,
-    )
-
-
-# Model -> (weak reference to the dataset, {builder: its shared result}).
-# An entry lives as long as its model; it serves only the same dataset object.
-_PAIR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _per_pair(build, model: BlrModel, data: Dataset):
-    """``build(model, data)``, formed once per (model, data) pair and shared."""
-    entry = _PAIR_CACHE.get(model)
-    if entry is None or entry[0]() is not data:
-        entry = _PAIR_CACHE[model] = (weakref.ref(data), {})
-    if build not in entry[1]:
-        entry[1][build] = build(model, data)
-    return entry[1][build]
-
-
-def _full_batch_stats(model: BlrModel, data: Dataset) -> _LikelihoodStats:
-    """Statistics of all rows of data, anchored at the exact posterior mean."""
-    phi = model.features(data.inputs)
-    gram = phi.T @ phi
-    posterior_mean = np.linalg.solve(
-        gram + model.noise_variance * np.eye(model.num_features), phi.T @ data.targets
-    )
-    stats = _likelihood_stats(phi, data.targets, posterior_mean, gram)
-    for array in (stats.gram, stats.cross, stats.anchor):
-        array.flags.writeable = False
-    return stats
-
-
-def _feature_matrix(model: BlrModel, data: Dataset) -> np.ndarray:
-    """Phi of all rows, (n, k), as a read-only view: the map's own array stays writable."""
-    phi = model.features(data.inputs).view()
-    phi.flags.writeable = False
-    return phi
-
-
 def _ell_terms(
     state: VariationalState,
     stats: _LikelihoodStats,
@@ -352,21 +285,20 @@ def expected_log_likelihood(
     data: Dataset,
     minibatch: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Closed-form E_q[log likelihood] and its gradient.
-
-    With a minibatch, the term is rescaled by n/|batch| so it stays an
-    unbiased estimate of the full-data value.
-    """
-    phi = model.features(data.inputs)
-    targets = data.targets
-    scale_factor = 1.0
-    if minibatch is not None:
-        minibatch = np.asarray(minibatch, dtype=int)
+    """Closed-form E_q[log likelihood] and its gradient, from the pair's
+    statistics, or from the rows of its feature matrix that a minibatch of
+    integer indices names, rescaled by n/|batch| to stay unbiased."""
+    if minibatch is None:
+        stats, scale_factor = _per_pair(_full_batch_stats, model, data), 1.0
+    else:
+        minibatch = np.asarray(minibatch)
+        if minibatch.dtype.kind not in "iu":  # a boolean mask or floats would cast silently
+            raise ValueError(f"minibatch must hold integer row indices, got {minibatch.dtype}")
         if minibatch.size == 0 or minibatch.min() < 0 or minibatch.max() >= data.size:
             raise DimensionMismatchError("minibatch indices out of range")
-        phi, targets = phi[minibatch], targets[minibatch]
+        phi = _per_pair(_feature_matrix, model, data)[minibatch]
+        stats = _likelihood_stats(phi, data.targets[minibatch], state.mean)
         scale_factor = data.size / minibatch.size
-    stats = _likelihood_stats(phi, targets, state.mean)
     return _ell_terms(state, stats, model.noise_variance, scale_factor)
 
 
@@ -521,15 +453,14 @@ def fixed_a_optimal_mean(
     (the projection of a square full-rank feature matrix recovers MAP
     inference)."""
     _require_standard_prior(model)
-    stats = _likelihood_stats(
-        model.features(data.inputs), data.targets, np.zeros(model.num_features)
-    )
+    stats = _per_pair(_full_batch_stats, model, data)
     projection = MarginalKl(model, measurement_set).projection
     # rcond is the package-wide numerical-rank tolerance: directions the
     # data cannot identify are resolved to the minimum-norm solution rather
-    # than amplified by roundoff-scale eigenvalues.
+    # than amplified by roundoff-scale eigenvalues.  The right side is Phi^T y,
+    # not an offset from the anchor, which would move that solution.
     return np.linalg.pinv(stats.gram + model.noise_variance * projection, rcond=RANK_RTOL) @ (
-        stats.cross
+        stats.cross + stats.gram @ stats.anchor
     )
 
 
@@ -612,16 +543,16 @@ class Objective:
     """Bundles an objective kind with a model and dataset for a training run.
 
     A full-batch objective keeps only the likelihood statistics of the data
-    (`_LikelihoodStats`, anchored at the exact posterior mean) and no
-    feature matrix, so a step costs O(k^3) whatever n is.  A minibatch
-    objective keeps the read-only feature matrix Phi of the data and forms
-    the statistics of each batch from its rows, anchored at the current
-    mean; it starts a new epoch at a run's first step (``step == 1``), so a
-    run depends only on its rng.  The statistics and Phi are each formed
-    once per (model, data) pair and shared by every objective on the same
-    model and dataset objects.  Every kind but `Exact` takes its KL from one
-    `MarginalKl`: drawn each step for `RandA` and `Ssge`, and for `FixedA`
-    prepared once per kind and pair and shared like the statistics;
+    (`blr._LikelihoodStats`, anchored at the exact posterior mean), so a
+    step costs O(k^3) whatever n is.  A minibatch objective keeps the
+    read-only feature matrix Phi of the data and forms the statistics of
+    each batch from its rows, anchored at the current mean; it starts a new
+    epoch at a run's first step (``step == 1``), so a run depends only on
+    its rng.  Phi and the statistics are each formed once per (model, data)
+    pair, in `blr`, and shared with every objective and closed form on the
+    same model and dataset objects.  Every kind but `Exact` takes its KL
+    from one `MarginalKl`: drawn each step for `RandA` and `Ssge`, and for
+    `FixedA` prepared once per kind and pair and shared like the statistics;
     `Ssge` takes only its value and the estimated KL gradient.  `RandA` and
     `Ssge` reject a measurement box whose dimension is not the data's.
     """

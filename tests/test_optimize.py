@@ -10,7 +10,7 @@ from fvi_bench import gaussian
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import DegenerateMarginalError, NonFiniteGradientError, NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap
-from fvi_bench.optimize import AdamConfig, run
+from fvi_bench.optimize import LOG_EVERY, AdamConfig, run
 from fvi_bench.ssge import SsgeConfig
 from fvi_bench.variational import (
     Exact,
@@ -62,12 +62,6 @@ class TestFiniteDiffCheck:
 
 
 class TestAdamConfig:
-    @pytest.mark.parametrize("log_every", [0, -1])
-    def test_log_every_below_one_rejected(self, log_every):
-        """log_every=0 once passed and made `run` divide by zero at step 1."""
-        with pytest.raises(ValueError, match="log_every"):
-            AdamConfig(0.01, 10, log_every=log_every)
-
     @pytest.mark.parametrize("rate", [np.nan, np.inf])
     def test_non_finite_learning_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="learning rate"):
@@ -77,19 +71,17 @@ class TestAdamConfig:
         config = AdamConfig(0.01, 10)
         assert (config.beta1, config.beta2, config.epsilon) == (0.9, 0.99, 1e-8)
         assert [f.name for f in dataclasses.fields(AdamConfig)] == [
-            "learning_rate", "max_steps", "decay_tail_fraction", "log_every"
+            "learning_rate", "max_steps", "decay_tail_fraction"
         ]
         with pytest.raises(TypeError):
             AdamConfig(0.01, 10, epsilon=1e-6)
 
-    @pytest.mark.parametrize("field", ["max_steps", "log_every"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
-    def test_non_integer_counts_rejected(self, field, value):
+    def test_non_integer_counts_rejected(self, value):
         """max_steps=2.5 once passed and made `run` raise a bare TypeError,
-        which lost the trace; log_every=2.5 logged every fifth step; True
-        passed as 1."""
+        which lost the trace; True passed as 1."""
         with pytest.raises(ValueError, match="integer"):
-            AdamConfig(0.1, **{"max_steps": 10, field: value})
+            AdamConfig(0.1, value)
 
 
 class TestAdamRun:
@@ -147,7 +139,7 @@ class TestAdamRun:
         trace = run(
             Objective(Exact(), model, data),
             VariationalState.prior_state(Family.FFG, 20),
-            AdamConfig(0.01, 200, log_every=50),
+            AdamConfig(0.01, 200),
             np.random.default_rng(0),
         )
         assert [record.step for record in trace.records] == [1, 50, 100, 150, 200]
@@ -165,32 +157,32 @@ class TestAdamRun:
             run(
                 ExplodingObjective(),
                 VariationalState.prior_state(Family.FFG, 20),
-                AdamConfig(0.01, 10, log_every=1),
+                AdamConfig(0.01, 10),
                 np.random.default_rng(0),
             )
         assert err.value.trace is not None
         assert err.value.trace.steps_run == 2
 
     def test_package_error_mid_run_keeps_trace(self):
-        class DegenerateAtStepThree:
+        class DegenerateAfterSecondRecord:
             def value_and_grad(self, state, rng, step):
                 from fvi_bench.variational import ObjectiveEval
 
-                if step >= 3:
+                if step > LOG_EVERY + 1:
                     raise DegenerateMarginalError("all measurement rows dependent")
                 return ObjectiveEval(1.0, 1.0, 0.0, np.ones(40))
 
         initial = VariationalState.prior_state(Family.FFG, 20)
         with pytest.raises(DegenerateMarginalError) as err:
             run(
-                DegenerateAtStepThree(),
+                DegenerateAfterSecondRecord(),
                 initial,
-                AdamConfig(0.01, 10, log_every=1),
+                AdamConfig(0.01, 4 * LOG_EVERY),
                 np.random.default_rng(0),
             )
         trace = err.value.trace
-        assert trace.steps_run == 2
-        assert [record.step for record in trace.records] == [1, 2]
+        assert trace.steps_run == LOG_EVERY + 1
+        assert [record.step for record in trace.records] == [1, LOG_EVERY]
         assert trace.final_state is not None
         assert not np.array_equal(trace.final_state.params(), initial.params())
 
@@ -228,7 +220,7 @@ class TestAdamRun:
         trace = run(
             Objective(FixedA(repeated), model, data),
             VariationalState.prior_state(Family.FULL, 20),
-            AdamConfig(0.01, 20, log_every=10),
+            AdamConfig(0.01, 100),
             np.random.default_rng(0),
         )
         assert [record.rows_dropped for record in trace.records] == [1, 1, 1]
@@ -292,7 +284,7 @@ class TestConvergenceOracles:
         trace = run(
             Objective(Exact(), model, data),
             VariationalState.prior_state(Family.FULL, 20),
-            AdamConfig(0.01, 5000, log_every=10),
+            AdamConfig(0.01, 5000),
             np.random.default_rng(0),
         )
         elbos = np.array([r.elbo_estimate for r in trace.records if r.step >= 100])

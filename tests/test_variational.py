@@ -25,7 +25,7 @@ from conftest import (
     svd_form,
     workload_shaped_sets,
 )
-from fvi_bench import features, gaussian, variational
+from fvi_bench import blr, features, gaussian, variational
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import (
     DegenerateMarginalError,
@@ -294,6 +294,20 @@ class TestExpectedLogLikelihood:
             grads.append(grad)
         assert np.mean(values) == pytest.approx(full_value, rel=1e-10)
         np.testing.assert_allclose(np.mean(grads, axis=0), full_grad, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "minibatch",
+        [[True, False, True, False, False, False], [0.9, 2.7], [0.0, 2.0]],
+        ids=["boolean_mask", "fractional", "float"],
+    )
+    def test_non_integer_minibatch_rejected(self, minibatch):
+        """Cast to int, the mask once selected rows [1, 0, 1, 0, 0, 0] and
+        [0.9, 2.7] rows [0, 2], each without a word."""
+        rng = np.random.default_rng(9)
+        model, data = random_problem(rng, k=3, n=6)
+        state = random_state(rng, Family.FFG, 3)
+        with pytest.raises(ValueError, match="integer row indices"):
+            expected_log_likelihood(state, model, data, minibatch=np.array(minibatch))
 
 
 class TestExactKl:
@@ -872,11 +886,13 @@ EVERY_KIND = [
 
 
 class TestSharedStatistics:
-    """Full-batch objectives on one (model, data) pair share one set of
-    likelihood statistics."""
+    """Full-batch objectives and the closed forms on one (model, data) pair
+    share one set of likelihood statistics."""
 
     def test_one_feature_evaluation_of_the_data_per_pair(self):
-        model, data = random_problem(np.random.default_rng(41), k=5, n=57)
+        rng = np.random.default_rng(41)
+        model, data = random_problem(rng, k=5, n=57)
+        state = random_state(rng, Family.FULL, 5)
         rows_evaluated = []
 
         def counted(feature_map, inputs):
@@ -886,8 +902,17 @@ class TestSharedStatistics:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(features, "evaluate", counted)
             objectives = [Objective(kind, model, data) for kind in EVERY_KIND * 2]
-        # The data once; FixedA's own measurement set once for both of its objectives.
-        assert rows_evaluated == [57, 3]
+            minibatch_objectives = [Objective(kind, model, data, 10) for kind in EVERY_KIND]
+            # The data once; FixedA's own measurement set once for its three objectives.
+            assert rows_evaluated == [57, 3]
+            exact_posterior(model, data)
+            log_marginal_likelihood(model, data)
+            expected_log_likelihood(state, model, data)
+            expected_log_likelihood(state, model, data, minibatch=np.arange(10))
+            fixed_a_optimal_mean(model, data, EVERY_KIND[1].measurement_set)
+        # The closed forms evaluate only the measurement set of fixed_a_optimal_mean.
+        assert rows_evaluated == [57, 3, 3]
+        assert all(o._phi is minibatch_objectives[0]._phi for o in minibatch_objectives)
         assert all(objective._stats is objectives[0]._stats for objective in objectives)
         fixed = [o._fixed_marginal for o in objectives if isinstance(o.kind, FixedA)]
         assert len(fixed) == 2 and fixed[0] is fixed[1] is not None
@@ -916,7 +941,7 @@ class TestSharedStatistics:
         model, data = random_problem(np.random.default_rng(44), k=5, n=57)
         objective = Objective(Exact(), model, data)
         model_ref, stats_ref = weakref.ref(model), weakref.ref(objective._stats)
-        assert model in variational._PAIR_CACHE
+        assert model in blr._PAIR_CACHE
         del model, objective
         gc.collect()
         assert model_ref() is None and stats_ref() is None
