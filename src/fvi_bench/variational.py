@@ -292,7 +292,7 @@ def expected_log_likelihood(
         stats, scale_factor = _per_pair(_full_batch_stats, model, data), 1.0
     else:
         minibatch = np.asarray(minibatch)
-        if minibatch.dtype.kind not in "iu":  # a boolean mask or floats would cast silently
+        if minibatch.size and minibatch.dtype.kind not in "iu":  # a mask or floats cast silently
             raise ValueError(f"minibatch must hold integer row indices, got {minibatch.dtype}")
         if minibatch.size == 0 or minibatch.min() < 0 or minibatch.max() >= data.size:
             raise DimensionMismatchError("minibatch indices out of range")

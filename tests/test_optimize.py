@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import max_gradient_error
-from fvi_bench import gaussian
+from fvi_bench import gaussian, optimize
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import DegenerateMarginalError, NonFiniteGradientError, NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap
@@ -275,11 +275,13 @@ class TestConvergenceOracles:
         )
         assert float(np.abs(trace.final_state.mean - target).max()) < 1e-4
 
-    def test_elbo_mostly_nondecreasing_after_warmup(self):
+    def test_elbo_mostly_nondecreasing_after_warmup(self, monkeypatch):
         # Adam need not raise the ELBO at every step, but after warm-up it
         # never falls far below its running maximum (at most 0.023 on toy
         # seeds 0-7, against a starting gap of thousands), and the run ends
-        # at the log evidence (within 2e-12 on those seeds).
+        # at the log evidence (within 2e-12 on those seeds). Every 10th step
+        # is recorded, so the check sees about 490 of them.
+        monkeypatch.setattr(optimize, "LOG_EVERY", 10)
         model, data, _ = toy_problem(5)
         trace = run(
             Objective(Exact(), model, data),

@@ -309,6 +309,16 @@ class TestExpectedLogLikelihood:
         with pytest.raises(ValueError, match="integer row indices"):
             expected_log_likelihood(state, model, data, minibatch=np.array(minibatch))
 
+    @pytest.mark.parametrize("minibatch", [[], np.array([], dtype=int)], ids=["list", "int_array"])
+    def test_empty_minibatch_rejected_as_out_of_range(self, minibatch):
+        """An empty list is a float64 array; it is an empty batch, not a
+        batch of non-integer indices."""
+        rng = np.random.default_rng(9)
+        model, data = random_problem(rng, k=3, n=6)
+        state = random_state(rng, Family.FFG, 3)
+        with pytest.raises(DimensionMismatchError, match="out of range"):
+            expected_log_likelihood(state, model, data, minibatch=minibatch)
+
 
 class TestExactKl:
     def test_prior_state_is_zero(self):
