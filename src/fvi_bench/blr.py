@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import DimensionMismatchError, NonFiniteValueError, require_count
+from .features import _as_rows
 from .gaussian import GaussianDist, cholesky_psd, standard_gaussian
 
 # A feature map is anything callable on an (n, d) array returning (n, k).
@@ -40,9 +41,7 @@ class Dataset:
     targets: np.ndarray  # (n,)
 
     def __post_init__(self):
-        inputs = np.array(self.inputs, dtype=float)
-        if inputs.ndim == 1:
-            inputs = inputs.reshape(-1, 1)
+        inputs = _as_rows(np.array(self.inputs, dtype=float))
         targets = np.array(self.targets, dtype=float).reshape(-1)
         if inputs.shape[0] != targets.shape[0]:
             raise DimensionMismatchError(
@@ -171,6 +170,8 @@ class _LikelihoodStats:
 def _likelihood_stats(
     phi: np.ndarray, targets: np.ndarray, anchor: np.ndarray, gram: np.ndarray | None = None
 ) -> _LikelihoodStats:
+    if anchor.shape[0] != phi.shape[1]:  # a minibatch anchors at the state's mean
+        raise DimensionMismatchError(f"state has {len(anchor)} weights, model has {phi.shape[1]}")
     residual = targets - phi @ anchor
     return _LikelihoodStats(
         phi.T @ phi if gram is None else gram,

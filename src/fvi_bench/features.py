@@ -3,10 +3,10 @@
 `RbfFeatureMap` computes radial basis function features (unnormalized
 Gaussians, one per center, with a shared per-dimension lengthscale);
 `evaluate` returns them as an (n, k) array.  The module also has a
-k-means + median-heuristic featurizer for tabular data and
-`independent_rows`, the numerical rank of a feature matrix: when it keeps k
-of the candidate inputs' feature rows, those k inputs witness that distinct
-weights give distinct functions.
+k-means + median-heuristic featurizer for tabular data, whose median forms
+no pair differences, and `independent_rows`, the numerical rank of a
+feature matrix: when it keeps k of the candidate inputs' feature rows,
+those k inputs witness that distinct weights give distinct functions.
 
 The featurizer's k-means gives scipy's `kmeans2(minit="++")` centers bit for
 bit, at less cost.  Its k-means++ seeding draws scipy's random numbers in
@@ -31,12 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr as _scipy_qr
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError, NonFiniteValueError, require_count
 
 RANK_RTOL = 1e-8  # singular values below RANK_RTOL * sigma_max count as zero
 LENGTHSCALE_MAX_POINTS = 1000  # median heuristic subsample size
+_BRACKET_SAMPLE = 100  # about this many sorted values bracket the median gap
+_BRACKET_MARGIN = 0.02  # the bracket spans the sample's gap quantiles 0.5 -/+ this
 LLOYD_ITERATIONS = 10  # k-means refinement passes, scipy's `kmeans2` default
 _LLOYD_BLOCK_ROWS = 256  # rows per distance block: (256, k) stays in cache
 
@@ -81,6 +83,8 @@ class RbfFeatureMap:
 def _as_rows(inputs: np.ndarray) -> np.ndarray:
     """Inputs as an (n, d) float array; 1-D inputs are one column."""
     inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim > 2:
+        raise DimensionMismatchError(f"inputs must be (n, d) rows, got shape {inputs.shape}")
     return inputs.reshape(-1, 1) if inputs.ndim < 2 else inputs
 
 
@@ -132,8 +136,8 @@ def median_heuristic_lengthscales(
     """Per-dimension median absolute pairwise difference; 1.0 for constant dims.
 
     Above ``LENGTHSCALE_MAX_POINTS`` rows, the pairs of a random subsample.
-    The median is `np.median`'s, from one partition of each dimension's pair
-    differences, all written into one buffer: a fit allocates it once.
+    The median is `np.median`'s of the differences, bit for bit, selected
+    from each sorted column by `_median_pair_gap`.
     """
     inputs = _as_rows(inputs)
     if not np.all(np.isfinite(inputs)):
@@ -142,25 +146,47 @@ def median_heuristic_lengthscales(
     if n > LENGTHSCALE_MAX_POINTS:
         rng = rng or np.random.default_rng(0)
         inputs = inputs[rng.choice(n, size=LENGTHSCALE_MAX_POINTS, replace=False)]
-    scales, pairs = np.ones(inputs.shape[1]), np.empty(len(inputs) * (len(inputs) - 1) // 2)
-    for dim in range(inputs.shape[1]):
-        diffs = pdist(inputs[:, dim : dim + 1], "cityblock", out=pairs)
-        if diffs.size == 0:
+    medians = np.array([_median_pair_gap(col) if col.size > 1 else 0.0 for col in inputs.T])
+    return np.where(medians > 0.0, medians, 1.0)
+
+
+def _median_pair_gap(column: np.ndarray) -> float:
+    """`np.median` of |x_a - x_b|, a < b, over two or more finite values.
+
+    The sorted column's gaps x_j - x_i, j > i, are |x_a - x_b| bit for bit
+    (``+ 0.0`` maps -0.0 to 0.0) and do not decrease in j.  A strided
+    sample's gaps bracket the median; `searchsorted` of x + lo and x + hi
+    cuts out a band of each row, and only the band is formed.  The keys
+    round, so its middle gaps count only if no gap left of the band is
+    larger and none right of it smaller; else the band is the whole triangle.
+    """
+    x = np.sort(column) + 0.0
+    count = x.size * (x.size - 1) // 2
+    ranks = np.array([(count - 1) // 2, count // 2])  # np.median's middle one or two
+    sample = x[:: -(-x.size // _BRACKET_SAMPLE)]
+    sample_gaps = np.sort((sample - sample[:, None])[np.triu_indices(sample.size, 1)])
+    mid, margin = sample_gaps.size // 2, int(_BRACKET_MARGIN * sample_gaps.size) + 1
+    bracket = sample_gaps[[max(mid - margin, 0), min(mid + margin, sample_gaps.size - 1)]]
+    rows, padded = np.arange(x.size), np.append(x, np.inf)
+    for lo, hi in (bracket, (-np.inf, np.inf)):
+        start = np.maximum(np.searchsorted(x, x + lo, "left"), rows + 1)
+        stop = np.maximum(np.searchsorted(x, x + hi, "right"), start)
+        counts = stop - start
+        within = ranks - int(np.sum(start - rows - 1))  # ranks inside the band
+        if within[0] < 0 or within[1] >= counts.sum():
             continue
-        median = _median_in_place(diffs)
-        if median > 0.0:
-            scales[dim] = median
-    return scales
-
-
-def _median_in_place(values: np.ndarray) -> float:
-    """`np.median` of a non-empty 1-D array from one partition, which
-    reorders the array."""
-    half = values.size // 2
-    values.partition(half)
-    if values.size % 2:
-        return float(values[half])
-    return float((values[:half].max() + values[half]) / 2)
+        first_gaps = (padded[start] - x)[counts > 0]
+        if first_gaps.min() == (x[stop - 1] - x)[counts > 0].max():
+            low = high = first_gaps[0]  # the band holds one value, often a tie
+        else:
+            offsets = np.repeat(start - (np.cumsum(counts) - counts), counts)
+            offsets += np.arange(offsets.size)  # the band's j, row by row
+            band = x[offsets] - np.repeat(x, counts)
+            band.partition(within[1])  # numpy's partition at two ranks is 4x slower
+            low, high = band[: within[0] + 1].max(), band[within[1]]
+        if (x[start - 1] - x).max() <= low and high <= (padded[stop] - x).min():
+            return float(low) if count % 2 else float((low + high) / 2)
+    raise AssertionError("the whole triangle always holds the median")
 
 
 def _kmeans_pp_seeds(
@@ -235,6 +261,8 @@ def fit_rbf_featurizer(
     """RBF featurizer for tabular data: k-means centers on the inputs plus
     per-dimension median-heuristic lengthscales.  1-D inputs are one column."""
     inputs = _as_rows(inputs)
+    if inputs.shape[0] < 1:
+        raise ValueError("featurizer inputs are empty: need at least one row")
     if not np.all(np.isfinite(inputs)):
         raise NonFiniteValueError("featurizer inputs contain NaN or Inf")
     require_count("num_centers", num_centers, 1)

@@ -193,6 +193,8 @@ class MeasurementSet:
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if points.ndim > 2:
+            raise DimensionMismatchError(f"points must be (m, d) rows, got shape {points.shape}")
         if points.shape[0] < 1:
             raise ValueError("a measurement set needs at least one point")
         if not np.all(np.isfinite(points)):
@@ -258,6 +260,8 @@ def _ell_terms(
     scale_factor: float,
 ) -> tuple[float, np.ndarray]:
     gram = stats.gram
+    if state.dim != gram.shape[0]:
+        raise DimensionMismatchError(f"state has {state.dim} weights, model has {gram.shape[0]}")
     offset = state.mean - stats.anchor
     gram_offset = gram @ offset
     residual_sq = (

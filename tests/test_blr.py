@@ -22,7 +22,7 @@ from fvi_bench.blr import (
     predictive_marginals,
     whiten,
 )
-from fvi_bench.errors import NonFiniteValueError, SingularReferenceError
+from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError, SingularReferenceError
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.gaussian import GaussianDist, standard_gaussian
 
@@ -356,6 +356,10 @@ class TestDatasetIo:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteValueError):
             Dataset([[1.0]], [float("inf")])
+
+    def test_three_dimensional_inputs_rejected(self):
+        with pytest.raises(DimensionMismatchError, match=r"\(3, 1, 1\)"):
+            Dataset(np.zeros((3, 1, 1)), np.zeros(3))
 
     @pytest.mark.parametrize("inputs", [np.arange(6.0), np.arange(6.0).reshape(3, 2)])
     def test_owns_read_only_copies(self, inputs):

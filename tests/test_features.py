@@ -1,12 +1,15 @@
 """Tests for RBF feature maps, the featurizer and the rank of feature rows."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.cluster.vq import kmeans2
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from fvi_bench import features
 from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError
@@ -253,6 +256,15 @@ class TestFeaturizer:
             fit_rbf_featurizer(inputs, num_centers=4, rng=rng)
         assert rng.bit_generator.state == state
 
+    def test_empty_inputs_rejected_before_seeding(self):
+        """Zero rows once reached the seeding's rng.integers(0) and failed
+        there with numpy's bare "high <= 0"."""
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="empty"):
+            fit_rbf_featurizer(np.zeros((0, 2)), 3, rng=rng)
+        assert rng.bit_generator.state == before
+
     def test_no_centers_rejected(self):
         with pytest.raises(ValueError):
             fit_rbf_featurizer(np.zeros((3, 1)), num_centers=0)
@@ -361,3 +373,85 @@ class TestMedianHeuristic:
         inputs[11, 0] = bad
         with pytest.raises(NonFiniteValueError):
             features.median_heuristic_lengthscales(inputs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inputs: evaluate(toy_feature_map(), inputs),
+        lambda inputs: fit_rbf_featurizer(inputs, 2),
+        features.median_heuristic_lengthscales,
+    ],
+    ids=["evaluate", "fit_rbf_featurizer", "median_heuristic"],
+)
+def test_three_dimensional_inputs_rejected(call):
+    """`evaluate` once returned a (3, 1, 20) array for (3, 1, 1) inputs."""
+    with pytest.raises(DimensionMismatchError, match=r"\(3, 1, 1\)"):
+        call(np.zeros((3, 1, 1)))
+
+
+def column_of(kind: str, m: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng([seed, m])
+    return {
+        "normal": lambda: rng.standard_normal(m),
+        "rounded": lambda: np.round(rng.uniform(0.0, 3.0, m)),  # four values, tied gaps
+        "tenths": lambda: np.round(rng.standard_normal(m), 1),  # many tied gaps
+        "constant": lambda: np.full(m, -2.5),
+        "cauchy": lambda: rng.standard_cauchy(m),
+        "offset": lambda: 1e6 + 1e-9 * rng.standard_normal(m),  # a few ulps of 1e6
+    }[kind]()
+
+
+class TestMedianPairGap:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["normal", "rounded", "tenths", "constant", "cauchy", "offset"]),
+        m=st.integers(2, 1200),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind="normal", m=2, seed=0)  # one pair
+    @example(kind="normal", m=4, seed=0)  # six pairs: the mean of two middle gaps
+    @example(kind="cauchy", m=1200, seed=1)
+    @example(kind="offset", m=1000, seed=2)
+    @example(kind="constant", m=1000, seed=0)
+    def test_bit_identical_to_median_of_pdist(self, kind, m, seed):
+        column = column_of(kind, m, seed)
+        got = features._median_pair_gap(column)
+        expected = np.median(pdist(column[:, None], "cityblock"))
+        assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    def test_bracket_miss_widens_to_the_whole_triangle(self):
+        """Clusters of 13, 85 and 3 points.  The strided sample takes every
+        second value, and fewer than 48% of its gaps are at most the
+        column's median gap, so that median lies below the first bracket."""
+        column = np.concatenate(
+            [np.linspace(0.0, 0.5, 13), 50.0 + np.linspace(0.0, 2.0, 85), [60.0, 60.05, 60.1]]
+        )
+        median = np.median(pdist(column[:, None], "cityblock"))
+        sample = column[:: -(-column.size // features._BRACKET_SAMPLE)]
+        share = np.mean(pdist(sample[:, None], "cityblock") <= median)
+        assert share < 0.5 - features._BRACKET_MARGIN
+        assert features._median_pair_gap(column) == median
+
+    def test_band_cut_by_rounded_keys_is_rejected(self):
+        """The bracket is [2.7, 5.3999999999999995].  The key 1.2 + 2.7
+        rounds up to 3.9000000000000004, so the gap 3.9 - 1.2 = 2.7 falls
+        left of the band while 6.6 - 3.9 = 2.6999999999999997 falls inside.
+        The band's lower middle gap is then below a gap left of it: the
+        check rejects it, and the median averages 2.7, not the smaller gap,
+        with 3.6."""
+        column = np.array([0.3, 1.2, 3.9, 6.6])
+        assert features._median_pair_gap(column) == 3.1500000000000004
+
+    def test_heuristic_forms_no_pair_buffer(self):
+        """The 2000 x 4 heuristic of the tabular-minibatch set-up peaked at
+        4.0 MB with its 499 500-pair buffer; the band selection at 0.77 MB."""
+        inputs = np.random.default_rng(3).uniform(size=(2000, 4))
+        features.median_heuristic_lengthscales(inputs)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            features.median_heuristic_lengthscales(inputs, rng=np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6

@@ -25,7 +25,7 @@ from conftest import (
     svd_form,
     workload_shaped_sets,
 )
-from fvi_bench import blr, features, gaussian, variational
+from fvi_bench import blr, features, gaussian, optimize, variational
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import (
     DegenerateMarginalError,
@@ -495,6 +495,10 @@ class TestMarginalKl:
 
 
 class TestMeasurementSampling:
+    def test_three_dimensional_points_rejected(self):
+        with pytest.raises(DimensionMismatchError, match=r"\(3, 1, 1\)"):
+            MeasurementSet(np.zeros((3, 1, 1)))
+
     def test_half_data_half_box(self):
         rng = np.random.default_rng(23)
         model, data = random_problem(rng, n=10)
@@ -581,6 +585,24 @@ class TestMeasurementSampling:
 
 
 class TestObjectives:
+    @pytest.mark.parametrize("minibatch_size", [None, 2], ids=["full_batch", "minibatch"])
+    def test_state_of_another_dimension_rejected(self, minibatch_size):
+        """Each call once failed with numpy's broadcast ValueError; `exact_kl`
+        already raised the typed error for the same mistake."""
+        rng = np.random.default_rng(12)
+        model, data = random_problem(rng, k=3, n=6)
+        state = random_state(rng, Family.FFG, 4)
+        objective = Objective(Exact(), model, data, minibatch_size)
+        batch = None if minibatch_size is None else np.arange(minibatch_size)
+        calls = [
+            lambda: expected_log_likelihood(state, model, data, batch),
+            lambda: objective.value_and_grad(state, rng, step=1),
+            lambda: optimize.run(objective, state, optimize.AdamConfig(0.01, 3), rng),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError, match="state has 4 weights, model has 3"):
+                call()
+
     def test_exact_at_posterior_equals_log_evidence(self):
         rng = np.random.default_rng(27)
         for _ in range(10):
