@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import DimensionMismatchError, NonFiniteValueError, require_count
-from .features import _as_rows
+from .features import _as_rows, _owned_rows
 from .gaussian import GaussianDist, cholesky_psd, standard_gaussian
 
 # A feature map is anything callable on an (n, d) array returning (n, k).
@@ -35,23 +35,22 @@ FeatureMapLike = Callable[[np.ndarray], np.ndarray]
 @dataclass(frozen=True)
 class Dataset:
     """Training or test rows.  The dataset owns read-only copies of the
-    arrays it is given, so statistics computed from it stay valid."""
+    arrays it is given, so statistics computed from it stay valid; 1-D
+    inputs are one column."""
 
     inputs: np.ndarray  # (n, d)
     targets: np.ndarray  # (n,)
 
     def __post_init__(self):
-        inputs = _as_rows(np.array(self.inputs, dtype=float))
+        inputs = _owned_rows(self.inputs, "dataset inputs")
         targets = np.array(self.targets, dtype=float).reshape(-1)
         if inputs.shape[0] != targets.shape[0]:
             raise DimensionMismatchError(
                 f"{inputs.shape[0]} input rows for {targets.shape[0]} targets"
             )
-        if inputs.shape[0] < 1:
-            raise ValueError("a dataset needs at least one row")
-        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
-            raise NonFiniteValueError("dataset contains non-finite values")
-        inputs.flags.writeable = targets.flags.writeable = False
+        if not np.all(np.isfinite(targets)):
+            raise NonFiniteValueError("dataset targets contain NaN or Inf")
+        targets.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 
@@ -98,9 +97,7 @@ class BlrModel:
         object.__setattr__(self, "_standard_prior", standard)
 
     def features(self, inputs: np.ndarray) -> np.ndarray:
-        phi = np.asarray(self.feature_map(inputs), dtype=float)
-        if phi.ndim == 1:
-            phi = phi.reshape(-1, 1)
+        phi = _as_rows(self.feature_map(inputs))
         if phi.shape[1] != self.num_features:
             raise DimensionMismatchError(
                 f"feature map produced {phi.shape[1]} columns, expected {self.num_features}"
@@ -243,7 +240,7 @@ def predictive_marginals(
     model: BlrModel, weights_dist: GaussianDist, inputs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point predictive means and noiseless variances, O(n k^2)."""
-    phi = model.features(np.asarray(inputs, dtype=float))
+    phi = model.features(_as_rows(inputs))
     means = phi @ weights_dist.mean
     variances = np.einsum("ij,jk,ik->i", phi, weights_dist.cov, phi)
     return means, np.maximum(variances, 0.0)

@@ -8,6 +8,10 @@ no pair differences, and `independent_rows`, the numerical rank of a
 feature matrix: when it keeps k of the candidate inputs' feature rows,
 those k inputs witness that distinct weights give distinct functions.
 
+`_as_rows` is the package's one reading of outside rows (1-D is one column);
+`RbfFeatureMap`, `blr.Dataset` and `variational.MeasurementSet` keep
+`_owned_rows`, a read-only copy, so caches keyed on them stay valid.
+
 The featurizer's k-means gives scipy's `kmeans2(minit="++")` centers bit for
 bit, at less cost.  Its k-means++ seeding draws scipy's random numbers in
 O(n k d) instead of O(n k^2 d), and stops once every input row is a seed.
@@ -52,19 +56,17 @@ class RbfFeatureMap:
 
     def __post_init__(self):
         # Own read-only copies: models and cached statistics assume a fixed map.
-        centers = np.atleast_2d(np.array(self.centers, dtype=float))
+        centers = _owned_rows(self.centers, "centers")
         lengthscales = np.array(self.lengthscales, dtype=float).reshape(-1)
-        if centers.shape[0] < 1 or centers.shape[1] < 1:
-            raise ValueError("need at least one center and one input dimension")
         if lengthscales.shape[0] != centers.shape[1]:
             raise DimensionMismatchError(
                 f"lengthscales must have length {centers.shape[1]}, got {lengthscales.shape[0]}"
             )
-        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(lengthscales))):
-            raise NonFiniteValueError("centers and lengthscales must be finite")
+        if not np.all(np.isfinite(lengthscales)):
+            raise NonFiniteValueError("lengthscales must be finite")
         if np.any(lengthscales <= 0.0):
             raise ValueError("lengthscales must be strictly positive")
-        centers.flags.writeable = lengthscales.flags.writeable = False
+        lengthscales.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "lengthscales", lengthscales)
 
@@ -80,12 +82,25 @@ class RbfFeatureMap:
         return evaluate(self, inputs)
 
 
-def _as_rows(inputs: np.ndarray) -> np.ndarray:
-    """Inputs as an (n, d) float array; 1-D inputs are one column."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim > 2:
-        raise DimensionMismatchError(f"inputs must be (n, d) rows, got shape {inputs.shape}")
-    return inputs.reshape(-1, 1) if inputs.ndim < 2 else inputs
+def _as_rows(array: np.ndarray) -> np.ndarray:
+    """An outside array as (n, d) float rows; 1-D is one column.  The package
+    reads every row array it is given through this function."""
+    array = np.asarray(array, dtype=float)
+    if array.ndim > 2:
+        raise DimensionMismatchError(f"expected (n, d) rows, got shape {array.shape}")
+    return array.reshape(-1, 1) if array.ndim < 2 else array
+
+
+def _owned_rows(array: np.ndarray, what: str) -> np.ndarray:
+    """A read-only copy of `_as_rows(array)` with at least one row and one
+    column, all finite: the rows a value keeps, which no caller can change."""
+    rows = _as_rows(np.array(array, dtype=float))
+    if rows.shape[0] < 1 or rows.shape[1] < 1:
+        raise ValueError(f"{what} are empty: need at least one row and one column")
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteValueError(f"{what} contain NaN or Inf")
+    rows.flags.writeable = False
+    return rows
 
 
 def evaluate(feature_map: RbfFeatureMap, inputs: np.ndarray) -> np.ndarray:
@@ -139,9 +154,7 @@ def median_heuristic_lengthscales(
     The median is `np.median`'s of the differences, bit for bit, selected
     from each sorted column by `_median_pair_gap`.
     """
-    inputs = _as_rows(inputs)
-    if not np.all(np.isfinite(inputs)):
-        raise NonFiniteValueError("median heuristic inputs contain NaN or Inf")
+    inputs = _owned_rows(inputs, "median heuristic inputs")
     n = inputs.shape[0]
     if n > LENGTHSCALE_MAX_POINTS:
         rng = rng or np.random.default_rng(0)
@@ -150,6 +163,7 @@ def median_heuristic_lengthscales(
     return np.where(medians > 0.0, medians, 1.0)
 
 
+@np.errstate(over="ignore")
 def _median_pair_gap(column: np.ndarray) -> float:
     """`np.median` of |x_a - x_b|, a < b, over two or more finite values.
 
@@ -159,6 +173,7 @@ def _median_pair_gap(column: np.ndarray) -> float:
     cuts out a band of each row, and only the band is formed.  The keys
     round, so its middle gaps count only if no gap left of the band is
     larger and none right of it smaller; else the band is the whole triangle.
+    A gap that overflows is +inf, as in `pdist`, and so is the median then.
     """
     x = np.sort(column) + 0.0
     count = x.size * (x.size - 1) // 2
@@ -189,6 +204,7 @@ def _median_pair_gap(column: np.ndarray) -> float:
     raise AssertionError("the whole triangle always holds the median")
 
 
+@np.errstate(over="ignore")
 def _kmeans_pp_seeds(
     inputs: np.ndarray, num_centers: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -197,7 +213,8 @@ def _kmeans_pp_seeds(
     Draws as scipy's `kmeans2(minit="++")` does: `integers(n)`, then one
     `uniform()` per seed against the normalized cumsum of each row's squared
     distance to its nearest seed, kept here as a running minimum.  Stops when
-    those distances are all zero: one seed per distinct row.
+    those distances are all zero: one seed per distinct row.  Raises
+    `NonFiniteValueError` when their sum overflows.
     """
     seeds = [inputs[rng.integers(inputs.shape[0])]]
     nearest = cdist(seeds[0][None, :], inputs, "sqeuclidean")[0]
@@ -205,6 +222,8 @@ def _kmeans_pp_seeds(
         total = nearest.sum()
         if total == 0.0:
             break
+        if not np.isfinite(total):
+            raise NonFiniteValueError("featurizer inputs are too far apart: distances overflow")
         cumulative = (nearest / total).cumsum()
         seeds.append(inputs[int(np.searchsorted(cumulative, rng.uniform()))])
         np.minimum(nearest, cdist(seeds[-1][None, :], inputs, "sqeuclidean")[0], out=nearest)
@@ -260,11 +279,7 @@ def fit_rbf_featurizer(
 ) -> RbfFeatureMap:
     """RBF featurizer for tabular data: k-means centers on the inputs plus
     per-dimension median-heuristic lengthscales.  1-D inputs are one column."""
-    inputs = _as_rows(inputs)
-    if inputs.shape[0] < 1:
-        raise ValueError("featurizer inputs are empty: need at least one row")
-    if not np.all(np.isfinite(inputs)):
-        raise NonFiniteValueError("featurizer inputs contain NaN or Inf")
+    inputs = _owned_rows(inputs, "featurizer inputs")
     require_count("num_centers", num_centers, 1)
     rng = rng or np.random.default_rng(0)
     seeds = _kmeans_pp_seeds(inputs, min(num_centers, inputs.shape[0]), rng)

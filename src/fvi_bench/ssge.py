@@ -27,7 +27,7 @@ from .errors import (
     NonFiniteValueError,
     require_count,
 )
-from .features import squared_distances
+from .features import _as_rows, squared_distances
 # Unused here; kept because perfbench/tracing.py wraps these two names on this module.
 from .features import independent_rows  # noqa: F401
 from .gaussian import cholesky_psd  # noqa: F401
@@ -73,7 +73,7 @@ class ScoreEstimate:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Estimated score at each point, shape (N, m)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _as_rows(points)
         if points.shape[1] != self.basis_samples.shape[1]:
             raise DimensionMismatchError(
                 f"points have dimension {points.shape[1]}, "
@@ -97,7 +97,7 @@ def _expansion(
 
 def fit_score(samples: np.ndarray) -> ScoreEstimate:
     """Fit the spectral score expansion to the given (M, m) samples."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = _as_rows(samples)
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 samples to fit a score estimate")
     if not np.all(np.isfinite(samples)):

@@ -59,7 +59,7 @@ from .errors import (
     NonStandardPriorError,
     require_count,
 )
-from .features import RANK_RTOL, independent_rows
+from .features import RANK_RTOL, _owned_rows, independent_rows
 from .gaussian import GaussianDist
 from .gaussian import cholesky_psd  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 from .ssge import SsgeConfig, kl_gradient_estimate
@@ -187,19 +187,14 @@ class VariationalState:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Finite index set at which marginals are compared."""
+    """Finite index set at which marginals are compared.  It owns a
+    read-only copy of its points, so a marginal prepared at the set stays
+    valid; 1-D points are one column."""
 
     points: np.ndarray  # (m, d)
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if points.ndim > 2:
-            raise DimensionMismatchError(f"points must be (m, d) rows, got shape {points.shape}")
-        if points.shape[0] < 1:
-            raise ValueError("a measurement set needs at least one point")
-        if not np.all(np.isfinite(points)):
-            raise NonFiniteValueError("measurement points must be finite")
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", _owned_rows(self.points, "measurement points"))
 
     @property
     def size(self) -> int:
@@ -223,13 +218,14 @@ class MeasurementPolicy:
         require_count("total_size", self.total_size, 1)
         if not 0.0 <= self.data_fraction <= 1.0:
             raise ValueError("data_fraction must be in [0, 1]")
-        box = np.atleast_2d(np.asarray(self.box, dtype=float))
-        if box.shape[1] != 2:
+        box = np.atleast_2d(np.array(self.box, dtype=float))
+        if box.ndim != 2 or box.shape[1] != 2:
             raise InvalidBoxError(f"box must be (d, 2), got {box.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
             width = box[:, 1] - box[:, 0]
         if not np.all(np.isfinite(width) & (width > 0.0)):  # NaN fails too
             raise InvalidBoxError("box width hi - lo must be finite and positive in each dimension")
+        box.flags.writeable = False
         object.__setattr__(self, "box", box)
 
 
@@ -320,23 +316,12 @@ def exact_kl(state: VariationalState, model: BlrModel) -> tuple[float, np.ndarra
     if model.num_features != k:
         raise DimensionMismatchError(f"state has {k} weights, model has {model.num_features}")
     _require_standard_prior(model)
-    mean_term = float(state.mean @ state.mean)
-    grad_mean = state.mean.copy()
-    if state.is_full:
-        diag = np.diag(state.scale)
-        value = 0.5 * (
-            mean_term + float(np.sum(state.scale**2)) - k - 2.0 * float(np.sum(np.log(diag)))
-        )
-        grad_scale = state.scale - np.diag(1.0 / diag)
-    else:
-        value = 0.5 * (
-            mean_term
-            + float(np.sum(state.scale**2))
-            - k
-            - 2.0 * float(np.sum(np.log(state.scale)))
-        )
-        grad_scale = state.scale - 1.0 / state.scale
-    return value, state.pack_grad(grad_mean, grad_scale)
+    magnitudes = np.diag(state.scale) if state.is_full else state.scale
+    log_det = 2.0 * float(np.sum(np.log(magnitudes)))
+    value = 0.5 * (float(state.mean @ state.mean) + float(np.sum(state.scale**2)) - k - log_det)
+    inverse = 1.0 / magnitudes
+    grad_scale = state.scale - (np.diag(inverse) if state.is_full else inverse)
+    return value, state.pack_grad(state.mean, grad_scale)
 
 
 def _certified_inverse_r(rows: np.ndarray) -> np.ndarray | None:

@@ -256,6 +256,15 @@ class TestFeaturizer:
             fit_rbf_featurizer(inputs, num_centers=4, rng=rng)
         assert rng.bit_generator.state == state
 
+    def test_overflowing_distances_raise_a_typed_error(self):
+        """The k-means++ seeding once divided by an infinite sum of squared
+        distances and died on numpy's "invalid value" warning."""
+        inputs = np.random.default_rng(0).choice([1.7e308, -1.7e308, 0.0, 5e-324, 1.0, 2.0], 40)
+        with pytest.raises(NonFiniteValueError, match="overflow"):
+            fit_rbf_featurizer(inputs, num_centers=4)
+        with pytest.raises(NonFiniteValueError, match="overflow"):
+            fit_rbf_featurizer(np.array([1e154, -1e154, 0.0, 1.0]), num_centers=3)
+
     def test_empty_inputs_rejected_before_seeding(self):
         """Zero rows once reached the seeding's rng.integers(0) and failed
         there with numpy's bare "high <= 0"."""
@@ -442,6 +451,23 @@ class TestMedianPairGap:
         with 3.6."""
         column = np.array([0.3, 1.2, 3.9, 6.6])
         assert features._median_pair_gap(column) == 3.1500000000000004
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.random.default_rng(0).choice([1.7e308, -1.7e308, 0.0, 5e-324, 1.0, 2.0], 40),
+            np.concatenate([np.arange(30.0), [1.7e308, -1.7e308]]),
+        ],
+        ids=["median_overflows", "tail_overflows"],
+    )
+    def test_overflowing_gaps_are_inf_without_a_warning(self, column):
+        """Gaps of values near +-1.7e308 overflow to +inf, as in `pdist`.
+        They once raised numpy's overflow warning, which this suite turns
+        into an error, where `pdist` is silent."""
+        with np.errstate(over="ignore"):  # np.median's mean of two inf gaps
+            expected = np.median(pdist(column[:, None], "cityblock"))
+        assert features._median_pair_gap(column) == expected
+        np.testing.assert_array_equal(features.median_heuristic_lengthscales(column), [expected])
 
     def test_heuristic_forms_no_pair_buffer(self):
         """The 2000 x 4 heuristic of the tabular-minibatch set-up peaked at

@@ -549,6 +549,11 @@ class TestMeasurementSampling:
         with pytest.raises(InvalidBoxError):
             MeasurementPolicy(4, 0.5, np.array([[1.0, 1.0]]))
 
+    def test_three_dimensional_box_rejected(self):
+        """A (1, 2, 2) box with positive widths was once kept as it was."""
+        with pytest.raises(InvalidBoxError, match=r"\(1, 2, 2\)"):
+            MeasurementPolicy(4, 0.5, np.array([[[0.0, 0.0], [1.0, 1.0]]]))
+
     @pytest.mark.parametrize("total_size", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
     def test_non_integer_total_size_rejected(self, total_size):
         """2.5 once passed and made the first draw raise a bare TypeError;
