@@ -10,9 +10,11 @@ construction.
 
 One place forms a dataset's likelihood statistics, `_full_batch_stats`:
 Phi^T Phi and the residual about the exact N(0, I) posterior mean, from the
-one Phi that `_per_pair` keeps for a (model, dataset) pair while the model
-lives, and shares with the objectives and closed forms on that pair.  From
-them the posterior and the log evidence cost O(k^3) each.
+one Phi that `_per_pair` keeps for a (model, dataset) pair while both live,
+and shares with the objectives and closed forms on that pair.  From them the
+posterior and the log evidence cost O(k^3) each.  A model with another prior
+keeps the statistics of its whitened problem under its own pair, so its
+closed forms too featurize the data once.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from .gaussian import GaussianDist, cholesky_psd, standard_gaussian
 FeatureMapLike = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Training or test rows.  The dataset owns read-only copies of the
     arrays it is given, so statistics computed from it stay valid; 1-D
-    inputs are one column."""
+    inputs are one column.  A dataset compares and hashes by identity."""
 
     inputs: np.ndarray  # (n, d)
     targets: np.ndarray  # (n,)
@@ -109,7 +111,7 @@ class BlrModel:
         return self._standard_prior
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhitenedFeatureMap:
     """x -> phi(x) L, the features of ``original`` in the weights v of
     w = mu + L v, where N(mu, L L^T) is the original prior."""
@@ -145,7 +147,7 @@ def whiten(model: BlrModel, *datasets: Dataset) -> tuple:
     return (whitened, *shifted)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LikelihoodStats:
     """Sufficient statistics of the Gaussian likelihood of rows (Phi, y), taken
     about an anchor mean a.  With r = y - Phi a and d = m - a, any mean m has
@@ -167,8 +169,6 @@ class _LikelihoodStats:
 def _likelihood_stats(
     phi: np.ndarray, targets: np.ndarray, anchor: np.ndarray, gram: np.ndarray | None = None
 ) -> _LikelihoodStats:
-    if anchor.shape[0] != phi.shape[1]:  # a minibatch anchors at the state's mean
-        raise DimensionMismatchError(f"state has {len(anchor)} weights, model has {phi.shape[1]}")
     residual = targets - phi @ anchor
     return _LikelihoodStats(
         phi.T @ phi if gram is None else gram,
@@ -179,19 +179,20 @@ def _likelihood_stats(
     )
 
 
-# Model -> (weak reference to the dataset, {builder: its shared result}).
-# An entry lives as long as its model; it serves only the same dataset object.
+# Model -> dataset -> {builder: its shared result}, both keyed weakly and by
+# identity: an entry lives while its model and its dataset do.  A result that
+# referred to either would keep it alive, so results refer to neither.
 _PAIR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _per_pair(build, model: BlrModel, data: Dataset):
-    """``build(model, data)``, formed once per (model, data) pair and shared."""
-    entry = _PAIR_CACHE.get(model)
-    if entry is None or entry[0]() is not data:
-        entry = _PAIR_CACHE[model] = (weakref.ref(data), {})
-    if build not in entry[1]:
-        entry[1][build] = build(model, data)
-    return entry[1][build]
+    """``build(model, data)``, formed once per (model, data) pair and shared.
+    A hit allocates nothing: ``setdefault`` runs only for a missing or empty entry."""
+    by_data = _PAIR_CACHE.get(model) or _PAIR_CACHE.setdefault(model, weakref.WeakKeyDictionary())
+    results = by_data.get(data) or by_data.setdefault(data, {})
+    if build not in results:
+        results[build] = build(model, data)
+    return results[build]
 
 
 def _full_batch_stats(model: BlrModel, data: Dataset) -> _LikelihoodStats:
@@ -216,6 +217,17 @@ def _feature_matrix(model: BlrModel, data: Dataset) -> np.ndarray:
     return phi
 
 
+def _whitened_stats(model: BlrModel, data: Dataset) -> tuple[_LikelihoodStats, np.ndarray | None]:
+    """The full-batch statistics of the problem that `whiten` makes of the
+    pair, and the factor L of w = mu + L v; for the standard prior, the
+    objectives' own statistics and None.  The whitened model is not kept: it
+    refers back to ``model``."""
+    if model.has_standard_prior():
+        return _per_pair(_full_batch_stats, model, data), None
+    white, white_data = whiten(model, data)
+    return _full_batch_stats(white, white_data), white.feature_map.factor
+
+
 def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:
     """Conjugate posterior over weights.
 
@@ -224,13 +236,11 @@ def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:
     from one Cholesky; a general prior maps back through w = mu + L v, to
     mean mu + L m_v and covariance L Sigma_v L^T, symmetrized explicitly.
     """
-    white, white_data = whiten(model, data)
-    stats = _per_pair(_full_batch_stats, white, white_data)
-    sigma2, eye = model.noise_variance, np.eye(white.num_features)
+    stats, factor = _per_pair(_whitened_stats, model, data)
+    sigma2, eye = model.noise_variance, np.eye(model.num_features)
     inner = cholesky_psd(sigma2 * eye + stats.gram, what="scaled posterior precision").matrix
     mean, cov = stats.anchor, sigma2 * cho_solve((inner, True), eye)
-    if white is not model:
-        factor = white.feature_map.factor
+    if factor is not None:
         mean = model.prior.mean + factor @ mean
         cov = factor @ cov @ factor.T
     return GaussianDist(mean, 0.5 * (cov + cov.T))
@@ -265,9 +275,8 @@ def log_marginal_likelihood(model: BlrModel, data: Dataset) -> float:
         y^T (sigma^2 I + Phi Phi^T)^{-1} y = ||y - Phi m||^2 / sigma^2 + ||m||^2,
         det(sigma^2 I_n + Phi Phi^T) = sigma^(2 (n - k)) det(sigma^2 I_k + Phi^T Phi).
     """
-    white, white_data = whiten(model, data)
-    stats = _per_pair(_full_batch_stats, white, white_data)
-    n, k, sigma2 = stats.size, white.num_features, model.noise_variance
+    stats = _per_pair(_whitened_stats, model, data)[0]
+    n, k, sigma2 = stats.size, model.num_features, model.noise_variance
     inner = cholesky_psd(sigma2 * np.eye(k) + stats.gram, what="scaled posterior precision").matrix
     quad = stats.residual_sq / sigma2 + float(stats.anchor @ stats.anchor)
     log_det = (n - k) * np.log(sigma2) + 2.0 * float(np.sum(np.log(np.diag(inner))))

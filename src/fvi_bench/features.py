@@ -47,7 +47,7 @@ LLOYD_ITERATIONS = 10  # k-means refinement passes, scipy's `kmeans2` default
 _LLOYD_BLOCK_ROWS = 256  # rows per distance block: (256, k) stays in cache
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RbfFeatureMap:
     """x -> exp(-0.5 * sum_d ((x_d - c_d) / ell_d)^2), one feature per center."""
 
@@ -233,11 +233,17 @@ def _kmeans_pp_seeds(
 def _lloyd(inputs: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """``LLOYD_ITERATIONS`` Lloyd passes from the given centers, as scipy's
     `kmeans2(inputs, centers, minit="matrix")` computes them (see the module
-    docstring).  An empty cluster keeps its center, with a warning."""
+    docstring).  An empty cluster keeps its center, with a warning; inputs
+    whose distances would overflow raise `NonFiniteValueError`."""
     inputs = np.ascontiguousarray(inputs)
     n, dim = inputs.shape
     num_centers = centers.shape[0]
-    row_norms = _column_sum_of_squares(inputs)
+    # Every center is a mean of input rows, so |c|^2 <= max |x|^2 and each
+    # expanded distance -2 x.c + |x|^2 + |c|^2 stays within 4 max |x|^2.
+    with np.errstate(over="ignore"):
+        row_norms = _column_sum_of_squares(inputs)
+        if not np.isfinite(4.0 * row_norms.max()):
+            raise NonFiniteValueError("inputs too large: k-means distances would overflow")
     labels = np.empty(n, dtype=np.intp)
     block = np.empty((min(n, _LLOYD_BLOCK_ROWS), num_centers))
     for _ in range(LLOYD_ITERATIONS):

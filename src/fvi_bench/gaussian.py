@@ -20,7 +20,7 @@ from .errors import DimensionMismatchError, NonFiniteValueError, SingularReferen
 from .features import RANK_RTOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianDist:
     """Gaussian with a mean vector and an ``(n, n)`` symmetric PSD covariance.
 
@@ -59,7 +59,7 @@ def standard_gaussian(n: int) -> GaussianDist:
     return GaussianDist(np.zeros(n), np.eye(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CholeskyFactor:
     """Lower-triangular Cholesky factor of a positive definite matrix."""
 

@@ -55,7 +55,7 @@ class SsgeConfig:
         require_count("num_samples", self.num_samples, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreEstimate:
     """Fitted spectral expansion of the score, evaluable at arbitrary points.
 

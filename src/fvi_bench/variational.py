@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blr import BlrModel, Dataset, _LikelihoodStats
+from .blr import BlrModel, Dataset
 from .blr import _feature_matrix, _full_batch_stats, _likelihood_stats, _per_pair
 from .errors import (
     DegenerateMarginalError,
@@ -82,7 +82,7 @@ def _strict_lower(k: int) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariationalState:
     """Parameters of the Gaussian approximate posterior over weights."""
 
@@ -185,7 +185,7 @@ class VariationalState:
 # --- measurement sets --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Finite index set at which marginals are compared.  It owns a
     read-only copy of its points, so a marginal prepared at the set stays
@@ -205,7 +205,7 @@ def measurement_set_from_points(points: np.ndarray) -> MeasurementSet:
     return MeasurementSet(points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementPolicy:
     """How measurement sets are drawn: part from the data, part from a box.
     `RandA` and `Ssge` draw a fresh set at every step."""
@@ -249,15 +249,32 @@ def sample_measurement_set(
 # --- closed-form objective terms ---------------------------------------------
 
 
-def _ell_terms(
+def expected_log_likelihood(
     state: VariationalState,
-    stats: _LikelihoodStats,
-    noise_variance: float,
-    scale_factor: float,
+    model: BlrModel,
+    data: Dataset,
+    minibatch: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    gram = stats.gram
-    if state.dim != gram.shape[0]:
-        raise DimensionMismatchError(f"state has {state.dim} weights, model has {gram.shape[0]}")
+    """Closed-form E_q[log likelihood] and its gradient, from the pair's
+    statistics, or from the rows of its feature matrix that a minibatch of
+    integer indices names, rescaled by n/|batch| to stay unbiased.  Every
+    objective takes its ELL from here."""
+    if state.dim != model.num_features:
+        raise DimensionMismatchError(
+            f"state has {state.dim} weights, model has {model.num_features}"
+        )
+    if minibatch is None:
+        stats, scale_factor = _per_pair(_full_batch_stats, model, data), 1.0
+    else:
+        minibatch = np.asarray(minibatch)
+        if minibatch.size and minibatch.dtype.kind not in "iu":  # a mask or floats cast silently
+            raise ValueError(f"minibatch must hold integer row indices, got {minibatch.dtype}")
+        if minibatch.size == 0 or minibatch.min() < 0 or minibatch.max() >= data.size:
+            raise DimensionMismatchError("minibatch indices out of range")
+        phi = _per_pair(_feature_matrix, model, data)[minibatch]
+        stats = _likelihood_stats(phi, data.targets[minibatch], state.mean)
+        scale_factor = data.size / minibatch.size
+    gram, noise_variance = stats.gram, model.noise_variance
     offset = state.mean - stats.anchor
     gram_offset = gram @ offset
     residual_sq = (
@@ -277,29 +294,6 @@ def _ell_terms(
     )
     grad_mean = scale_factor / noise_variance * (stats.cross - gram_offset)
     return value, state.pack_grad(grad_mean, grad_scale)
-
-
-def expected_log_likelihood(
-    state: VariationalState,
-    model: BlrModel,
-    data: Dataset,
-    minibatch: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Closed-form E_q[log likelihood] and its gradient, from the pair's
-    statistics, or from the rows of its feature matrix that a minibatch of
-    integer indices names, rescaled by n/|batch| to stay unbiased."""
-    if minibatch is None:
-        stats, scale_factor = _per_pair(_full_batch_stats, model, data), 1.0
-    else:
-        minibatch = np.asarray(minibatch)
-        if minibatch.size and minibatch.dtype.kind not in "iu":  # a mask or floats cast silently
-            raise ValueError(f"minibatch must hold integer row indices, got {minibatch.dtype}")
-        if minibatch.size == 0 or minibatch.min() < 0 or minibatch.max() >= data.size:
-            raise DimensionMismatchError("minibatch indices out of range")
-        phi = _per_pair(_feature_matrix, model, data)[minibatch]
-        stats = _likelihood_stats(phi, data.targets[minibatch], state.mean)
-        scale_factor = data.size / minibatch.size
-    return _ell_terms(state, stats, model.noise_variance, scale_factor)
 
 
 def _require_standard_prior(model: BlrModel):
@@ -461,11 +455,12 @@ class Exact:
     """Maximize the ELBO with the exact weight-space KL."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedA:
     """Marginal KL at a measurement set fixed for the whole run.  The
     objectives on one kind, model and dataset share one `MarginalKl`, cached
-    by `_per_pair` under the bound `_marginal`, which hashes by the kind."""
+    by `_per_pair` under the bound `_marginal`, which compares and hashes by
+    the kind's identity, as the kind does."""
 
     measurement_set: MeasurementSet
 
@@ -473,7 +468,7 @@ class FixedA:
         return MarginalKl(model, self.measurement_set)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandA:
     """Marginal KL at a measurement set resampled from the policy each step
     (a one-sample Monte Carlo estimate of the expected marginal KL)."""
@@ -481,7 +476,7 @@ class RandA:
     policy: MeasurementPolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ssge:
     """Like RandA, but the KL gradient comes from the spectral score
     estimator.  The step takes only the closed-form KL value, for the ELBO
@@ -494,7 +489,7 @@ class Ssge:
 ObjectiveKind = Exact | FixedA | RandA | Ssge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveEval:
     """One objective evaluation: the ELBO estimate, its two terms, and the
     gradient in unconstrained parameter space."""
@@ -531,19 +526,16 @@ class MinibatchSchedule:
 class Objective:
     """Bundles an objective kind with a model and dataset for a training run.
 
-    A full-batch objective keeps only the likelihood statistics of the data
-    (`blr._LikelihoodStats`, anchored at the exact posterior mean), so a
-    step costs O(k^3) whatever n is.  A minibatch objective keeps the
-    read-only feature matrix Phi of the data and forms the statistics of
-    each batch from its rows, anchored at the current mean; it starts a new
-    epoch at a run's first step (``step == 1``), so a run depends only on
-    its rng.  Phi and the statistics are each formed once per (model, data)
-    pair, in `blr`, and shared with every objective and closed form on the
-    same model and dataset objects.  Every kind but `Exact` takes its KL
-    from one `MarginalKl`: drawn each step for `RandA` and `Ssge`, and for
-    `FixedA` prepared once per kind and pair and shared like the statistics;
-    `Ssge` takes only its value and the estimated KL gradient.  `RandA` and
-    `Ssge` reject a measurement box whose dimension is not the data's.
+    A step takes its ELL from `expected_log_likelihood`, full batch or on
+    the next minibatch; a minibatch objective starts a new epoch at a run's
+    first step (``step == 1``), so a run depends only on its rng.  The
+    constructor forms what the steps read, once per (model, data) pair in
+    `blr`: the likelihood statistics, or for minibatches the feature matrix.
+    Every kind but `Exact` takes its KL from one `MarginalKl`: drawn each
+    step for `RandA` and `Ssge`, and for `FixedA` prepared once per kind and
+    pair and shared like the statistics; `Ssge` takes only its value and the
+    estimated KL gradient.  `RandA` and `Ssge` reject a measurement box whose
+    dimension is not the data's.
     """
 
     def __init__(
@@ -562,12 +554,10 @@ class Objective:
         self.kind = kind
         self.model = model
         self.data = data
+        self._schedule = None
         if minibatch_size is not None:
             self._schedule = MinibatchSchedule(data.size, minibatch_size)
-            self._phi, self._stats = _per_pair(_feature_matrix, model, data), None
-        else:
-            self._schedule, self._phi = None, None
-            self._stats = _per_pair(_full_batch_stats, model, data)
+        _per_pair(_full_batch_stats if self._schedule is None else _feature_matrix, model, data)
         self._fixed_marginal = (
             _per_pair(kind._marginal, model, data) if isinstance(kind, FixedA) else None
         )
@@ -575,12 +565,8 @@ class Objective:
     def value_and_grad(
         self, state: VariationalState, rng: np.random.Generator, step: int = 0
     ) -> ObjectiveEval:
-        stats, scale_factor = self._stats, 1.0
-        if self._schedule is not None:
-            batch = self._schedule.next_batch(rng, new_epoch=step == 1)
-            stats = _likelihood_stats(self._phi[batch], self.data.targets[batch], state.mean)
-            scale_factor = self.data.size / batch.size
-        ell, ell_grad = _ell_terms(state, stats, self.model.noise_variance, scale_factor)
+        batch = None if self._schedule is None else self._schedule.next_batch(rng, step == 1)
+        ell, ell_grad = expected_log_likelihood(state, self.model, self.data, batch)
         if isinstance(self.kind, Exact):
             kl, kl_grad = exact_kl(state, self.model)
             return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad)

@@ -1,6 +1,11 @@
-import numpy as np
+import ast
+import contextlib
+from pathlib import Path
 
-from fvi_bench import gaussian
+import numpy as np
+import pytest
+
+from fvi_bench import features, gaussian
 from fvi_bench.blr import BlrModel, Dataset
 from fvi_bench.features import RANK_RTOL, RbfFeatureMap, fit_rbf_featurizer, independent_rows
 from fvi_bench.variational import (
@@ -23,6 +28,43 @@ def random_gaussian(rng: np.random.Generator, n: int) -> gaussian.GaussianDist:
 def random_uncorrelated_gaussian(rng: np.random.Generator, n: int) -> gaussian.GaussianDist:
     """A random Gaussian whose dense covariance is diagonal."""
     return gaussian.GaussianDist(rng.standard_normal(n), np.diag(rng.uniform(0.2, 3.0, n)))
+
+
+@contextlib.contextmanager
+def counted_rows():
+    """The list of the row counts of the RBF feature evaluations made in the block."""
+    rows, original = [], features.evaluate
+
+    def counted(feature_map, inputs):
+        rows.append(np.shape(inputs)[0])
+        return original(feature_map, inputs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "evaluate", counted)
+        yield rows
+
+
+def callers_of(name: str) -> set[str]:
+    """'module.qualname' of each function in `src/` that calls ``name``,
+    whether as a bare name or as an attribute (``np.name``)."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call) and name in (
+                getattr(child.func, "attr", None),
+                getattr(child.func, "id", None),
+            ):
+                callers.add(scope)
+            visit(child, inner)
+
+    package = Path(__file__).resolve().parents[1] / "src" / "fvi_bench"
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return callers
 
 
 def max_gradient_error(value_and_grad, point: np.ndarray, step: float = 1e-5) -> float:

@@ -346,6 +346,16 @@ class TestLloyd:
         np.testing.assert_array_equal(centers, expected)
 
 
+def test_featurizer_rejects_inputs_whose_distances_would_overflow():
+    """Lloyd's expanded distances -2 x.c + |x|^2 + |c|^2 once overflowed in
+    numpy's add on these rows at 1e154, though they lie close together."""
+    spread = 1e151 * np.random.default_rng(0).uniform(size=(50, 2))
+    with pytest.raises(NonFiniteValueError, match="overflow"):
+        fit_rbf_featurizer(1e154 + spread, 5)
+    fmap = fit_rbf_featurizer(1e153 + spread, 5)
+    assert np.all(np.isfinite(fmap.centers))
+
+
 class TestMedianHeuristic:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 1001, 1200])
     @pytest.mark.parametrize("seed", [0, 3])

@@ -5,17 +5,18 @@
 `DimensionMismatchError`.  `features._owned_rows` adds the checks of rows a
 value keeps (at least one row and one column, all finite) and returns a
 read-only copy, so a cache keyed on the value cannot go stale when the
-caller writes into its own array.
+caller writes into its own array.  A value that holds arrays compares and
+hashes by identity, so it can be such a key.
 """
 
-import ast
-from pathlib import Path
+import dataclasses
 
 import numpy as np
 import pytest
 
-from fvi_bench import features
-from fvi_bench.blr import BlrModel, Dataset
+from conftest import callers_of
+from fvi_bench import blr, features, gaussian, optimize, ssge, variational
+from fvi_bench.blr import BlrModel, Dataset, WhitenedFeatureMap
 from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap, fit_rbf_featurizer
 from fvi_bench.ssge import fit_score
@@ -25,11 +26,12 @@ from fvi_bench.variational import (
     MeasurementPolicy,
     MeasurementSet,
     Objective,
+    ObjectiveEval,
+    RandA,
+    Ssge,
     VariationalState,
     marginal_kl,
 )
-
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fvi_bench"
 
 ROW_READERS = {
     "Dataset": lambda rows: Dataset(rows, np.zeros(rows.shape[0])),
@@ -121,32 +123,66 @@ def test_feature_map_of_three_dimensions_rejected():
         model.features(np.zeros((3, 1)))
 
 
-def atleast_2d_callers() -> set[str]:
-    """'module.qualname' of each function in `src/` that calls np.atleast_2d."""
-    callers = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}"
-            elif (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "atleast_2d"
-            ):
-                callers.add(scope)
-            visit(child, inner)
-
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return callers
-
-
 def test_only_the_box_and_the_rank_test_call_atleast_2d():
     """Row arrays go through `_as_rows`; a (d, 2) box and a feature matrix
     are not rows of inputs."""
-    assert atleast_2d_callers() == {
+    assert callers_of("atleast_2d") == {
         "variational.MeasurementPolicy.__post_init__",
         "features.independent_rows",
     }
+
+
+def _fixed_a_pair():
+    kind = FixedA(MeasurementSet(np.zeros((2, 1))))
+    return kind, FixedA(MeasurementSet(kind.measurement_set.points))
+
+
+def _policy():
+    return MeasurementPolicy(4, 0.5, np.array([[-1.0, 1.0]]))
+
+
+def _model():
+    return BlrModel(RbfFeatureMap(np.zeros((2, 1)), [1.0]), 0.1)
+
+
+# Two instances of equal content of each value type that holds arrays.
+ARRAY_VALUES = {
+    "Dataset": lambda: Dataset(np.zeros((2, 1)), np.zeros(2)),
+    "MeasurementSet": lambda: MeasurementSet(np.zeros((2, 1))),
+    "MeasurementPolicy": _policy,
+    "FixedA": _fixed_a_pair,
+    "RandA": lambda: RandA(_policy()),
+    "Ssge": lambda: Ssge(_policy()),
+    "VariationalState": lambda: VariationalState.prior_state(Family.FULL, 2),
+    "GaussianDist": lambda: gaussian.standard_gaussian(2),
+    "CholeskyFactor": lambda: gaussian.CholeskyFactor(np.eye(2)),
+    "RbfFeatureMap": lambda: RbfFeatureMap(np.zeros((2, 1)), [1.0]),
+    "WhitenedFeatureMap": lambda: WhitenedFeatureMap(_model(), np.eye(2)),
+    "ScoreEstimate": lambda: fit_score(np.linspace(-1.0, 1.0, 10)),
+    "ObjectiveEval": lambda: ObjectiveEval(0.0, 0.0, 0.0, np.zeros(2)),
+    "_LikelihoodStats": lambda: blr._likelihood_stats(np.eye(2), np.ones(2), np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_VALUES.values(), ids=ARRAY_VALUES.keys())
+def test_values_that_hold_arrays_compare_and_hash_by_identity(make):
+    """Each once compared its arrays: == raised numpy's "truth value of an
+    array is ambiguous" (or, for `FixedA`, ``FixedA(ms) ==
+    FixedA(MeasurementSet(ms.points))``), and hash raised TypeError."""
+    pair = make()
+    a, b = pair if isinstance(pair, tuple) else (pair, make())
+    assert a == a and not a == b and a != b
+    assert {a: "a", b: "b"}[a] == "a"
+
+
+def test_only_dataclasses_without_arrays_compare_by_value():
+    by_value = {
+        name
+        for module in (blr, features, gaussian, optimize, ssge, variational)
+        for name, value in vars(module).items()
+        if isinstance(value, type)
+        and value.__module__ == module.__name__
+        and dataclasses.is_dataclass(value)
+        and "__eq__" in vars(value)  # eq=False leaves object's identity comparison
+    }
+    assert by_value == {"AdamConfig", "Exact", "SsgeConfig", "TraceRecord", "TrainTrace"}

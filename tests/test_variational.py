@@ -19,13 +19,15 @@ from hypothesis import strategies as st
 from conftest import (
     ILL_CONDITIONED_LENGTHSCALES,
     WORKLOAD_SHAPES,
+    callers_of,
+    counted_rows,
     ill_conditioned_set,
     max_gradient_error,
     relative_error,
     svd_form,
     workload_shaped_sets,
 )
-from fvi_bench import blr, features, gaussian, optimize, variational
+from fvi_bench import blr, gaussian, optimize, variational
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
 from fvi_bench.errors import (
     DegenerateMarginalError,
@@ -33,12 +35,7 @@ from fvi_bench.errors import (
     InvalidBoxError,
     NonFiniteValueError,
 )
-from fvi_bench.features import (
-    RANK_RTOL,
-    RbfFeatureMap,
-    evaluate,
-    independent_rows,
-)
+from fvi_bench.features import RANK_RTOL, RbfFeatureMap, independent_rows
 from fvi_bench.variational import (
     Exact,
     Family,
@@ -887,10 +884,10 @@ class TestLikelihoodStatistics:
         rng = np.random.default_rng(39)
         model, data = random_problem(rng, k=5, n=57)
 
-        def own_row_arrays(objective):
-            """Arrays reachable from the objective, other than the dataset's
-            own, with one row per data point."""
-            found, pending, seen = [], [vars(objective)], set()
+        def own_row_arrays(root):
+            """Arrays reachable from the root object, other than the
+            dataset's own, with one row per data point."""
+            found, pending, seen = [], [vars(root)], set()
             while pending:
                 item = pending.pop()
                 if id(item) in seen or item is data.inputs or item is data.targets:
@@ -910,8 +907,8 @@ class TestLikelihoodStatistics:
         full_batch = Objective(kind, model, data)
         full_batch.value_and_grad(random_state(rng, Family.FULL, 5), np.random.default_rng(40))
         assert own_row_arrays(full_batch) == []
-        # The walk does find the feature matrix a minibatch objective keeps.
-        assert own_row_arrays(Objective(kind, model, data, minibatch_size=10)) == [(57, 5)]
+        # The walk does find the feature matrix that the pair cache keeps.
+        assert own_row_arrays(blr._PAIR_CACHE[model]) == [(57, 5)]
 
 
 EVERY_KIND = [
@@ -922,6 +919,16 @@ EVERY_KIND = [
 ]
 
 
+def shared_phi(objective):
+    """The feature matrix of the objective's pair, as the pair cache keeps it."""
+    return blr._per_pair(blr._feature_matrix, objective.model, objective.data)
+
+
+def shared_stats(objective):
+    """The full-batch statistics of the objective's pair, as the pair cache keeps them."""
+    return blr._per_pair(blr._full_batch_stats, objective.model, objective.data)
+
+
 class TestSharedStatistics:
     """Full-batch objectives and the closed forms on one (model, data) pair
     share one set of likelihood statistics."""
@@ -930,14 +937,7 @@ class TestSharedStatistics:
         rng = np.random.default_rng(41)
         model, data = random_problem(rng, k=5, n=57)
         state = random_state(rng, Family.FULL, 5)
-        rows_evaluated = []
-
-        def counted(feature_map, inputs):
-            rows_evaluated.append(np.shape(inputs)[0])
-            return evaluate(feature_map, inputs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(features, "evaluate", counted)
+        with counted_rows() as rows_evaluated:
             objectives = [Objective(kind, model, data) for kind in EVERY_KIND * 2]
             minibatch_objectives = [Objective(kind, model, data, 10) for kind in EVERY_KIND]
             # The data once; FixedA's own measurement set once for its three objectives.
@@ -949,19 +949,20 @@ class TestSharedStatistics:
             fixed_a_optimal_mean(model, data, EVERY_KIND[1].measurement_set)
         # The closed forms evaluate only the measurement set of fixed_a_optimal_mean.
         assert rows_evaluated == [57, 3, 3]
-        assert all(o._phi is minibatch_objectives[0]._phi for o in minibatch_objectives)
-        assert all(objective._stats is objectives[0]._stats for objective in objectives)
+        phi, stats = shared_phi(minibatch_objectives[0]), shared_stats(objectives[0])
+        assert all(shared_phi(o) is phi for o in minibatch_objectives)
+        assert all(shared_stats(objective) is stats for objective in objectives)
         fixed = [o._fixed_marginal for o in objectives if isinstance(o.kind, FixedA)]
         assert len(fixed) == 2 and fixed[0] is fixed[1] is not None
 
     def test_new_model_or_new_dataset_gets_fresh_statistics(self):
         model, data = random_problem(np.random.default_rng(42), k=5, n=57)
-        shared = Objective(Exact(), model, data)._stats
+        shared = shared_stats(Objective(Exact(), model, data))
         same_arrays = Dataset(data.inputs, data.targets)
         new_model = BlrModel(model.feature_map, model.noise_variance)
         for other in (
-            Objective(Exact(), model, same_arrays)._stats,
-            Objective(Exact(), new_model, data)._stats,
+            shared_stats(Objective(Exact(), model, same_arrays)),
+            shared_stats(Objective(Exact(), new_model, data)),
         ):
             assert other is not shared
             np.testing.assert_array_equal(other.gram, shared.gram)
@@ -969,7 +970,7 @@ class TestSharedStatistics:
 
     def test_shared_arrays_are_read_only(self):
         model, data = random_problem(np.random.default_rng(43), k=5, n=57)
-        stats = Objective(Exact(), model, data)._stats
+        stats = shared_stats(Objective(Exact(), model, data))
         for array in (stats.gram, stats.cross, stats.anchor):
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -977,11 +978,49 @@ class TestSharedStatistics:
     def test_dropped_model_frees_its_statistics(self):
         model, data = random_problem(np.random.default_rng(44), k=5, n=57)
         objective = Objective(Exact(), model, data)
-        model_ref, stats_ref = weakref.ref(model), weakref.ref(objective._stats)
+        model_ref, stats_ref = weakref.ref(model), weakref.ref(shared_stats(objective))
         assert model in blr._PAIR_CACHE
         del model, objective
         gc.collect()
         assert model_ref() is None and stats_ref() is None
+
+    def test_dropped_dataset_frees_its_statistics_while_the_model_lives(self):
+        model, data = random_problem(np.random.default_rng(48), k=5, n=57)
+        objective = Objective(Exact(), model, data)
+        data_ref, stats_ref = weakref.ref(data), weakref.ref(shared_stats(objective))
+        del data, objective
+        gc.collect()
+        assert data_ref() is None and stats_ref() is None
+        assert len(blr._PAIR_CACHE[model]) == 0
+
+    def test_a_second_dataset_keeps_the_first_pair(self):
+        """A model once kept the statistics of its last dataset only: the
+        second `exact_posterior` on `first` evaluated its 57 rows again."""
+        rng = np.random.default_rng(49)
+        model, first = random_problem(rng, k=5, n=57)
+        second = Dataset(rng.uniform(-2, 2, (31, 1)), rng.standard_normal(31))
+        with counted_rows() as rows_evaluated:
+            exact_posterior(model, first)
+            log_marginal_likelihood(model, second)
+            exact_posterior(model, first)
+        assert rows_evaluated == [57, 31]
+
+    def test_closed_forms_read_the_objectives_statistics(self):
+        """A standard-prior model's whitened problem is its own."""
+        model, data = random_problem(np.random.default_rng(50), k=5, n=57)
+        stats = shared_stats(Objective(Exact(), model, data))
+        exact_posterior(model, data)
+        log_marginal_likelihood(model, data)
+        white_stats, factor = blr._per_pair(blr._whitened_stats, model, data)
+        assert white_stats is stats and factor is None
+
+    def test_two_functions_form_likelihood_statistics(self):
+        """The objectives once kept a second copy of the ELL's minibatch
+        statistics."""
+        assert callers_of("_likelihood_stats") == {
+            "blr._full_batch_stats",
+            "variational.expected_log_likelihood",
+        }
 
 
 class TestSharedFeatureMatrix:
@@ -990,33 +1029,26 @@ class TestSharedFeatureMatrix:
 
     def test_one_feature_evaluation_of_the_data_per_pair(self):
         model, data = random_problem(np.random.default_rng(45), k=5, n=57)
-        rows_evaluated = []
-
-        def counted(feature_map, inputs):
-            rows_evaluated.append(np.shape(inputs)[0])
-            return evaluate(feature_map, inputs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(features, "evaluate", counted)
+        with counted_rows() as rows_evaluated:
             objectives = [
                 Objective(kind, model, data, minibatch_size=10) for kind in EVERY_KIND * 2
             ]
         # The data once; FixedA's own measurement set once for both of its objectives.
         assert rows_evaluated == [57, 3]
-        assert all(objective._phi is objectives[0]._phi for objective in objectives)
+        assert all(shared_phi(objective) is shared_phi(objectives[0]) for objective in objectives)
         fixed = [o._fixed_marginal for o in objectives if isinstance(o.kind, FixedA)]
         assert len(fixed) == 2 and fixed[0] is fixed[1] is not None
         with pytest.raises(ValueError):
-            objectives[0]._phi[0, 0] = 0.0
+            shared_phi(objectives[0])[0, 0] = 0.0
 
     def test_new_model_or_new_dataset_gets_its_own_matrix(self):
         model, data = random_problem(np.random.default_rng(46), k=5, n=57)
-        shared = Objective(Exact(), model, data, minibatch_size=10)._phi
+        shared = shared_phi(Objective(Exact(), model, data, minibatch_size=10))
         same_arrays = Dataset(data.inputs, data.targets)
         new_model = BlrModel(model.feature_map, model.noise_variance)
         for other in (
-            Objective(Exact(), model, same_arrays, minibatch_size=10)._phi,
-            Objective(Exact(), new_model, data, minibatch_size=10)._phi,
+            shared_phi(Objective(Exact(), model, same_arrays, minibatch_size=10)),
+            shared_phi(Objective(Exact(), new_model, data, minibatch_size=10)),
         ):
             assert other is not shared
             np.testing.assert_array_equal(other, shared)
@@ -1024,7 +1056,7 @@ class TestSharedFeatureMatrix:
     def test_dropped_model_frees_its_matrix(self):
         model, data = random_problem(np.random.default_rng(47), k=5, n=57)
         objectives = [Objective(kind, model, data, minibatch_size=10) for kind in EVERY_KIND]
-        model_ref, phi_ref = weakref.ref(model), weakref.ref(objectives[0]._phi)
+        model_ref, phi_ref = weakref.ref(model), weakref.ref(shared_phi(objectives[0]))
         marginal_ref = weakref.ref(objectives[1]._fixed_marginal)
         del model, objectives
         gc.collect()

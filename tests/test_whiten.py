@@ -10,13 +10,16 @@ w = mu + L v.  The closed forms of `blr` whiten the problem themselves;
 prior-precision form.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from conftest import random_gaussian, random_uncorrelated_gaussian
+from conftest import counted_rows, random_gaussian, random_uncorrelated_gaussian
 from fvi_bench import gaussian
 from fvi_bench.blr import (
     BlrModel,
@@ -148,6 +151,33 @@ class TestWhitenInvariance:
         white, white_train = whiten(standard, train)
         assert white is standard
         assert white_train is train
+
+
+class TestWhitenedProblemPerPair:
+    """The closed forms on a model with a non-standard prior and a dataset
+    share one whitened problem.  Each call once whitened the pair afresh:
+    one call of each evaluated the rows four times."""
+
+    def test_only_the_first_closed_form_evaluates_rows(self):
+        _, model, train, _, _ = make_problem(2, "full", Family.FULL)
+        with counted_rows() as first:
+            posterior = exact_posterior(model, train)
+        with counted_rows() as later:
+            evidence = log_marginal_likelihood(model, train)
+            again = exact_posterior(model, train)
+            assert log_marginal_likelihood(model, train) == evidence
+        assert first and later == []
+        np.testing.assert_array_equal(again.mean, posterior.mean)
+        np.testing.assert_array_equal(again.cov, posterior.cov)
+
+    def test_model_is_collected_once_dropped(self):
+        _, model, train, _, _ = make_problem(3, "diagonal", Family.FFG)
+        exact_posterior(model, train)
+        log_marginal_likelihood(model, train)
+        model_ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert model_ref() is None
 
 
 class TestNonStandardPriorRejected:
