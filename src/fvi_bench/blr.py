@@ -1,26 +1,24 @@
 """Bayesian linear regression in feature space.
 
-Model: y = w . phi(x) + noise, noise ~ N(0, sigma^2), w ~ N(mu, Sigma), the
-prior a `GaussianDist` (N(0, I) by default).  A general Gaussian prior is
-handled in one place, `whiten`, which rewrites a model with prior
-N(mu, L L^T) as the standard-prior problem in the weights v of w = mu + L v.
-The closed forms solve only that problem, and the variational objectives
-take only the standard prior N(0, I), which a model detects once, at
-construction.
+Model: y = w . phi(x) + noise, noise ~ N(0, sigma^2), w ~ N(0, I).  The
+package has this one prior.  Another Gaussian prior N(mu, L L^T) is the same
+problem in the weights v = L^{-1} (w - mu) ~ N(0, I): a caller gives the
+model the features Phi L and the data the targets y - Phi mu, and maps a
+Gaussian N(m, S) over v back to N(mu + L m, L S L^T) over w.  The
+likelihood, the evidence, the predictive and both weight- and function-space
+KLs are unchanged by that map.
 
 One place forms a dataset's likelihood statistics, `_full_batch_stats`:
-Phi^T Phi and the residual about the exact N(0, I) posterior mean, from the
-one Phi that `_per_pair` keeps for a (model, dataset) pair while both live,
-and shares with the objectives and closed forms on that pair.  From them the
-posterior and the log evidence cost O(k^3) each.  A model with another prior
-keeps the statistics of its whitened problem under its own pair, so its
-closed forms too featurize the data once.
+Phi^T Phi and the residual about the exact posterior mean, from the one Phi
+that `_per_pair` keeps for a (model, dataset) pair while both live, and
+shares with the objectives and closed forms on that pair.  From them the
+posterior and the log evidence cost O(k^3) each.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +26,7 @@ from scipy.linalg import cho_solve
 
 from .errors import DimensionMismatchError, NonFiniteValueError, require_count
 from .features import _as_rows, _owned_rows
-from .gaussian import GaussianDist, cholesky_psd, standard_gaussian
+from .gaussian import GaussianDist, cholesky_psd
 
 # A feature map is anything callable on an (n, d) array returning (n, k).
 FeatureMapLike = Callable[[np.ndarray], np.ndarray]
@@ -63,40 +61,27 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class BlrModel:
-    """Feature map + noise variance + Gaussian weight prior.
+    """Feature map + noise variance; the weight prior is N(0, I).
 
-    The feature map must be a fixed function: the full-batch objectives on
-    one model and one dataset share the likelihood statistics computed from
-    its features.  A model compares and hashes by identity.
+    The feature count is ``num_features``, or else the map's own
+    ``num_features``.  The feature map must be a fixed function: the
+    full-batch objectives on one model and one dataset share the likelihood
+    statistics computed from its features.  A model compares and hashes by
+    identity.
     """
 
     feature_map: FeatureMapLike
     noise_variance: float
-    prior: GaussianDist | None = None
     num_features: int = 0
-    _standard_prior: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.noise_variance < np.inf:  # NaN fails too
             raise ValueError("noise variance must be finite and positive")
         require_count("num_features", self.num_features, 0)
-        k = self.num_features
+        k = self.num_features or getattr(self.feature_map, "num_features", 0)
         if k == 0:
-            k = getattr(self.feature_map, "num_features", 0)
-        prior = self.prior
-        if prior is None:
-            if k == 0:
-                raise ValueError("cannot infer feature count; pass num_features or a prior")
-            prior = standard_gaussian(k)
-        elif k and prior.dim != k:
-            raise DimensionMismatchError(
-                f"prior dimension {prior.dim} != feature count {k}"
-            )
-        # The prior's arrays are read-only, so this answer cannot go stale.
-        standard = not prior.mean.any() and np.array_equal(prior.cov, np.eye(prior.dim))
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "num_features", prior.dim)
-        object.__setattr__(self, "_standard_prior", standard)
+            raise ValueError("cannot infer feature count; pass num_features")
+        object.__setattr__(self, "num_features", int(k))
 
     def features(self, inputs: np.ndarray) -> np.ndarray:
         phi = _as_rows(self.feature_map(inputs))
@@ -105,46 +90,6 @@ class BlrModel:
                 f"feature map produced {phi.shape[1]} columns, expected {self.num_features}"
             )
         return phi
-
-    def has_standard_prior(self) -> bool:
-        """Whether the prior is exactly N(0, I), decided at construction."""
-        return self._standard_prior
-
-
-@dataclass(frozen=True, eq=False)
-class WhitenedFeatureMap:
-    """x -> phi(x) L, the features of ``original`` in the weights v of
-    w = mu + L v, where N(mu, L L^T) is the original prior."""
-
-    original: BlrModel
-    factor: np.ndarray  # (k, k) lower Cholesky factor L of the original prior covariance
-
-    @property
-    def num_features(self) -> int:
-        return self.factor.shape[1]
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.original.features(inputs) @ self.factor
-
-
-def whiten(model: BlrModel, *datasets: Dataset) -> tuple:
-    """The same problem under the standard prior: ``(model, *datasets)``.
-
-    With prior N(mu, L L^T) the weights are w = mu + L v, v ~ N(0, I).  The
-    returned model has features Phi L and the prior N(0, I); each returned
-    dataset has targets y - Phi mu.  The likelihood, the evidence, the
-    predictive and both weight- and function-space KLs are unchanged by the
-    map.  A model that already has the standard prior is returned as is.
-    """
-    if model.has_standard_prior():
-        return (model, *datasets)
-    factor = cholesky_psd(model.prior.cov, what="prior covariance").matrix
-    whitened = BlrModel(WhitenedFeatureMap(model, factor), model.noise_variance)
-    shifted = (
-        Dataset(data.inputs, data.targets - model.features(data.inputs) @ model.prior.mean)
-        for data in datasets
-    )
-    return (whitened, *shifted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,9 +141,9 @@ def _per_pair(build, model: BlrModel, data: Dataset):
 
 
 def _full_batch_stats(model: BlrModel, data: Dataset) -> _LikelihoodStats:
-    """Statistics of all rows, anchored at the exact posterior mean under the
-    N(0, I) prior, whatever the model's: `exact_posterior` returns this anchor
-    as its mean, and any anchor serves the expected log-likelihood."""
+    """Statistics of all rows, anchored at the exact posterior mean:
+    `exact_posterior` returns this anchor as its mean, and any anchor serves
+    the expected log-likelihood."""
     phi = _per_pair(_feature_matrix, model, data)
     gram = phi.T @ phi
     posterior_mean = np.linalg.solve(
@@ -217,39 +162,26 @@ def _feature_matrix(model: BlrModel, data: Dataset) -> np.ndarray:
     return phi
 
 
-def _whitened_stats(model: BlrModel, data: Dataset) -> tuple[_LikelihoodStats, np.ndarray | None]:
-    """The full-batch statistics of the problem that `whiten` makes of the
-    pair, and the factor L of w = mu + L v; for the standard prior, the
-    objectives' own statistics and None.  The whitened model is not kept: it
-    refers back to ``model``."""
-    if model.has_standard_prior():
-        return _per_pair(_full_batch_stats, model, data), None
-    white, white_data = whiten(model, data)
-    return _full_batch_stats(white, white_data), white.feature_map.factor
-
-
 def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:
-    """Conjugate posterior over weights.
-
-    The whitened weights v (see `whiten`) have as mean m_v the anchor of the
-    pair's statistics and as covariance sigma^2 (sigma^2 I + Phi^T Phi)^{-1},
-    from one Cholesky; a general prior maps back through w = mu + L v, to
-    mean mu + L m_v and covariance L Sigma_v L^T, symmetrized explicitly.
-    """
-    stats, factor = _per_pair(_whitened_stats, model, data)
+    """Conjugate posterior over weights: as mean the anchor of the pair's
+    statistics, and as covariance sigma^2 (sigma^2 I + Phi^T Phi)^{-1}, from
+    one Cholesky, symmetrized explicitly."""
+    stats = _per_pair(_full_batch_stats, model, data)
     sigma2, eye = model.noise_variance, np.eye(model.num_features)
     inner = cholesky_psd(sigma2 * eye + stats.gram, what="scaled posterior precision").matrix
-    mean, cov = stats.anchor, sigma2 * cho_solve((inner, True), eye)
-    if factor is not None:
-        mean = model.prior.mean + factor @ mean
-        cov = factor @ cov @ factor.T
-    return GaussianDist(mean, 0.5 * (cov + cov.T))
+    cov = sigma2 * cho_solve((inner, True), eye)
+    return GaussianDist(stats.anchor, 0.5 * (cov + cov.T))
 
 
 def predictive_marginals(
     model: BlrModel, weights_dist: GaussianDist, inputs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point predictive means and noiseless variances, O(n k^2)."""
+    if weights_dist.dim != model.num_features:
+        raise DimensionMismatchError(
+            f"weight distribution has dimension {weights_dist.dim}, "
+            f"model has {model.num_features} features"
+        )
     phi = model.features(_as_rows(inputs))
     means = phi @ weights_dist.mean
     variances = np.einsum("ij,jk,ik->i", phi, weights_dist.cov, phi)
@@ -269,13 +201,13 @@ def nlpd(model: BlrModel, weights_dist: GaussianDist, test_data: Dataset) -> flo
 def log_marginal_likelihood(model: BlrModel, data: Dataset) -> float:
     """log density of the targets under the prior predictive.
 
-    Read off the whitened problem's statistics, anchored at its posterior
-    mean m, in O(k^3) where the dense form costs O(n^3):
+    Read off the pair's statistics, anchored at the posterior mean m, in
+    O(k^3) where the dense form costs O(n^3):
 
         y^T (sigma^2 I + Phi Phi^T)^{-1} y = ||y - Phi m||^2 / sigma^2 + ||m||^2,
         det(sigma^2 I_n + Phi Phi^T) = sigma^(2 (n - k)) det(sigma^2 I_k + Phi^T Phi).
     """
-    stats = _per_pair(_whitened_stats, model, data)[0]
+    stats = _per_pair(_full_batch_stats, model, data)
     n, k, sigma2 = stats.size, model.num_features, model.noise_variance
     inner = cholesky_psd(sigma2 * np.eye(k) + stats.gram, what="scaled posterior precision").matrix
     quad = stats.residual_sq / sigma2 + float(stats.anchor @ stats.anchor)

@@ -14,7 +14,9 @@ class FviBenchError(Exception):
 
 
 class DimensionMismatchError(FviBenchError):
-    """Operands have incompatible shapes."""
+    """Operands have incompatible shapes, or an input has a shape no operand
+    may have: a Gaussian of dimension 0, a minibatch that is not a 1-D
+    array of row indices."""
 
 
 class SingularReferenceError(FviBenchError):
@@ -44,11 +46,6 @@ class NonFiniteValueError(FviBenchError):
 class InvalidBoxError(FviBenchError):
     """A sampling box whose width hi - lo is not finite and positive in some
     dimension: lo >= hi, a NaN or infinite bound, or a width that overflows."""
-
-
-class NonStandardPriorError(FviBenchError):
-    """A variational objective got a model whose prior is not N(0, I);
-    ``blr.whiten`` rewrites such a model under the standard prior."""
 
 
 def require_count(name: str, value, minimum: int):

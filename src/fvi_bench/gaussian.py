@@ -25,7 +25,7 @@ class GaussianDist:
     """Gaussian with a mean vector and an ``(n, n)`` symmetric PSD covariance.
 
     The distribution owns read-only copies of its arrays, so a property
-    decided once from them (such as a model's standard prior) stays true.
+    decided once from them stays true.  It has at least one dimension.
     """
 
     mean: np.ndarray
@@ -35,16 +35,18 @@ class GaussianDist:
         mean = np.array(self.mean, dtype=float).reshape(-1)
         cov = np.asarray(self.cov, dtype=float)
         n = mean.shape[0]
+        if n == 0:
+            raise DimensionMismatchError("a Gaussian needs at least one dimension")
         if cov.shape != (n, n):
             raise DimensionMismatchError(f"covariance must be ({n}, {n}), got {cov.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise NonFiniteValueError("mean and covariance must be finite")
-        scale = max(1.0, float(np.abs(cov).max()) if cov.size else 1.0)
+        scale = max(1.0, float(np.abs(cov).max()))
         if float(np.abs(cov - cov.T).max()) > 1e-10 * scale:
             raise ValueError("covariance is not symmetric within 1e-10")
         cov = 0.5 * (cov + cov.T)
         diag = np.diag(cov)
-        if diag.size and float(diag.min()) < -1e-10 * max(1.0, float(np.abs(diag).max())):
+        if float(diag.min()) < -1e-10 * max(1.0, float(np.abs(diag).max())):
             raise ValueError("covariance has a negative diagonal entry")
         mean.flags.writeable = cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -53,10 +55,6 @@ class GaussianDist:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-def standard_gaussian(n: int) -> GaussianDist:
-    return GaussianDist(np.zeros(n), np.eye(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ the gradient of the marginal KL term when the variational marginal is
 treated as implicit (the functional VI of Sun et al., ICLR 2019): the
 approximate-posterior score comes from the estimator, while the prior
 marginal is Gaussian and its score comes in closed form from the prepared
-`MarginalKl`, which takes the standard prior N(0, I) (see `blr.whiten`).
+`MarginalKl`, under the package's one prior N(0, I).
 The estimate is the whole KL gradient of a `variational.Ssge` step, which
 takes only the KL value from the closed form.  One kernel matrix of the
 samples serves the fit and the scores at those samples.

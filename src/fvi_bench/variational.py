@@ -17,9 +17,9 @@ the exact weight-space KL, the marginal KL at a fixed measurement set, the
 marginal KL at a freshly sampled measurement set each step, or the same with
 the spectral score estimator supplying the KL gradient.
 
-Every KL here is taken against the standard prior N(0, I); a model with
-any other Gaussian prior is rewritten with `blr.whiten` first, and is
-rejected with `NonStandardPriorError` otherwise.
+Every KL here is taken against the model's prior N(0, I), the one prior of
+the package (`blr` says how to rewrite a problem under another Gaussian
+prior).
 
 The marginal KL between pushforwards at measurement rows B is evaluated by
 rotating onto an orthonormal basis of the row space of B, R^{-T} B for the
@@ -56,7 +56,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidBoxError,
     NonFiniteValueError,
-    NonStandardPriorError,
     require_count,
 )
 from .features import RANK_RTOL, _owned_rows, independent_rows
@@ -267,6 +266,10 @@ def expected_log_likelihood(
         stats, scale_factor = _per_pair(_full_batch_stats, model, data), 1.0
     else:
         minibatch = np.asarray(minibatch)
+        if minibatch.ndim != 1:
+            raise DimensionMismatchError(
+                f"minibatch must be a 1-D array of row indices, got shape {minibatch.shape}"
+            )
         if minibatch.size and minibatch.dtype.kind not in "iu":  # a mask or floats cast silently
             raise ValueError(f"minibatch must hold integer row indices, got {minibatch.dtype}")
         if minibatch.size == 0 or minibatch.min() < 0 or minibatch.max() >= data.size:
@@ -296,20 +299,11 @@ def expected_log_likelihood(
     return value, state.pack_grad(grad_mean, grad_scale)
 
 
-def _require_standard_prior(model: BlrModel):
-    if not model.has_standard_prior():
-        raise NonStandardPriorError(
-            "the variational objectives take the N(0, I) prior; rewrite the model "
-            "with blr.whiten first"
-        )
-
-
 def exact_kl(state: VariationalState, model: BlrModel) -> tuple[float, np.ndarray]:
     """Weight-space KL(q, N(0, I)) and its gradient."""
     k = state.dim
     if model.num_features != k:
         raise DimensionMismatchError(f"state has {k} weights, model has {model.num_features}")
-    _require_standard_prior(model)
     magnitudes = np.diag(state.scale) if state.is_full else state.scale
     log_det = 2.0 * float(np.sum(np.log(magnitudes)))
     value = 0.5 * (float(state.mean @ state.mean) + float(np.sum(state.scale**2)) - k - log_det)
@@ -350,7 +344,6 @@ class MarginalKl:
     """
 
     def __init__(self, model: BlrModel, measurement_set: MeasurementSet):
-        _require_standard_prior(model)
         rows = model.features(measurement_set.points)
         num_rows, k = rows.shape
         inverse = _certified_inverse_r(rows) if num_rows <= k else None
@@ -435,7 +428,6 @@ def fixed_a_optimal_mean(
     """Stationary mean of the fixed-measurement-set objective, in closed form
     (the projection of a square full-rank feature matrix recovers MAP
     inference)."""
-    _require_standard_prior(model)
     stats = _per_pair(_full_batch_stats, model, data)
     projection = MarginalKl(model, measurement_set).projection
     # rcond is the package-wide numerical-rank tolerance: directions the
@@ -545,7 +537,6 @@ class Objective:
         data: Dataset,
         minibatch_size: int | None = None,
     ):
-        _require_standard_prior(model)
         if isinstance(kind, (RandA, Ssge)) and kind.policy.box.shape[0] != data.inputs.shape[1]:
             raise DimensionMismatchError(
                 f"measurement box has dimension {kind.policy.box.shape[0]}, "

@@ -30,6 +30,25 @@ def random_uncorrelated_gaussian(rng: np.random.Generator, n: int) -> gaussian.G
     return gaussian.GaussianDist(rng.standard_normal(n), np.diag(rng.uniform(0.2, 3.0, n)))
 
 
+def standard_gaussian(n: int) -> gaussian.GaussianDist:
+    """N(0, I) in n dimensions, the prior of every `BlrModel`."""
+    return gaussian.GaussianDist(np.zeros(n), np.eye(n))
+
+
+def whiten(model: BlrModel, prior: gaussian.GaussianDist, *datasets: Dataset) -> tuple:
+    """The problem of ``model`` under the prior N(mu, L L^T), rewritten by hand
+    as the package's N(0, I) problem in v = L^{-1} (w - mu): ``(model with
+    features Phi L, L, *datasets with targets y - Phi mu)``.  A Gaussian
+    N(m, S) over v is N(mu + L m, L S L^T) over w."""
+    factor = np.linalg.cholesky(prior.cov)
+    white = BlrModel(lambda x: model.features(x) @ factor, model.noise_variance, prior.dim)
+    shifted = (
+        Dataset(data.inputs, data.targets - model.features(data.inputs) @ prior.mean)
+        for data in datasets
+    )
+    return (white, factor, *shifted)
+
+
 @contextlib.contextmanager
 def counted_rows():
     """The list of the row counts of the RBF feature evaluations made in the block."""

@@ -2,7 +2,8 @@
 
 Oracles: hand conjugate computations, 1D quadrature of prior x likelihood,
 Monte Carlo predictive checks, scipy densities, and the function-space (kernel) form of the
-posterior predictive.
+posterior predictive.  A problem under another Gaussian prior is solved
+through `conftest.whiten` and mapped back by w = mu + L v.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import random_gaussian
+from conftest import random_gaussian, standard_gaussian, whiten
 from fvi_bench import gaussian
 from fvi_bench.blr import (
     BlrModel,
@@ -20,11 +21,10 @@ from fvi_bench.blr import (
     log_marginal_likelihood,
     nlpd,
     predictive_marginals,
-    whiten,
 )
-from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError, SingularReferenceError
+from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap
-from fvi_bench.gaussian import GaussianDist, standard_gaussian
+from fvi_bench.gaussian import GaussianDist
 
 
 def identity_feature_model(noise_variance: float = 1.0) -> BlrModel:
@@ -43,7 +43,7 @@ def random_model_and_data(rng, *, k_max=6, n_max=12):
 
 
 def elbo_closed_form(q, model, data):
-    """Exact ELBO for Gaussian q: E_q[log lik] - KL(q, prior), computed from
+    """Exact ELBO for Gaussian q: E_q[log lik] - KL(q, N(0, I)), computed from
     first principles as an independent oracle."""
     phi = model.features(data.inputs)
     resid = data.targets - phi @ q.mean
@@ -51,7 +51,7 @@ def elbo_closed_form(q, model, data):
     expected_ll = -0.5 * data.size * math.log(2 * math.pi * s2) - 0.5 / s2 * (
         float(resid @ resid) + float(np.trace(phi.T @ phi @ q.cov))
     )
-    return expected_ll - gaussian.kl_divergence(q, model.prior)
+    return expected_ll - gaussian.kl_divergence(q, standard_gaussian(q.dim))
 
 
 class TestExactPosterior:
@@ -84,26 +84,28 @@ class TestExactPosterior:
     def test_huge_noise_recovers_prior(self):
         rng = np.random.default_rng(0)
         model, data = random_model_and_data(rng)
-        washed = BlrModel(model.feature_map, noise_variance=1e12, prior=model.prior)
+        washed = BlrModel(model.feature_map, noise_variance=1e12)
         post = exact_posterior(washed, data)
-        np.testing.assert_allclose(post.mean, model.prior.mean, atol=1e-5)
-        np.testing.assert_allclose(post.cov, model.prior.cov, atol=1e-5)
+        prior = standard_gaussian(model.num_features)
+        np.testing.assert_allclose(post.mean, prior.mean, atol=1e-5)
+        np.testing.assert_allclose(post.cov, prior.cov, atol=1e-5)
 
     def test_general_prior_against_quadrature(self):
-        model = BlrModel(
-            lambda x: x, noise_variance=0.5, prior=GaussianDist([0.3], [[2.0]])
+        prior = GaussianDist([0.3], [[2.0]])
+        white, factor, data = whiten(
+            identity_feature_model(noise_variance=0.5), prior, Dataset([[2.0]], [1.5])
         )
-        post = exact_posterior(model, Dataset([[2.0]], [1.5]))
+        post_mean = prior.mean + factor @ exact_posterior(white, data).mean
 
         def unnorm(w):
             return math.exp(-0.25 * (w - 0.3) ** 2) * math.exp(-((1.5 - 2 * w) ** 2))
 
         z, _ = integrate.quad(unnorm, -10, 10)
         mean, _ = integrate.quad(lambda w: w * unnorm(w), -10, 10)
-        assert post.mean[0] == pytest.approx(mean / z, abs=1e-9)
+        assert post_mean[0] == pytest.approx(mean / z, abs=1e-9)
 
     def test_general_prior_against_precision_form(self):
-        """Independent of `whiten`: the posterior from the prior precision,
+        """Against the posterior from the prior precision,
         (Sigma0^{-1} + Phi^T Phi / sigma^2)^{-1}, inverted in numpy."""
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -111,14 +113,16 @@ class TestExactPosterior:
             k = int(rng.integers(2, 7))
             fmap = RbfFeatureMap(np.sort(rng.uniform(-2, 2, k)).reshape(-1, 1), np.array([0.8]))
             prior = random_gaussian(rng, k)
-            model = BlrModel(fmap, model.noise_variance, prior=prior)
+            model = BlrModel(fmap, model.noise_variance)
             phi = model.features(data.inputs)
             prior_precision = np.linalg.inv(prior.cov)
             cov = np.linalg.inv(prior_precision + phi.T @ phi / model.noise_variance)
             mean = cov @ (prior_precision @ prior.mean + phi.T @ data.targets / model.noise_variance)
-            post = exact_posterior(model, data)
-            np.testing.assert_allclose(post.mean, mean, rtol=1e-8, atol=1e-10)
-            np.testing.assert_allclose(post.cov, cov, rtol=1e-8, atol=1e-10)
+            white, factor, white_data = whiten(model, prior, data)
+            post = exact_posterior(white, white_data)
+            post_mean = prior.mean + factor @ post.mean
+            np.testing.assert_allclose(post_mean, mean, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(factor @ post.cov @ factor.T, cov, rtol=1e-8, atol=1e-10)
 
 
 def two_coordinate_model() -> BlrModel:
@@ -139,7 +143,7 @@ class TestPredictive:
     def test_prior_predictive_variance_floor(self):
         fmap = RbfFeatureMap(np.linspace(-2, 2, 20).reshape(-1, 1), np.array([0.2]))
         model = BlrModel(fmap, noise_variance=0.01)
-        _, variances = predictive_marginals(model, model.prior, fmap.centers)
+        _, variances = predictive_marginals(model, standard_gaussian(20), fmap.centers)
         assert np.all(variances >= 0.0)
         phi = model.features(fmap.centers)
         np.testing.assert_allclose(variances, np.sum(phi**2, axis=1), rtol=1e-12)
@@ -156,6 +160,15 @@ class TestPredictive:
         )
         np.testing.assert_allclose(means, np.zeros(3))
         np.testing.assert_allclose(variances, np.full(3, 2.0))
+
+    def test_weights_of_another_dimension_rejected(self):
+        """Three weights on two features once raised numpy's "matmul: ...
+        mismatch in its core dimension"."""
+        model, weights = two_coordinate_model(), standard_gaussian(3)
+        with pytest.raises(DimensionMismatchError, match="dimension 3"):
+            predictive_marginals(model, weights, np.ones((4, 2)))
+        with pytest.raises(DimensionMismatchError, match="dimension 3"):
+            nlpd(model, weights, Dataset(np.ones((4, 2)), np.zeros(4)))
 
     def test_roundoff_negative_variance_clipped(self):
         w = GaussianDist([0.0, 0.0], 0.1 * np.ones((2, 2)))
@@ -213,7 +226,7 @@ class TestNlpd:
         y = model.features(x) @ w_true + 0.1 * rng.standard_normal(30)
         data = Dataset(x, y)
         post = exact_posterior(model, data)
-        assert nlpd(model, post, data) < nlpd(model, model.prior, data)
+        assert nlpd(model, post, data) < nlpd(model, standard_gaussian(10), data)
 
 
     def test_matches_scipy_norm_logpdf(self):
@@ -247,11 +260,11 @@ class TestLogMarginalLikelihood:
         for _ in range(10):
             model, data = random_model_and_data(rng)
             prior = random_gaussian(rng, model.num_features)
-            model = BlrModel(model.feature_map, model.noise_variance, prior=prior)
             phi = model.features(data.inputs)
             cov = phi @ prior.cov @ phi.T + model.noise_variance * np.eye(data.size)
             dense = stats.multivariate_normal.logpdf(data.targets, phi @ prior.mean, cov)
-            assert log_marginal_likelihood(model, data) == pytest.approx(dense, rel=1e-10)
+            white, _, white_data = whiten(model, prior, data)
+            assert log_marginal_likelihood(white, white_data) == pytest.approx(dense, rel=1e-10)
 
     def test_tight_at_exact_posterior(self):
         rng = np.random.default_rng(6)
@@ -323,33 +336,6 @@ class TestModel:
         """2.5 once failed later with a bare numpy TypeError."""
         with pytest.raises(ValueError, match="integer"):
             BlrModel(lambda x: x, 1.0, num_features=2.5)
-
-    @pytest.mark.parametrize(
-        "prior, standard",
-        [
-            (None, True),
-            (GaussianDist(np.zeros(2), np.eye(2)), True),
-            (GaussianDist([0.0, 0.1], np.eye(2)), False),
-            (GaussianDist(np.zeros(2), np.diag([1.0, 2.0])), False),
-            (GaussianDist(np.zeros(2), [[1.0, 0.1], [0.1, 1.0]]), False),
-        ],
-        ids=["default", "explicit", "shifted", "scaled", "correlated"],
-    )
-    def test_standard_prior_detected(self, prior, standard):
-        model = BlrModel(lambda x: x, 1.0, prior=prior, num_features=2)
-        assert model.has_standard_prior() is standard
-
-    @pytest.mark.parametrize("closed_form", [whiten, exact_posterior, log_marginal_likelihood])
-    def test_singular_prior_raises(self, closed_form):
-        """A prior covariance with a zero eigenvalue has no Cholesky factor.
-        Factoring it with jitter once returned results, e.g. a log evidence
-        of -7.93 here."""
-        fmap = RbfFeatureMap(np.array([[-1.0], [0.0], [1.0]]), np.array([0.7]))
-        prior = GaussianDist(np.zeros(3), np.diag([1.0, 1.0, 0.0]))
-        model = BlrModel(fmap, 0.1, prior=prior)
-        data = Dataset(np.linspace(-1.5, 1.5, 6).reshape(-1, 1), np.linspace(-1.0, 1.0, 6))
-        with pytest.raises(SingularReferenceError, match="prior covariance"):
-            closed_form(model, data)
 
 
 class TestDatasetIo:

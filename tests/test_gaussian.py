@@ -11,10 +11,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_gaussian, random_spd_matrix, random_uncorrelated_gaussian
+from conftest import (
+    random_gaussian,
+    random_spd_matrix,
+    random_uncorrelated_gaussian,
+    standard_gaussian,
+)
 from fvi_bench import gaussian
 from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError, SingularReferenceError
-from fvi_bench.gaussian import GaussianDist, kl_divergence, standard_gaussian
+from fvi_bench.gaussian import GaussianDist, kl_divergence
 
 
 def mc_kl_oracle(q, p, num_samples, seed):
@@ -222,6 +227,12 @@ class TestConstruction:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="negative diagonal"):
             GaussianDist([0.0, 0.0], np.diag([1.0, -1.0]))
+
+    def test_empty_gaussian_rejected(self):
+        """Dimension 0 once raised numpy's "zero-size array to reduction
+        operation maximum" from the symmetry check."""
+        with pytest.raises(DimensionMismatchError, match="at least one dimension"):
+            GaussianDist(np.zeros(0), np.eye(0))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -27,6 +27,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import standard_gaussian
 from fvi_bench import optimize
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior
 from fvi_bench.features import RbfFeatureMap
@@ -64,7 +65,8 @@ def toy_problem() -> tuple[BlrModel, Dataset, dict[str, GaussianDist]]:
     targets = model.features(inputs) @ weights
     targets = targets + math.sqrt(NOISE_VARIANCE) * rng.standard_normal(targets.size)
     data = Dataset(inputs, targets)
-    return model, data, {"prior": model.prior, "posterior": exact_posterior(model, data)}
+    prior = standard_gaussian(CENTERS.shape[0])
+    return model, data, {"prior": prior, "posterior": exact_posterior(model, data)}
 
 
 MODEL, DATA, WEIGHT_DISTS = toy_problem()

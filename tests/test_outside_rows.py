@@ -14,9 +14,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import callers_of
+from conftest import callers_of, standard_gaussian
 from fvi_bench import blr, features, gaussian, optimize, ssge, variational
-from fvi_bench.blr import BlrModel, Dataset, WhitenedFeatureMap
+from fvi_bench.blr import BlrModel, Dataset
 from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap, fit_rbf_featurizer
 from fvi_bench.ssge import fit_score
@@ -141,10 +141,6 @@ def _policy():
     return MeasurementPolicy(4, 0.5, np.array([[-1.0, 1.0]]))
 
 
-def _model():
-    return BlrModel(RbfFeatureMap(np.zeros((2, 1)), [1.0]), 0.1)
-
-
 # Two instances of equal content of each value type that holds arrays.
 ARRAY_VALUES = {
     "Dataset": lambda: Dataset(np.zeros((2, 1)), np.zeros(2)),
@@ -154,10 +150,9 @@ ARRAY_VALUES = {
     "RandA": lambda: RandA(_policy()),
     "Ssge": lambda: Ssge(_policy()),
     "VariationalState": lambda: VariationalState.prior_state(Family.FULL, 2),
-    "GaussianDist": lambda: gaussian.standard_gaussian(2),
+    "GaussianDist": lambda: standard_gaussian(2),
     "CholeskyFactor": lambda: gaussian.CholeskyFactor(np.eye(2)),
     "RbfFeatureMap": lambda: RbfFeatureMap(np.zeros((2, 1)), [1.0]),
-    "WhitenedFeatureMap": lambda: WhitenedFeatureMap(_model(), np.eye(2)),
     "ScoreEstimate": lambda: fit_score(np.linspace(-1.0, 1.0, 10)),
     "ObjectiveEval": lambda: ObjectiveEval(0.0, 0.0, 0.0, np.zeros(2)),
     "_LikelihoodStats": lambda: blr._likelihood_stats(np.eye(2), np.ones(2), np.zeros(2)),

@@ -24,6 +24,7 @@ from conftest import (
     ill_conditioned_set,
     max_gradient_error,
     relative_error,
+    standard_gaussian,
     svd_form,
     workload_shaped_sets,
 )
@@ -316,6 +317,19 @@ class TestExpectedLogLikelihood:
         with pytest.raises(DimensionMismatchError, match="out of range"):
             expected_log_likelihood(state, model, data, minibatch=minibatch)
 
+    @pytest.mark.parametrize(
+        "minibatch",
+        [3, np.int64(3), np.array([[0, 1], [2, 3]])],
+        ids=["int", "numpy_int", "two_dimensional"],
+    )
+    def test_minibatch_that_is_not_a_1d_index_array_rejected(self, minibatch):
+        """Each once raised numpy's bare ValueError from matmul or broadcasting."""
+        rng = np.random.default_rng(9)
+        model, data = random_problem(rng, k=3, n=6)
+        state = random_state(rng, Family.FFG, 3)
+        with pytest.raises(DimensionMismatchError, match="1-D array of row indices"):
+            expected_log_likelihood(state, model, data, minibatch=minibatch)
+
 
 class TestExactKl:
     def test_prior_state_is_zero(self):
@@ -349,7 +363,9 @@ class TestExactKl:
             family = Family.FULL if rng.random() < 0.5 else Family.FFG
             state = random_state(rng, family, model.num_features)
             value, _ = exact_kl(state, model)
-            reference = gaussian.kl_divergence(state.to_gaussian(), model.prior)
+            reference = gaussian.kl_divergence(
+                state.to_gaussian(), standard_gaussian(model.num_features)
+            )
             assert value == pytest.approx(reference, rel=1e-10, abs=1e-12)
 
     def test_dominates_marginal_kl(self):
@@ -1006,13 +1022,14 @@ class TestSharedStatistics:
         assert rows_evaluated == [57, 31]
 
     def test_closed_forms_read_the_objectives_statistics(self):
-        """A standard-prior model's whitened problem is its own."""
         model, data = random_problem(np.random.default_rng(50), k=5, n=57)
         stats = shared_stats(Objective(Exact(), model, data))
-        exact_posterior(model, data)
-        log_marginal_likelihood(model, data)
-        white_stats, factor = blr._per_pair(blr._whitened_stats, model, data)
-        assert white_stats is stats and factor is None
+        with counted_rows() as rows_evaluated:
+            posterior = exact_posterior(model, data)
+            log_marginal_likelihood(model, data)
+        assert rows_evaluated == []
+        assert blr._per_pair(blr._full_batch_stats, model, data) is stats
+        np.testing.assert_array_equal(posterior.mean, stats.anchor)
 
     def test_two_functions_form_likelihood_statistics(self):
         """The objectives once kept a second copy of the ELL's minibatch

@@ -1,17 +1,13 @@
-"""Tests for `blr.whiten`, the one way a general Gaussian prior reaches the
-variational code.
+"""Tests of the rewrite that puts a problem under another Gaussian prior
+N(mu, L L^T) into the package's one prior N(0, I): features Phi L, targets
+y - Phi mu, and w = mu + L v (`conftest.whiten`, as `blr` describes it).
 
-Oracles: each quantity of the whitened problem is compared with the same
-quantity of the original problem under its own prior N(mu, L L^T), computed
-by code that takes any Gaussian prior (`gaussian`, scipy's density) or by a
-dense pushforward, with the variational state mapped back through
-w = mu + L v.  The closed forms of `blr` whiten the problem themselves;
-`test_blr.py` checks them on general priors against scipy densities and the
-prior-precision form.
+Oracles: each quantity of the rewritten problem is compared with the same
+quantity of the original problem under its own prior, computed by code that
+takes any Gaussian prior (`gaussian.kl_divergence`, scipy's density, Gaussian
+conditioning) or by a dense pushforward, with the variational state mapped
+back through w = mu + L v.
 """
-
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from conftest import counted_rows, random_gaussian, random_uncorrelated_gaussian
+from conftest import random_gaussian, random_uncorrelated_gaussian, whiten
 from fvi_bench import gaussian
 from fvi_bench.blr import (
     BlrModel,
@@ -27,20 +23,13 @@ from fvi_bench.blr import (
     exact_posterior,
     log_marginal_likelihood,
     nlpd,
-    whiten,
 )
-from fvi_bench.errors import NonStandardPriorError
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.variational import (
-    Exact,
     Family,
-    FixedA,
-    MarginalKl,
-    Objective,
     VariationalState,
     exact_kl,
     expected_log_likelihood,
-    fixed_a_optimal_mean,
     marginal_kl,
     measurement_set_from_points,
 )
@@ -55,7 +44,7 @@ problems = st.tuples(
 
 
 def make_problem(seed, prior_kind, family):
-    """A model with a random non-standard prior, train and test data, and a
+    """A model, a random non-standard prior, train and test data, and a
     random state over the whitened weights v."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 7))
@@ -63,7 +52,8 @@ def make_problem(seed, prior_kind, family):
         np.sort(rng.uniform(-2, 2, k)).reshape(-1, 1), np.array([float(rng.uniform(0.4, 1.2))])
     )
     make_prior = random_gaussian if prior_kind == "full" else random_uncorrelated_gaussian
-    model = BlrModel(fmap, noise_variance=float(rng.uniform(0.1, 0.8)), prior=make_prior(rng, k))
+    model = BlrModel(fmap, noise_variance=float(rng.uniform(0.1, 0.8)))
+    prior = make_prior(rng, k)
     n, n_test = int(rng.integers(3, 11)), 5
     train = Dataset(rng.uniform(-2, 2, (n, 1)), 3.0 * rng.standard_normal(n))
     test = Dataset(rng.uniform(-2, 2, (n_test, 1)), 3.0 * rng.standard_normal(n_test))
@@ -74,30 +64,28 @@ def make_problem(seed, prior_kind, family):
         state = VariationalState(family, mean, lower)
     else:
         state = VariationalState(family, mean, np.exp(0.3 * rng.standard_normal(k)))
-    return rng, model, train, test, state
+    return rng, model, prior, train, test, state
 
 
-def to_weights(whitened: BlrModel, state: VariationalState) -> VariationalState:
+def to_weights(prior, factor: np.ndarray, state: VariationalState) -> VariationalState:
     """The state of w = mu + L v for v distributed as ``state``.  L times a
     lower-triangular or diagonal scale stays lower triangular, so the result
     is a full-family state."""
-    original, factor = whitened.feature_map.original, whitened.feature_map.factor
     scale = factor @ (state.scale if state.is_full else np.diag(state.scale))
-    return VariationalState(Family.FULL, original.prior.mean + factor @ state.mean, scale)
+    return VariationalState(Family.FULL, prior.mean + factor @ state.mean, scale)
 
 
 class TestWhitenInvariance:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(problems)
     def test_objective_terms_and_predictive_are_invariant(self, problem):
-        _, model, train, test, state = make_problem(*problem)
-        white, white_train, white_test = whiten(model, train, test)
-        assert white.has_standard_prior()
-        mapped = to_weights(white, state)
+        _, model, prior, train, test, state = make_problem(*problem)
+        white, factor, white_train, white_test = whiten(model, prior, train, test)
+        mapped = to_weights(prior, factor, state)
 
         weight_kl, _ = exact_kl(state, white)
         assert weight_kl == pytest.approx(
-            gaussian.kl_divergence(mapped.to_gaussian(), model.prior), rel=RTOL
+            gaussian.kl_divergence(mapped.to_gaussian(), prior), rel=RTOL
         )
         white_ell, _ = expected_log_likelihood(state, white, white_train)
         original_ell, _ = expected_log_likelihood(mapped, model, train)
@@ -105,8 +93,8 @@ class TestWhitenInvariance:
         phi = model.features(train.inputs)
         evidence = multivariate_normal.logpdf(
             train.targets,
-            phi @ model.prior.mean,
-            phi @ model.prior.cov @ phi.T + model.noise_variance * np.eye(train.size),
+            phi @ prior.mean,
+            phi @ prior.cov @ phi.T + model.noise_variance * np.eye(train.size),
         )
         assert log_marginal_likelihood(white, white_train) == pytest.approx(evidence, rel=RTOL)
         assert nlpd(white, state.to_gaussian(), white_test) == pytest.approx(
@@ -116,15 +104,14 @@ class TestWhitenInvariance:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(problems)
     def test_marginal_kl_is_invariant(self, problem):
-        rng, model, _, _, state = make_problem(*problem)
+        rng, model, prior, _, _, state = make_problem(*problem)
         points = rng.uniform(-2, 2, (int(rng.integers(1, model.num_features + 1)), 1))
         rows = model.features(points)
-        prior_cov = model.prior.cov
-        prior_marginal = gaussian.GaussianDist(rows @ model.prior.mean, rows @ prior_cov @ rows.T)
+        prior_marginal = gaussian.GaussianDist(rows @ prior.mean, rows @ prior.cov @ rows.T)
         assume(np.linalg.cond(prior_marginal.cov) < 1e6)
-        (white,) = whiten(model)
+        white, factor = whiten(model, prior)
         value, _ = marginal_kl(state, white, measurement_set_from_points(points))
-        q = to_weights(white, state).to_gaussian()
+        q = to_weights(prior, factor, state).to_gaussian()
         q_marginal = gaussian.GaussianDist(rows @ q.mean, rows @ q.cov @ rows.T)
         assert value == pytest.approx(
             gaussian.kl_divergence(q_marginal, prior_marginal), rel=1e-6, abs=1e-9
@@ -133,67 +120,20 @@ class TestWhitenInvariance:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(problems)
     def test_exact_posterior_maps_back(self, problem):
-        _, model, train, _, _ = make_problem(*problem)
-        white, white_train = whiten(model, train)
+        """Against w | y by Gaussian conditioning under the original prior:
+        mean mu + Sigma Phi^T G^{-1} (y - Phi mu) and covariance
+        Sigma - Sigma Phi^T G^{-1} Phi Sigma, with G = Phi Sigma Phi^T + sigma^2 I."""
+        _, model, prior, train, _, _ = make_problem(*problem)
+        white, factor, white_train = whiten(model, prior, train)
         posterior = exact_posterior(white, white_train)
-        factor = white.feature_map.factor
-        expected = exact_posterior(model, train)
+        phi = model.features(train.inputs)
+        cross = prior.cov @ phi.T
+        gain = np.linalg.solve(phi @ cross + model.noise_variance * np.eye(train.size), cross.T)
+        expected_mean = prior.mean + gain.T @ (train.targets - phi @ prior.mean)
+        expected_cov = prior.cov - cross @ gain
         np.testing.assert_allclose(
-            model.prior.mean + factor @ posterior.mean, expected.mean, rtol=1e-7, atol=1e-9
+            prior.mean + factor @ posterior.mean, expected_mean, rtol=1e-7, atol=1e-9
         )
         np.testing.assert_allclose(
-            factor @ posterior.cov @ factor.T, expected.cov, rtol=1e-7, atol=1e-9
-        )
-
-    def test_standard_prior_is_returned_unchanged(self):
-        _, model, train, _, _ = make_problem(0, "full", Family.FULL)
-        standard = BlrModel(model.feature_map, model.noise_variance)
-        white, white_train = whiten(standard, train)
-        assert white is standard
-        assert white_train is train
-
-
-class TestWhitenedProblemPerPair:
-    """The closed forms on a model with a non-standard prior and a dataset
-    share one whitened problem.  Each call once whitened the pair afresh:
-    one call of each evaluated the rows four times."""
-
-    def test_only_the_first_closed_form_evaluates_rows(self):
-        _, model, train, _, _ = make_problem(2, "full", Family.FULL)
-        with counted_rows() as first:
-            posterior = exact_posterior(model, train)
-        with counted_rows() as later:
-            evidence = log_marginal_likelihood(model, train)
-            again = exact_posterior(model, train)
-            assert log_marginal_likelihood(model, train) == evidence
-        assert first and later == []
-        np.testing.assert_array_equal(again.mean, posterior.mean)
-        np.testing.assert_array_equal(again.cov, posterior.cov)
-
-    def test_model_is_collected_once_dropped(self):
-        _, model, train, _, _ = make_problem(3, "diagonal", Family.FFG)
-        exact_posterior(model, train)
-        log_marginal_likelihood(model, train)
-        model_ref = weakref.ref(model)
-        del model
-        gc.collect()
-        assert model_ref() is None
-
-
-class TestNonStandardPriorRejected:
-    def test_variational_code_requires_whitening(self):
-        _, model, train, _, state = make_problem(1, "diagonal", Family.FFG)
-        mset = measurement_set_from_points(train.inputs[:2])
-        with pytest.raises(NonStandardPriorError):
-            exact_kl(state, model)
-        with pytest.raises(NonStandardPriorError):
-            MarginalKl(model, mset)
-        with pytest.raises(NonStandardPriorError):
-            fixed_a_optimal_mean(model, train, mset)
-        for kind in (Exact(), FixedA(mset)):
-            with pytest.raises(NonStandardPriorError):
-                Objective(kind, model, train)
-        white, white_train = whiten(model, train)
-        Objective(FixedA(mset), white, white_train).value_and_grad(
-            state, np.random.default_rng(0)
+            factor @ posterior.cov @ factor.T, expected_cov, rtol=1e-7, atol=1e-9
         )
