@@ -337,6 +337,16 @@ class TestModel:
         with pytest.raises(ValueError, match="integer"):
             BlrModel(lambda x: x, 1.0, num_features=2.5)
 
+    def test_feature_count_read_from_the_map(self):
+        fmap = RbfFeatureMap(np.array([[-1.0], [0.0], [1.0]]), np.array([0.7]))
+        assert BlrModel(fmap, 0.1).num_features == 3
+        assert BlrModel(fmap, 0.1, num_features=3).num_features == 3
+
+    def test_feature_count_required(self):
+        """A bare callable has no feature count of its own."""
+        with pytest.raises(ValueError, match="cannot infer feature count"):
+            BlrModel(lambda x: x, 1.0)
+
 
 class TestDatasetIo:
     def test_nonfinite_rejected(self):

@@ -9,13 +9,16 @@ conditioning) or by a dense pushforward, with the variational state mapped
 back through w = mu + L v.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from conftest import random_gaussian, random_uncorrelated_gaussian, whiten
+from conftest import counted_rows, random_gaussian, random_uncorrelated_gaussian, whiten
 from fvi_bench import gaussian
 from fvi_bench.blr import (
     BlrModel,
@@ -26,7 +29,9 @@ from fvi_bench.blr import (
 )
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.variational import (
+    Exact,
     Family,
+    Objective,
     VariationalState,
     exact_kl,
     expected_log_likelihood,
@@ -137,3 +142,55 @@ class TestWhitenInvariance:
         np.testing.assert_allclose(
             factor @ posterior.cov @ factor.T, expected_cov, rtol=1e-7, atol=1e-9
         )
+
+
+class TestWhitenedProblemPerPair:
+    """The closed forms on the problem that `conftest.whiten` makes of a model
+    under a non-standard prior share one feature matrix, as on any (model,
+    dataset) pair: the whitened model is a plain `BlrModel`."""
+
+    def test_only_the_first_closed_form_evaluates_rows(self):
+        _, model, prior, train, _, _ = make_problem(2, "full", Family.FULL)
+        white, _, white_train = whiten(model, prior, train)
+        with counted_rows() as first:
+            posterior = exact_posterior(white, white_train)
+        with counted_rows() as later:
+            evidence = log_marginal_likelihood(white, white_train)
+            again = exact_posterior(white, white_train)
+            assert log_marginal_likelihood(white, white_train) == evidence
+        assert first == [train.size] and later == []
+        np.testing.assert_array_equal(again.mean, posterior.mean)
+        np.testing.assert_array_equal(again.cov, posterior.cov)
+
+    def test_model_is_collected_once_dropped(self):
+        _, model, prior, train, _, _ = make_problem(3, "diagonal", Family.FFG)
+        white, _, white_train = whiten(model, prior, train)
+        exact_posterior(white, white_train)
+        log_marginal_likelihood(white, white_train)
+        white_ref = weakref.ref(white)
+        del white
+        gc.collect()
+        assert white_ref() is None
+
+
+class TestNonStandardPriorRejected:
+    def test_variational_code_requires_whitening(self):
+        """A model takes no prior.  The variational objectives reach a problem
+        under N(mu, L L^T) through the rewrite, where the exact ELBO at the
+        whitened posterior is the original problem's log evidence."""
+        _, model, prior, train, _, _ = make_problem(1, "diagonal", Family.FFG)
+        with pytest.raises(TypeError, match="prior"):
+            BlrModel(model.feature_map, model.noise_variance, prior=prior)
+        white, _, white_train = whiten(model, prior, train)
+        posterior = exact_posterior(white, white_train)
+        state = VariationalState(Family.FULL, posterior.mean, np.linalg.cholesky(posterior.cov))
+        elbo = Objective(Exact(), white, white_train).value_and_grad(
+            state, np.random.default_rng(0)
+        ).elbo_estimate
+        phi = model.features(train.inputs)
+        evidence = multivariate_normal.logpdf(
+            train.targets,
+            phi @ prior.mean,
+            phi @ prior.cov @ phi.T + model.noise_variance * np.eye(train.size),
+        )
+        assert elbo == pytest.approx(evidence, rel=RTOL)
