@@ -31,7 +31,8 @@ class DegenerateMarginalError(FviBenchError):
 
 
 class DegenerateKernelError(FviBenchError):
-    """All pairwise sample distances are zero; kernel bandwidth undefined."""
+    """The samples are all equal or their median pairwise distance is zero;
+    kernel bandwidth undefined."""
 
 
 class NonFiniteGradientError(FviBenchError):

@@ -11,10 +11,14 @@ those k inputs witness that distinct weights give distinct functions.
 `_as_rows` is the package's one reading of outside rows (1-D is one column);
 `RbfFeatureMap`, `blr.Dataset` and `variational.MeasurementSet` keep
 `_owned_rows`, a read-only copy, so caches keyed on them stay valid.
+`_strict_lower` is the one cached strict-lower-triangle mask: `variational`
+packs the full family's factor with it and `ssge` takes its kernel's pairs.
 
 The featurizer's k-means gives scipy's `kmeans2(minit="++")` centers bit for
 bit, at less cost.  Its k-means++ seeding draws scipy's random numbers in
 O(n k d) instead of O(n k^2 d), and stops once every input row is a seed.
+It computes `cdist`'s "sqeuclidean" itself, bit for bit: scipy adds
+(x_j - s_j)^2 in column order too, so a duplicate row gets an exact zero.
 Its Lloyd passes do scipy's arithmetic: -2 X C^T by one matrix product, then
 + |x|^2, then + |c|^2, each norm summed one column at a time; a row's label
 is its first minimum, and a new center is the row-order sum of its rows
@@ -30,12 +34,12 @@ scipy's BLAS, whose idle threads would otherwise spin against numpy's.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr as _scipy_qr
-from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError, NonFiniteValueError, require_count
 
@@ -131,6 +135,16 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
+@functools.lru_cache(maxsize=16)
+def _strict_lower(k: int) -> np.ndarray:
+    """Read-only (k, k) boolean mask of the strict lower triangle, built once
+    per k.  A boolean mask selects entries in row-major order, which is the
+    order of ``np.tril_indices(k, -1)``."""
+    mask = np.tri(k, k, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def independent_rows(matrix: np.ndarray) -> np.ndarray:
     """Indices of a maximal linearly independent subset of rows (pivoted QR),
     in ascending order."""
@@ -214,10 +228,13 @@ def _kmeans_pp_seeds(
     `uniform()` per seed against the normalized cumsum of each row's squared
     distance to its nearest seed, kept here as a running minimum.  Stops when
     those distances are all zero: one seed per distinct row.  Raises
-    `NonFiniteValueError` when their sum overflows.
+    `NonFiniteValueError` when their sum overflows.  A draw above the
+    cumsum's rounded end, where scipy raises `IndexError`, is clamped to that
+    end, so it takes the row where the cumsum reaches it.
     """
+    columns = np.ascontiguousarray(inputs.T)
     seeds = [inputs[rng.integers(inputs.shape[0])]]
-    nearest = cdist(seeds[0][None, :], inputs, "sqeuclidean")[0]
+    nearest = _squared_distances_to(columns, seeds[0])
     while len(seeds) < num_centers:
         total = nearest.sum()
         if total == 0.0:
@@ -225,9 +242,20 @@ def _kmeans_pp_seeds(
         if not np.isfinite(total):
             raise NonFiniteValueError("featurizer inputs are too far apart: distances overflow")
         cumulative = (nearest / total).cumsum()
-        seeds.append(inputs[int(np.searchsorted(cumulative, rng.uniform()))])
-        np.minimum(nearest, cdist(seeds[-1][None, :], inputs, "sqeuclidean")[0], out=nearest)
+        draw = min(rng.uniform(), cumulative[-1])
+        seeds.append(inputs[int(np.searchsorted(cumulative, draw))])
+        np.minimum(nearest, _squared_distances_to(columns, seeds[-1]), out=nearest)
     return np.array(seeds)
+
+
+def _squared_distances_to(columns: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """sum_j (x_j - point_j)^2 for each row x of the (d, n) ``columns``,
+    added one column at a time in column order: `cdist`'s "sqeuclidean"
+    bit for bit."""
+    total = (columns[0] - point[0]) ** 2
+    for j in range(1, columns.shape[0]):
+        total += (columns[j] - point[j]) ** 2
+    return total
 
 
 def _lloyd(inputs: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ approximate-posterior score comes from the estimator, while the prior
 marginal is Gaussian and its score comes in closed form from the prepared
 `MarginalKl`, under the package's one prior N(0, I).
 The estimate is the whole KL gradient of a `variational.Ssge` step, which
-takes only the KL value from the closed form.  One kernel matrix of the
-samples serves the fit and the scores at those samples.
+takes only the KL value from the closed form.  One squared-distance matrix
+of the samples gives the kernel bandwidth, the median of its own pairwise
+distances, and the kernel matrix, which serves the fit and the scores at
+those samples.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import (
     DegenerateKernelError,
@@ -27,7 +28,7 @@ from .errors import (
     NonFiniteValueError,
     require_count,
 )
-from .features import _as_rows, squared_distances
+from .features import _as_rows, _strict_lower, squared_distances
 # Unused here; kept because perfbench/tracing.py wraps these two names on this module.
 from .features import independent_rows  # noqa: F401
 from .gaussian import cholesky_psd  # noqa: F401
@@ -46,7 +47,8 @@ class SsgeConfig:
     """Estimator settings.
 
     The kernel bandwidth is always the median pairwise distance between the
-    samples, and the eigenpair count J always follows ``EIGEN_MASS``.
+    samples, taken from the kernel's own squared distances, and the
+    eigenpair count J always follows ``EIGEN_MASS``.
     """
 
     num_samples: int = 100
@@ -79,12 +81,12 @@ class ScoreEstimate:
                 f"points have dimension {points.shape[1]}, "
                 f"basis has {self.basis_samples.shape[1]}"
             )
-        gram = _rbf_kernel(points, self.basis_samples, self.bandwidth_used)
+        gram = _rbf_kernel(squared_distances(points, self.basis_samples), self.bandwidth_used)
         return _expansion(gram, self.eigvecs, self.eigenvalues, self.beta)
 
 
-def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    return np.exp(-0.5 * squared_distances(a, b) / bandwidth**2)
+def _rbf_kernel(squared: np.ndarray, bandwidth: float) -> np.ndarray:
+    return np.exp(-0.5 * squared / bandwidth**2)
 
 
 def _expansion(
@@ -96,21 +98,30 @@ def _expansion(
 
 
 def fit_score(samples: np.ndarray) -> ScoreEstimate:
-    """Fit the spectral score expansion to the given (M, m) samples."""
+    """Fit the spectral score expansion to the given (M, m) samples.
+
+    The bandwidth is `np.median` of the pairwise distances, the square roots
+    of `squared_distances(samples, samples)` at pairs i > j (the expanded
+    matrix is not bit-symmetric), and the kernel is `_rbf_kernel` of the
+    same matrix.  Raises `DegenerateKernelError` when that median is zero or
+    every sample equals the first: the expanded form can give equal rows a
+    small positive distance, so the median alone misses them.
+    """
     samples = _as_rows(samples)
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 samples to fit a score estimate")
     if not np.all(np.isfinite(samples)):
         raise NonFiniteValueError("score samples contain NaN or Inf")
     m_samples = samples.shape[0]
-    dist = pdist(samples)  # the bandwidth is their np.median, found 6x faster in place
-    dist.partition(dist.size // 2)
+    squared = squared_distances(samples, samples)
+    dist = np.sqrt(squared[_strict_lower(m_samples)])
+    dist.partition(dist.size // 2)  # np.median's rule, found 6x faster in place
     bandwidth = float((dist[: (dist.size + 1) // 2].max() + dist[dist.size // 2]) / 2)
-    if bandwidth == 0.0:
+    if bandwidth == 0.0 or np.all(samples == samples[0]):
         raise DegenerateKernelError(
-            "all pairwise sample distances are zero; bandwidth undefined"
+            "the samples are all equal or their median distance is zero; bandwidth undefined"
         )
-    gram = _rbf_kernel(samples, samples, bandwidth)
+    gram = _rbf_kernel(squared, bandwidth)
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
     keep = eigvals > EIGEN_RTOL * eigvals[0]

@@ -10,7 +10,7 @@ magnitudes are log-transformed:
 
 The strict lower triangle is packed row by row, L[1,0], L[2,0], L[2,1], ...,
 the order of ``np.tril_indices(k, -1)``.  One cached boolean mask,
-`_strict_lower`, fixes that order for every gather and scatter.
+`features._strict_lower`, fixes that order for every gather and scatter.
 
 Objectives maximize the evidence lower bound with one of four KL terms:
 the exact weight-space KL, the marginal KL at a fixed measurement set, the
@@ -42,7 +42,6 @@ certificate of `MarginalKl`.
 from __future__ import annotations
 
 import enum
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -58,7 +57,7 @@ from .errors import (
     NonFiniteValueError,
     require_count,
 )
-from .features import RANK_RTOL, _owned_rows, independent_rows
+from .features import RANK_RTOL, _owned_rows, _strict_lower, independent_rows
 from .gaussian import GaussianDist
 from .gaussian import cholesky_psd  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 from .ssge import SsgeConfig, kl_gradient_estimate
@@ -69,16 +68,6 @@ _log = logging.getLogger(__name__)
 class Family(enum.Enum):
     FULL = "full"
     FFG = "ffg"
-
-
-@functools.lru_cache(maxsize=16)
-def _strict_lower(k: int) -> np.ndarray:
-    """Read-only (k, k) boolean mask of the strict lower triangle, built once
-    per k.  A boolean mask selects entries in row-major order, which is the
-    order of ``np.tril_indices(k, -1)``."""
-    mask = np.tri(k, k, -1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
 
 
 @dataclass(frozen=True, eq=False)

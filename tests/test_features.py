@@ -232,6 +232,34 @@ class TestFeaturizer:
         np.testing.assert_array_equal(fmap.centers, centers)
         np.testing.assert_array_equal(fmap.lengthscales, lengthscales)
 
+    def test_draw_above_the_rounded_cumsum_takes_the_last_row(self):
+        """The normalized cumsum can end below 1; a draw above its end once
+        indexed one row past the inputs (`IndexError`), as scipy does."""
+
+        class TopDraws:
+            def integers(self, n):
+                return 0
+
+            def uniform(self):
+                return np.nextafter(1.0, 0.0)
+
+        rng = np.random.default_rng(3)
+        rng.uniform(size=(200, 3))
+        inputs = rng.uniform(size=(200, 3))
+        seeds = features._kmeans_pp_seeds(inputs, 2, TopDraws())
+        np.testing.assert_array_equal(seeds, inputs[[0, 199]])
+
+    @pytest.mark.parametrize("n, d", [(2000, 4), (500, 8), (50, 1)])
+    def test_seeding_distances_are_cdist_bit_for_bit(self, n, d):
+        rng = np.random.default_rng([n, d])
+        inputs = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+        columns = np.ascontiguousarray(inputs.T)
+        for row in rng.integers(n, size=20):
+            distances = features._squared_distances_to(columns, inputs[row])
+            expected = cdist(inputs[row][None, :], inputs, "sqeuclidean")[0]
+            np.testing.assert_array_equal(distances, expected)
+            assert distances[row] == 0.0
+
     def test_fewer_distinct_rows_than_centers(self):
         distinct = np.random.default_rng(4).standard_normal((5, 2))
         inputs = np.repeat(distinct, 10, axis=0)

@@ -11,7 +11,7 @@ flips the prior score (a relative gradient error of 1.4 to 3.6).
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
 from conftest import (
     ILL_CONDITIONED_LENGTHSCALES,
@@ -23,8 +23,8 @@ from conftest import (
     workload_shaped_sets,
 )
 from fvi_bench.blr import BlrModel
-from fvi_bench.errors import NonFiniteValueError
-from fvi_bench.features import RbfFeatureMap
+from fvi_bench.errors import DegenerateKernelError, NonFiniteValueError
+from fvi_bench.features import RbfFeatureMap, squared_distances
 from fvi_bench.ssge import EIGEN_RTOL, SsgeConfig, fit_score, kl_gradient_estimate
 from fvi_bench.variational import Family, MarginalKl, VariationalState, measurement_set_from_points
 
@@ -125,6 +125,23 @@ class TestFitScore:
         estimate = fit_score(rng.standard_normal((num_samples, 4)))
         assert np.array_equal(estimate.sample_scores, estimate(estimate.basis_samples))
 
+    def test_equal_samples_raise_degenerate_kernel(self):
+        """Copies of the third draw of 3 N(0, I) + 1 get an expanded distance
+        of 3.4e-7 from each other, so a zero median cannot catch them."""
+        rng = np.random.default_rng(0)
+        row = [3 * rng.standard_normal(50) + 1 for _ in range(3)][-1]
+        with pytest.raises(DegenerateKernelError):
+            fit_score(np.tile(row, (100, 1)))
+
+    def test_dyadic_equal_samples_raise_degenerate_kernel(self):
+        with pytest.raises(DegenerateKernelError):
+            fit_score(np.tile([0.5, -1.25, 3.0], (10, 1)))
+
+    def test_mostly_equal_samples_raise_degenerate_kernel(self):
+        """36 of the 45 pairs coincide, so the median distance is zero."""
+        with pytest.raises(DegenerateKernelError):
+            fit_score(np.vstack([np.zeros((9, 2)), np.ones((1, 2))]))
+
     def test_non_finite_samples_raise_a_package_error(self):
         samples = np.random.default_rng(0).standard_normal((10, 2))
         samples[3, 1] = np.nan
@@ -138,9 +155,11 @@ class TestFitScore:
             rng.standard_normal(3), random_spd_matrix(rng, 3, min_eig=0.5), size=num_samples
         )
         estimate = fit_score(samples)
-        distances = pdist(samples)
-        assert estimate.bandwidth_used == np.median(distances)
-        kernel = np.exp(-0.5 * squareform(distances) ** 2 / np.median(distances) ** 2)
+        squared = squared_distances(samples, samples)
+        median = np.median(np.sqrt(squared[np.tril_indices(num_samples, -1)]))
+        assert estimate.bandwidth_used == median
+        np.testing.assert_allclose(estimate.bandwidth_used, np.median(pdist(samples)), rtol=1e-13)
+        kernel = np.exp(-0.5 * squared / median**2)
         eigenvalues = np.linalg.eigvalsh(kernel)[::-1]
         eigenvalues = eigenvalues[eigenvalues > EIGEN_RTOL * eigenvalues[0]]
         mass = np.cumsum(eigenvalues) / eigenvalues.sum()
