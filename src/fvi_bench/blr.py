@@ -124,19 +124,19 @@ def _likelihood_stats(
     )
 
 
-# Model -> dataset -> {builder: its shared result}, both keyed weakly and by
-# identity: an entry lives while its model and its dataset do.  A result that
-# referred to either would keep it alive, so results refer to neither.
+# Model -> dataset or measurement set -> {builder: its shared result}, keyed
+# weakly and by identity: an entry lives while both of its keys do.  A result
+# that referred to either would keep it alive, so results refer to neither.
 _PAIR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _per_pair(build, model: BlrModel, data: Dataset):
-    """``build(model, data)``, formed once per (model, data) pair and shared.
+def _per_pair(build, model: BlrModel, key):
+    """``build(model, key)`` for a dataset or measurement set ``key``, once per pair, shared.
     A hit allocates nothing: ``setdefault`` runs only for a missing or empty entry."""
-    by_data = _PAIR_CACHE.get(model) or _PAIR_CACHE.setdefault(model, weakref.WeakKeyDictionary())
-    results = by_data.get(data) or by_data.setdefault(data, {})
+    by_key = _PAIR_CACHE.get(model) or _PAIR_CACHE.setdefault(model, weakref.WeakKeyDictionary())
+    results = by_key.get(key) or by_key.setdefault(key, {})
     if build not in results:
-        results[build] = build(model, data)
+        results[build] = build(model, key)
     return results[build]
 
 

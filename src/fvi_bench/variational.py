@@ -12,10 +12,10 @@ The strict lower triangle is packed row by row, L[1,0], L[2,0], L[2,1], ...,
 the order of ``np.tril_indices(k, -1)``.  One cached boolean mask,
 `features._strict_lower`, fixes that order for every gather and scatter.
 
-Objectives maximize the evidence lower bound with one of four KL terms:
-the exact weight-space KL, the marginal KL at a fixed measurement set, the
-marginal KL at a freshly sampled measurement set each step, or the same with
-the spectral score estimator supplying the KL gradient.
+Objectives maximize the evidence lower bound with one of four KL terms, each
+computed by its objective kind: the exact weight-space KL, the marginal KL at
+a fixed measurement set, the marginal KL at a set sampled afresh each step,
+or the same with the spectral score estimator supplying the KL gradient.
 
 Every KL here is taken against the model's prior N(0, I), the one prior of
 the package (`blr` says how to rewrite a problem under another Gaussian
@@ -42,7 +42,6 @@ certificate of `MarginalKl`.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -61,8 +60,6 @@ from .features import RANK_RTOL, _owned_rows, _strict_lower, independent_rows
 from .gaussian import GaussianDist
 from .gaussian import cholesky_psd  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 from .ssge import SsgeConfig, kl_gradient_estimate
-
-_log = logging.getLogger(__name__)
 
 
 class Family(enum.Enum):
@@ -343,10 +340,6 @@ class MarginalKl:
             rows = rows[kept]
             inverse = np.linalg.inv(np.linalg.qr(rows.T, mode="r"))
         self.rows_dropped = num_rows - rows.shape[0]
-        if self.rows_dropped:
-            _log.debug(
-                "dropped %d linearly dependent measurement rows", self.rows_dropped
-            )
         self.size = rows.shape[0]
         self.rows = rows  # (m, k), the retained rows B
         self._inverse_r = inverse  # (m, m), R^{-1} with B B^T = R^T R
@@ -418,7 +411,7 @@ def fixed_a_optimal_mean(
     (the projection of a square full-rank feature matrix recovers MAP
     inference)."""
     stats = _per_pair(_full_batch_stats, model, data)
-    projection = MarginalKl(model, measurement_set).projection
+    projection = _per_pair(MarginalKl, model, measurement_set).projection
     # rcond is the package-wide numerical-rank tolerance: directions the
     # data cannot identify are resolved to the minimum-norm solution rather
     # than amplified by roundoff-scale eigenvalues.  The right side is Phi^T y,
@@ -435,18 +428,26 @@ def fixed_a_optimal_mean(
 class Exact:
     """Maximize the ELBO with the exact weight-space KL."""
 
+    def _kl_term(self, state, model, data, rng) -> tuple[float, np.ndarray, int]:
+        return (*exact_kl(state, model), 0)
+
 
 @dataclass(frozen=True, eq=False)
 class FixedA:
-    """Marginal KL at a measurement set fixed for the whole run.  The
-    objectives on one kind, model and dataset share one `MarginalKl`, cached
-    by `_per_pair` under the bound `_marginal`, which compares and hashes by
-    the kind's identity, as the kind does."""
+    """Marginal KL at a measurement set fixed for the whole run.  Every
+    FixedA kind on one set, and `fixed_a_optimal_mean` at that set, reads the
+    one `MarginalKl` that `_per_pair` keeps per (model, measurement set)
+    pair, whatever the dataset."""
 
     measurement_set: MeasurementSet
 
-    def _marginal(self, model: BlrModel, data: Dataset) -> MarginalKl:
-        return MarginalKl(model, self.measurement_set)
+    def __post_init__(self):
+        if not isinstance(self.measurement_set, MeasurementSet):
+            raise TypeError(f"FixedA takes a MeasurementSet, got {type(self.measurement_set)}")
+
+    def _kl_term(self, state, model, data, rng) -> tuple[float, np.ndarray, int]:
+        marginal = _per_pair(MarginalKl, model, self.measurement_set)
+        return (*marginal.value_and_grad(state), marginal.rows_dropped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,6 +456,10 @@ class RandA:
     (a one-sample Monte Carlo estimate of the expected marginal KL)."""
 
     policy: MeasurementPolicy
+
+    def _kl_term(self, state, model, data, rng) -> tuple[float, np.ndarray, int]:
+        marginal = MarginalKl(model, sample_measurement_set(self.policy, data, rng))
+        return (*marginal.value_and_grad(state), marginal.rows_dropped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,6 +470,11 @@ class Ssge:
 
     policy: MeasurementPolicy
     config: SsgeConfig = field(default_factory=SsgeConfig)
+
+    def _kl_term(self, state, model, data, rng) -> tuple[float, np.ndarray, int]:
+        marginal = MarginalKl(model, sample_measurement_set(self.policy, data, rng))
+        kl = marginal.value(state)
+        return kl, kl_gradient_estimate(state, marginal, self.config, rng), marginal.rows_dropped
 
 
 ObjectiveKind = Exact | FixedA | RandA | Ssge
@@ -509,14 +519,14 @@ class Objective:
 
     A step takes its ELL from `expected_log_likelihood`, full batch or on
     the next minibatch; a minibatch objective starts a new epoch at a run's
-    first step (``step == 1``), so a run depends only on its rng.  The
-    constructor forms what the steps read, once per (model, data) pair in
-    `blr`: the likelihood statistics, or for minibatches the feature matrix.
-    Every kind but `Exact` takes its KL from one `MarginalKl`: drawn each
-    step for `RandA` and `Ssge`, and for `FixedA` prepared once per kind and
-    pair and shared like the statistics; `Ssge` takes only its value and the
-    estimated KL gradient.  `RandA` and `Ssge` reject a measurement box whose
-    dimension is not the data's.
+    first step (``step == 1``), so a run depends only on its rng.  Its KL
+    term comes from one call to the kind's own ``_kl_term``, which returns
+    the KL, its gradient and the measurement rows dropped.  The constructor
+    forms what the steps read, once per pair in `blr`: the likelihood
+    statistics of (model, data), or for minibatches their feature matrix,
+    and for `FixedA` the `MarginalKl` of (model, measurement set).  It
+    rejects a kind that is not an `ObjectiveKind` with `TypeError`, and a
+    `RandA` or `Ssge` box whose dimension is not the data's.
     """
 
     def __init__(
@@ -526,6 +536,8 @@ class Objective:
         data: Dataset,
         minibatch_size: int | None = None,
     ):
+        if not isinstance(kind, ObjectiveKind):
+            raise TypeError(f"kind must be an Exact, FixedA, RandA or Ssge, got {kind!r}")
         if isinstance(kind, (RandA, Ssge)) and kind.policy.box.shape[0] != data.inputs.shape[1]:
             raise DimensionMismatchError(
                 f"measurement box has dimension {kind.policy.box.shape[0]}, "
@@ -538,25 +550,13 @@ class Objective:
         if minibatch_size is not None:
             self._schedule = MinibatchSchedule(data.size, minibatch_size)
         _per_pair(_full_batch_stats if self._schedule is None else _feature_matrix, model, data)
-        self._fixed_marginal = (
-            _per_pair(kind._marginal, model, data) if isinstance(kind, FixedA) else None
-        )
+        if isinstance(kind, FixedA):
+            _per_pair(MarginalKl, model, kind.measurement_set)
 
     def value_and_grad(
         self, state: VariationalState, rng: np.random.Generator, step: int = 0
     ) -> ObjectiveEval:
         batch = None if self._schedule is None else self._schedule.next_batch(rng, step == 1)
         ell, ell_grad = expected_log_likelihood(state, self.model, self.data, batch)
-        if isinstance(self.kind, Exact):
-            kl, kl_grad = exact_kl(state, self.model)
-            return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad)
-        marginal = self._fixed_marginal
-        if marginal is None:
-            drawn = sample_measurement_set(self.kind.policy, self.data, rng)
-            marginal = MarginalKl(self.model, drawn)
-        if isinstance(self.kind, Ssge):
-            kl = marginal.value(state)
-            kl_grad = kl_gradient_estimate(state, marginal, self.kind.config, rng)
-        else:
-            kl, kl_grad = marginal.value_and_grad(state)
-        return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad, marginal.rows_dropped)
+        kl, kl_grad, rows_dropped = self.kind._kl_term(state, self.model, self.data, rng)
+        return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad, rows_dropped)

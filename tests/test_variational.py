@@ -9,6 +9,7 @@ retained measurement rows, and hand algebra for the stationary-mean formulas.
 
 import gc
 import math
+import typing
 import weakref
 
 import numpy as np
@@ -46,6 +47,7 @@ from fvi_bench.variational import (
     MeasurementSet,
     MinibatchSchedule,
     Objective,
+    ObjectiveKind,
     RandA,
     Ssge,
     VariationalState,
@@ -660,6 +662,37 @@ class TestObjectives:
         with pytest.raises(DimensionMismatchError, match="box has dimension 2, data has 1"):
             Objective(kind(policy), model, data)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda model, data: Objective("exact", model, data),
+            lambda model, data: Objective(Exact, model, data),
+            lambda model, data: Objective(None, model, data),
+            lambda model, data: FixedA(np.linspace(-1, 1, 3)),
+        ],
+        ids=["string", "class", "none", "fixed_a_of_bare_points"],
+    )
+    def test_what_is_not_a_kind_rejected_at_construction(self, make):
+        """Each once constructed; the first step then raised a bare
+        AttributeError ('policy' or 'points')."""
+        model, data = random_problem(np.random.default_rng(65), n=10)
+        with pytest.raises(TypeError):
+            make(model, data)
+
+    def test_each_kind_computes_its_own_kl_term(self):
+        """The step once chose the KL term with an isinstance branch per kind."""
+        assert callers_of("exact_kl") == {"variational.Exact._kl_term"}
+        assert callers_of("kl_gradient_estimate") == {"variational.Ssge._kl_term"}
+        assert "variational.Objective.value_and_grad" not in callers_of("isinstance")
+
+    def test_objective_kind_lists_every_kind(self):
+        kinds = {
+            value
+            for value in vars(variational).values()
+            if isinstance(value, type) and hasattr(value, "_kl_term")
+        }
+        assert set(typing.get_args(ObjectiveKind)) == kinds
+
     @pytest.mark.parametrize("kind_name", ["rand_a", "ssge"])
     def test_resampling_kinds_draw_a_fresh_set_every_call(self, kind_name):
         from fvi_bench.ssge import SsgeConfig, kl_gradient_estimate
@@ -945,6 +978,12 @@ def shared_stats(objective):
     return blr._per_pair(blr._full_batch_stats, objective.model, objective.data)
 
 
+def shared_marginal(objective):
+    """The `MarginalKl` that the pair cache keeps for a FixedA objective's
+    (model, measurement set) pair; a KeyError if it was never formed."""
+    return blr._PAIR_CACHE[objective.model][objective.kind.measurement_set][MarginalKl]
+
+
 class TestSharedStatistics:
     """Full-batch objectives and the closed forms on one (model, data) pair
     share one set of likelihood statistics."""
@@ -963,12 +1002,13 @@ class TestSharedStatistics:
             expected_log_likelihood(state, model, data)
             expected_log_likelihood(state, model, data, minibatch=np.arange(10))
             fixed_a_optimal_mean(model, data, EVERY_KIND[1].measurement_set)
-        # The closed forms evaluate only the measurement set of fixed_a_optimal_mean.
-        assert rows_evaluated == [57, 3, 3]
+        # The closed forms evaluate nothing: fixed_a_optimal_mean reads the
+        # marginal of the objectives' (model, measurement set) pair.
+        assert rows_evaluated == [57, 3]
         phi, stats = shared_phi(minibatch_objectives[0]), shared_stats(objectives[0])
         assert all(shared_phi(o) is phi for o in minibatch_objectives)
         assert all(shared_stats(objective) is stats for objective in objectives)
-        fixed = [o._fixed_marginal for o in objectives if isinstance(o.kind, FixedA)]
+        fixed = [shared_marginal(o) for o in objectives if isinstance(o.kind, FixedA)]
         assert len(fixed) == 2 and fixed[0] is fixed[1] is not None
 
     def test_new_model_or_new_dataset_gets_fresh_statistics(self):
@@ -1021,6 +1061,22 @@ class TestSharedStatistics:
             exact_posterior(model, first)
         assert rows_evaluated == [57, 31]
 
+    def test_one_marginal_per_model_and_measurement_set(self):
+        """The marginal was once kept per (kind, dataset): two kinds on one
+        set, a second dataset and `fixed_a_optimal_mean` each formed it
+        again, evaluating [57, 3, 3, 31, 3, 3] rows."""
+        rng = np.random.default_rng(51)
+        model, data = random_problem(rng, k=5, n=57)
+        second = Dataset(rng.uniform(-2, 2, (31, 1)), rng.standard_normal(31))
+        points = MeasurementSet(np.linspace(-1, 1, 3))
+        with counted_rows() as rows_evaluated:
+            objectives = [Objective(FixedA(points), model, data) for _ in range(2)]
+            objectives.append(Objective(FixedA(points), model, second))
+            fixed_a_optimal_mean(model, second, points)
+        assert rows_evaluated == [57, 3, 31]
+        marginal = shared_marginal(objectives[0])
+        assert all(shared_marginal(objective) is marginal for objective in objectives)
+
     def test_closed_forms_read_the_objectives_statistics(self):
         model, data = random_problem(np.random.default_rng(50), k=5, n=57)
         stats = shared_stats(Objective(Exact(), model, data))
@@ -1053,7 +1109,7 @@ class TestSharedFeatureMatrix:
         # The data once; FixedA's own measurement set once for both of its objectives.
         assert rows_evaluated == [57, 3]
         assert all(shared_phi(objective) is shared_phi(objectives[0]) for objective in objectives)
-        fixed = [o._fixed_marginal for o in objectives if isinstance(o.kind, FixedA)]
+        fixed = [shared_marginal(o) for o in objectives if isinstance(o.kind, FixedA)]
         assert len(fixed) == 2 and fixed[0] is fixed[1] is not None
         with pytest.raises(ValueError):
             shared_phi(objectives[0])[0, 0] = 0.0
@@ -1074,7 +1130,7 @@ class TestSharedFeatureMatrix:
         model, data = random_problem(np.random.default_rng(47), k=5, n=57)
         objectives = [Objective(kind, model, data, minibatch_size=10) for kind in EVERY_KIND]
         model_ref, phi_ref = weakref.ref(model), weakref.ref(shared_phi(objectives[0]))
-        marginal_ref = weakref.ref(objectives[1]._fixed_marginal)
+        marginal_ref = weakref.ref(shared_marginal(objectives[1]))
         del model, objectives
         gc.collect()
         assert model_ref() is None and phi_ref() is None and marginal_ref() is None
