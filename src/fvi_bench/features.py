@@ -3,10 +3,11 @@
 `RbfFeatureMap` computes radial basis function features (unnormalized
 Gaussians, one per center, with a shared per-dimension lengthscale);
 `evaluate` returns them as an (n, k) array.  The module also has a
-k-means + median-heuristic featurizer for tabular data, whose median forms
-no pair differences, and `independent_rows`, the numerical rank of a
-feature matrix: when it keeps k of the candidate inputs' feature rows,
-those k inputs witness that distinct weights give distinct functions.
+featurizer for tabular data, distinct input rows as centers plus the median
+heuristic, whose median forms no pair differences, and `independent_rows`,
+the numerical rank of a feature matrix: when it keeps k of the candidate
+inputs' feature rows, those k inputs witness that distinct weights give
+distinct functions.
 
 `_as_rows` is the package's one reading of outside rows (1-D is one column);
 `RbfFeatureMap`, `blr.Dataset` and `variational.MeasurementSet` keep
@@ -14,28 +15,16 @@ those k inputs witness that distinct weights give distinct functions.
 `_strict_lower` is the one cached strict-lower-triangle mask: `variational`
 packs the full family's factor with it and `ssge` takes its kernel's pairs.
 
-The featurizer's k-means gives scipy's `kmeans2(minit="++")` centers bit for
-bit, at less cost.  Its k-means++ seeding draws scipy's random numbers in
-O(n k d) instead of O(n k^2 d), and stops once every input row is a seed.
-It computes `cdist`'s "sqeuclidean" itself, bit for bit: scipy adds
-(x_j - s_j)^2 in column order too, so a duplicate row gets an exact zero.
-Its Lloyd passes do scipy's arithmetic: -2 X C^T by one matrix product, then
-+ |x|^2, then + |c|^2, each norm summed one column at a time; a row's label
-is its first minimum, and a new center is the row-order sum of its rows
-over their count.  For d >= 5 scipy's `vq` makes the same dgemm call (on the
-BLAS scipy bundles); for d <= 4 it sums (x - c)^2 directly, which can differ
-only at a near tie and matches on every input tested.  Unlike scipy, the
-loop forms the distances ``_LLOYD_BLOCK_ROWS`` rows at a time, so each block
-stays in cache.  On 20000 x 8 inputs and 200 centers it took 100-130 ms,
-against 130-220 ms for `kmeans2` and 170-230 ms for the same loop
-unblocked (2-vCPU x86-64 host, shared).  It also keeps the featurizer off
-scipy's BLAS, whose idle threads would otherwise spin against numpy's.
+The featurizer's centers are distinct input rows drawn uniformly, the
+landmarks of Williams & Seeger (NeurIPS 2001, the Nystrom method).  The
+benchmark scores approximations against the exact posterior of the features
+it is given, so no claim rests on how the centers are chosen; k-means fits
+the data better, at about three times the set-up cost.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +36,6 @@ RANK_RTOL = 1e-8  # singular values below RANK_RTOL * sigma_max count as zero
 LENGTHSCALE_MAX_POINTS = 1000  # median heuristic subsample size
 _BRACKET_SAMPLE = 100  # about this many sorted values bracket the median gap
 _BRACKET_MARGIN = 0.02  # the bracket spans the sample's gap quantiles 0.5 -/+ this
-LLOYD_ITERATIONS = 10  # k-means refinement passes, scipy's `kmeans2` default
-_LLOYD_BLOCK_ROWS = 256  # rows per distance block: (256, k) stays in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,104 +205,16 @@ def _median_pair_gap(column: np.ndarray) -> float:
     raise AssertionError("the whole triangle always holds the median")
 
 
-@np.errstate(over="ignore")
-def _kmeans_pp_seeds(
-    inputs: np.ndarray, num_centers: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Up to num_centers k-means++ seeds (Arthur & Vassilvitskii, 2007).
-
-    Draws as scipy's `kmeans2(minit="++")` does: `integers(n)`, then one
-    `uniform()` per seed against the normalized cumsum of each row's squared
-    distance to its nearest seed, kept here as a running minimum.  Stops when
-    those distances are all zero: one seed per distinct row.  Raises
-    `NonFiniteValueError` when their sum overflows.  A draw above the
-    cumsum's rounded end, where scipy raises `IndexError`, is clamped to that
-    end, so it takes the row where the cumsum reaches it.
-    """
-    columns = np.ascontiguousarray(inputs.T)
-    seeds = [inputs[rng.integers(inputs.shape[0])]]
-    nearest = _squared_distances_to(columns, seeds[0])
-    while len(seeds) < num_centers:
-        total = nearest.sum()
-        if total == 0.0:
-            break
-        if not np.isfinite(total):
-            raise NonFiniteValueError("featurizer inputs are too far apart: distances overflow")
-        cumulative = (nearest / total).cumsum()
-        draw = min(rng.uniform(), cumulative[-1])
-        seeds.append(inputs[int(np.searchsorted(cumulative, draw))])
-        np.minimum(nearest, _squared_distances_to(columns, seeds[-1]), out=nearest)
-    return np.array(seeds)
-
-
-def _squared_distances_to(columns: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """sum_j (x_j - point_j)^2 for each row x of the (d, n) ``columns``,
-    added one column at a time in column order: `cdist`'s "sqeuclidean"
-    bit for bit."""
-    total = (columns[0] - point[0]) ** 2
-    for j in range(1, columns.shape[0]):
-        total += (columns[j] - point[j]) ** 2
-    return total
-
-
-def _lloyd(inputs: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``LLOYD_ITERATIONS`` Lloyd passes from the given centers, as scipy's
-    `kmeans2(inputs, centers, minit="matrix")` computes them (see the module
-    docstring).  An empty cluster keeps its center, with a warning; inputs
-    whose distances would overflow raise `NonFiniteValueError`."""
-    inputs = np.ascontiguousarray(inputs)
-    n, dim = inputs.shape
-    num_centers = centers.shape[0]
-    # Every center is a mean of input rows, so |c|^2 <= max |x|^2 and each
-    # expanded distance -2 x.c + |x|^2 + |c|^2 stays within 4 max |x|^2.
-    with np.errstate(over="ignore"):
-        row_norms = _column_sum_of_squares(inputs)
-        if not np.isfinite(4.0 * row_norms.max()):
-            raise NonFiniteValueError("inputs too large: k-means distances would overflow")
-    labels = np.empty(n, dtype=np.intp)
-    block = np.empty((min(n, _LLOYD_BLOCK_ROWS), num_centers))
-    for _ in range(LLOYD_ITERATIONS):
-        scaled = -2.0 * centers
-        center_norms = _column_sum_of_squares(centers)
-        for start in range(0, n, _LLOYD_BLOCK_ROWS):
-            stop = min(start + _LLOYD_BLOCK_ROWS, n)
-            dist = block[: stop - start]
-            np.matmul(inputs[start:stop], scaled.T, out=dist)
-            dist += row_norms[start:stop, None]
-            dist += center_norms
-            dist.argmin(axis=1, out=labels[start:stop])
-        # bincount adds the weights in row order, as scipy's cluster means do.
-        counts = np.bincount(labels, minlength=num_centers)
-        sums = np.column_stack(
-            [np.bincount(labels, weights=inputs[:, j], minlength=num_centers) for j in range(dim)]
-        )
-        empty = counts == 0
-        if empty.any():
-            warnings.warn(
-                "k-means left a cluster empty; it keeps its previous center", stacklevel=3
-            )
-            sums[empty] = centers[empty]
-            counts[empty] = 1
-        centers = sums / counts[:, None]
-    return centers
-
-
-def _column_sum_of_squares(rows: np.ndarray) -> np.ndarray:
-    """sum_j rows[:, j]^2, added one column at a time in column order."""
-    total = rows[:, 0] ** 2
-    for j in range(1, rows.shape[1]):
-        total += rows[:, j] ** 2
-    return total
-
-
 def fit_rbf_featurizer(
     inputs: np.ndarray, num_centers: int = 100, rng: np.random.Generator | None = None
 ) -> RbfFeatureMap:
-    """RBF featurizer for tabular data: k-means centers on the inputs plus
-    per-dimension median-heuristic lengthscales.  1-D inputs are one column."""
+    """RBF featurizer for tabular data: min(num_centers, distinct rows)
+    centers drawn uniformly, without replacement, from the distinct input
+    rows, then per-dimension median-heuristic lengthscales on the same rng.
+    1-D inputs are one column."""
     inputs = _owned_rows(inputs, "featurizer inputs")
     require_count("num_centers", num_centers, 1)
     rng = rng or np.random.default_rng(0)
-    seeds = _kmeans_pp_seeds(inputs, min(num_centers, inputs.shape[0]), rng)
-    centers = _lloyd(inputs, seeds)
+    distinct = np.unique(inputs, axis=0)
+    centers = rng.choice(distinct, min(num_centers, distinct.shape[0]), replace=False)
     return RbfFeatureMap(centers, median_heuristic_lengthscales(inputs, rng=rng))

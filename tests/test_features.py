@@ -2,13 +2,11 @@
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.cluster.vq import kmeans2
 from scipy.spatial.distance import cdist, pdist
 
 from fvi_bench import features
@@ -215,63 +213,71 @@ class TestFeaturizer:
         assert fmap.centers.shape == (10, 3)
         assert np.all(fmap.lengthscales > 0.0)
 
-    @pytest.mark.parametrize(
-        "n, d, k",
-        [(60, 1, 12), (40, 1, 40), (200, 3, 25), (1200, 2, 15), (9, 4, 20), (1, 3, 5)],
-    )
+    @pytest.mark.parametrize("rows", ["distinct", "repeated", "rounded", "signed_zero"])
+    @pytest.mark.parametrize("n, d, k", [(60, 1, 12), (40, 1, 40), (200, 3, 25), (9, 4, 20)])
+    def test_centers_are_distinct_input_rows(self, rows, n, d, k):
+        """Each center is one of the input rows, and no two are equal, also
+        where rows repeat ("signed_zero" repeats a row as 0.0 and -0.0)."""
+        rng = np.random.default_rng([n, d])
+        inputs = {
+            "distinct": lambda: rng.standard_normal((n, d)),
+            "repeated": lambda: rng.permutation(np.repeat(rng.standard_normal((n, d)), 3, axis=0)),
+            "rounded": lambda: np.round(rng.standard_normal((n, d))),
+            "signed_zero": lambda: np.vstack([np.zeros((n, d)), -np.zeros((n, d))]),
+        }[rows]()
+        distinct = np.unique(inputs, axis=0).shape[0]
+        fmap = fit_rbf_featurizer(inputs, num_centers=k, rng=np.random.default_rng(0))
+        assert fmap.num_features == min(k, distinct)
+        is_row = np.all(fmap.centers[:, None, :] == inputs[None, :, :], axis=2)
+        assert np.all(np.any(is_row, axis=1))
+        assert np.unique(fmap.centers, axis=0).shape[0] == fmap.num_features
+
+    def test_every_distinct_row_is_equally_likely(self):
+        """A row repeated 20 times is drawn as often as a row given once:
+        the draw is uniform over distinct rows, not over rows."""
+        distinct = np.arange(5.0)[:, None]
+        inputs = np.vstack([np.repeat(distinct[:1], 20, axis=0), distinct[1:]])
+        rng = np.random.default_rng(11)
+        counts = np.zeros(5)
+        for _ in range(2000):
+            centers = fit_rbf_featurizer(inputs, num_centers=2, rng=rng).centers
+            counts += np.any(centers == distinct.T, axis=0)
+        # 800 expected per row; the binomial standard deviation is about 22.
+        np.testing.assert_allclose(counts, 800.0, atol=110.0)
+
+    def test_same_rng_gives_the_same_map(self):
+        inputs = np.random.default_rng(12).standard_normal((200, 3))
+        first, second = (
+            fit_rbf_featurizer(inputs, num_centers=25, rng=np.random.default_rng(3))
+            for _ in range(2)
+        )
+        np.testing.assert_array_equal(first.centers, second.centers)
+        np.testing.assert_array_equal(first.lengthscales, second.lengthscales)
+        np.testing.assert_array_equal(
+            fit_rbf_featurizer(inputs, 25).centers, fit_rbf_featurizer(inputs, 25).centers
+        )
+        other = fit_rbf_featurizer(inputs, num_centers=25, rng=np.random.default_rng(4))
+        assert not np.array_equal(first.centers, other.centers)
+
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_matches_scipy_kmeans_plus_plus(self, n, d, k, seed):
-        """Same centers and lengthscales, bit for bit, as scipy's ++ seeding
-        followed by the median heuristic on the same generator (n > 1000
-        makes the heuristic subsample, so the generator state must match)."""
-        inputs = np.random.default_rng([seed, n, d]).standard_normal((n, d))
+    def test_lengthscales_come_after_the_center_draw(self, seed):
+        """n > 1000 makes the heuristic subsample with the rng that drew the
+        centers, so the oracle's generator makes the same draw first."""
+        inputs = np.random.default_rng([seed, 1200]).standard_normal((1200, 2))
         oracle_rng = np.random.default_rng(seed)
-        centers, _ = kmeans2(inputs, min(k, n), minit="++", rng=oracle_rng)
+        centers = oracle_rng.choice(np.unique(inputs, axis=0), 15, replace=False)
         lengthscales = median_heuristic_oracle(inputs, oracle_rng)
-        fmap = fit_rbf_featurizer(inputs, num_centers=k, rng=np.random.default_rng(seed))
+        fmap = fit_rbf_featurizer(inputs, num_centers=15, rng=np.random.default_rng(seed))
         np.testing.assert_array_equal(fmap.centers, centers)
         np.testing.assert_array_equal(fmap.lengthscales, lengthscales)
-
-    def test_draw_above_the_rounded_cumsum_takes_the_last_row(self):
-        """The normalized cumsum can end below 1; a draw above its end once
-        indexed one row past the inputs (`IndexError`), as scipy does."""
-
-        class TopDraws:
-            def integers(self, n):
-                return 0
-
-            def uniform(self):
-                return np.nextafter(1.0, 0.0)
-
-        rng = np.random.default_rng(3)
-        rng.uniform(size=(200, 3))
-        inputs = rng.uniform(size=(200, 3))
-        seeds = features._kmeans_pp_seeds(inputs, 2, TopDraws())
-        np.testing.assert_array_equal(seeds, inputs[[0, 199]])
-
-    @pytest.mark.parametrize("n, d", [(2000, 4), (500, 8), (50, 1)])
-    def test_seeding_distances_are_cdist_bit_for_bit(self, n, d):
-        rng = np.random.default_rng([n, d])
-        inputs = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
-        columns = np.ascontiguousarray(inputs.T)
-        for row in rng.integers(n, size=20):
-            distances = features._squared_distances_to(columns, inputs[row])
-            expected = cdist(inputs[row][None, :], inputs, "sqeuclidean")[0]
-            np.testing.assert_array_equal(distances, expected)
-            assert distances[row] == 0.0
 
     def test_fewer_distinct_rows_than_centers(self):
         distinct = np.random.default_rng(4).standard_normal((5, 2))
         inputs = np.repeat(distinct, 10, axis=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fmap = fit_rbf_featurizer(inputs, num_centers=8, rng=np.random.default_rng(1))
-        # One center per distinct row, as the min(num_centers, n) clip does
-        # (up to the roundoff of Lloyd's mean over ten copies of a row).
+        fmap = fit_rbf_featurizer(inputs, num_centers=8, rng=np.random.default_rng(1))
+        # One center per distinct row, as the min(num_centers, distinct rows) clip does.
         assert fmap.num_features == 5
-        np.testing.assert_allclose(
-            np.unique(fmap.centers, axis=0), np.unique(distinct, axis=0), rtol=1e-14
-        )
+        np.testing.assert_array_equal(np.unique(fmap.centers, axis=0), np.unique(distinct, axis=0))
         assert np.linalg.matrix_rank(fmap(inputs)) == 5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -284,14 +290,19 @@ class TestFeaturizer:
             fit_rbf_featurizer(inputs, num_centers=4, rng=rng)
         assert rng.bit_generator.state == state
 
-    def test_overflowing_distances_raise_a_typed_error(self):
-        """The k-means++ seeding once divided by an infinite sum of squared
-        distances and died on numpy's "invalid value" warning."""
+    def test_inputs_far_apart_raise_a_typed_error_and_large_inputs_fit(self):
+        """Gaps of values near +-1.7e308 overflow, so a median-heuristic
+        lengthscale is inf and the map rejects it with a typed error.  Rows
+        near 1e154, whose squared distances once overflowed in k-means, fit
+        with finite centers and features."""
         inputs = np.random.default_rng(0).choice([1.7e308, -1.7e308, 0.0, 5e-324, 1.0, 2.0], 40)
-        with pytest.raises(NonFiniteValueError, match="overflow"):
+        with pytest.raises(NonFiniteValueError):
             fit_rbf_featurizer(inputs, num_centers=4)
-        with pytest.raises(NonFiniteValueError, match="overflow"):
-            fit_rbf_featurizer(np.array([1e154, -1e154, 0.0, 1.0]), num_centers=3)
+        spread = 1e151 * np.random.default_rng(0).uniform(size=(50, 2))
+        for large in (np.array([1e154, -1e154, 0.0, 1.0]), 1e154 + spread):
+            fmap = fit_rbf_featurizer(large, num_centers=3)
+            assert np.all(np.isfinite(fmap.centers))
+            assert np.all(np.isfinite(fmap(large)))
 
     def test_empty_inputs_rejected_before_seeding(self):
         """Zero rows once reached the seeding's rng.integers(0) and failed
@@ -326,62 +337,6 @@ class TestFeaturizer:
         np.testing.assert_array_equal(fmap.centers, column.centers)
         np.testing.assert_array_equal(fmap.lengthscales, column.lengthscales)
         np.testing.assert_array_equal(fmap(inputs), column(inputs[:, None]))
-
-
-BLOCK = features._LLOYD_BLOCK_ROWS
-
-
-class TestLloyd:
-    """The blocked Lloyd loop against scipy's `kmeans2` from the same
-    centers.  For d >= 5 scipy forms the distances with one BLAS product
-    (its d <= 4 branch is reached through `test_matches_scipy_kmeans_plus_plus`)."""
-
-    @pytest.mark.parametrize(
-        "n", [BLOCK // 3, BLOCK, BLOCK + 1, 3 * BLOCK + 57], ids=["part", "one", "one+1", "ragged"]
-    )
-    @pytest.mark.parametrize("d", [5, 8])
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_matches_scipy_kmeans2_bit_for_bit(self, n, d, seed):
-        """Every row lies on the plane x0 = x1, and the centers come in pairs
-        mirrored across it, so in exact arithmetic each row is as far from
-        one center of a pair as from the other: the rounding of the
-        distances decides the labels, and with them the centers."""
-        rng = np.random.default_rng([seed, n, d])
-        inputs = np.round(rng.standard_normal((n, d)), 1)
-        inputs[:, 1] = inputs[:, 0]
-        pairs = inputs[rng.choice(n, size=6, replace=False)]
-        pairs[:, :2] = rng.uniform(-1.0, 1.0, (6, 2))
-        seeds = np.vstack([pairs, pairs[:, [1, 0, *range(2, d)]]])
-        with warnings.catch_warnings(record=True) as scipy_warnings:
-            warnings.simplefilter("always")
-            expected, _ = kmeans2(inputs, seeds, minit="matrix")
-        with warnings.catch_warnings(record=True) as own_warnings:
-            warnings.simplefilter("always")
-            centers = features._lloyd(inputs, seeds)
-        np.testing.assert_array_equal(centers, expected)
-        assert len(own_warnings) == len(scipy_warnings)
-
-    @pytest.mark.parametrize("d", [2, 5])
-    def test_empty_cluster_keeps_its_center_and_warns(self, d):
-        inputs = np.random.default_rng([9, d]).standard_normal((BLOCK + 40, d))
-        far = np.full(d, 1e3)
-        seeds = np.vstack([inputs[:6], far])
-        with pytest.warns(UserWarning, match="empty"):
-            expected, _ = kmeans2(inputs, seeds, minit="matrix")
-        with pytest.warns(UserWarning, match="empty"):
-            centers = features._lloyd(inputs, seeds)
-        np.testing.assert_array_equal(centers[-1], far)
-        np.testing.assert_array_equal(centers, expected)
-
-
-def test_featurizer_rejects_inputs_whose_distances_would_overflow():
-    """Lloyd's expanded distances -2 x.c + |x|^2 + |c|^2 once overflowed in
-    numpy's add on these rows at 1e154, though they lie close together."""
-    spread = 1e151 * np.random.default_rng(0).uniform(size=(50, 2))
-    with pytest.raises(NonFiniteValueError, match="overflow"):
-        fit_rbf_featurizer(1e154 + spread, 5)
-    fmap = fit_rbf_featurizer(1e153 + spread, 5)
-    assert np.all(np.isfinite(fmap.centers))
 
 
 class TestMedianHeuristic:

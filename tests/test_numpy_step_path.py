@@ -13,11 +13,11 @@ long for tabular-full RandA, 8.6x for tabular-minibatch RandA and 7.7x for
 tabular-full FixedA (8, 8 and 6 alternating pairs on a 2-vCPU host; the
 scipy variant lost every pair).
 
-`features` runs k-means on its own blocked Lloyd loop, so no module of the
-package imports `scipy.cluster` either.  Nor does any import `scipy.spatial`:
-`ssge` takes its bandwidth from its kernel's own distances and the k-means++
-seeding computes `cdist`'s distance itself.  Importing `scipy.spatial` also
-loads `scipy.sparse`, and it added about 9 MB to the benchmark's peak RSS.
+The featurizer of `features` draws its centers from the input rows and runs
+no k-means, so no module of the package imports `scipy.cluster` either.  Nor
+does any import `scipy.spatial`: `ssge` takes its bandwidth from its
+kernel's own distances.  Importing `scipy.spatial` also loads
+`scipy.sparse`, and it added about 9 MB to the benchmark's peak RSS.
 """
 
 import ast
