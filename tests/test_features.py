@@ -205,6 +205,11 @@ class TestIndependentRows:
         np.testing.assert_array_equal(independent_rows(m), np.arange(4))
 
 
+# (n, d, k): fewer centers than rows, as many, more (clipped), one row, and
+# n > LENGTHSCALE_MAX_POINTS, where the median heuristic subsamples.
+DRAW_SHAPES = [(60, 1, 12), (40, 1, 40), (200, 3, 25), (1200, 2, 15), (9, 4, 20), (1, 3, 5)]
+
+
 class TestFeaturizer:
     def test_centers_and_lengthscales_shapes(self):
         rng = np.random.default_rng(7)
@@ -214,7 +219,7 @@ class TestFeaturizer:
         assert np.all(fmap.lengthscales > 0.0)
 
     @pytest.mark.parametrize("rows", ["distinct", "repeated", "rounded", "signed_zero"])
-    @pytest.mark.parametrize("n, d, k", [(60, 1, 12), (40, 1, 40), (200, 3, 25), (9, 4, 20)])
+    @pytest.mark.parametrize("n, d, k", DRAW_SHAPES)
     def test_centers_are_distinct_input_rows(self, rows, n, d, k):
         """Each center is one of the input rows, and no two are equal, also
         where rows repeat ("signed_zero" repeats a row as 0.0 and -0.0)."""
@@ -259,15 +264,19 @@ class TestFeaturizer:
         other = fit_rbf_featurizer(inputs, num_centers=25, rng=np.random.default_rng(4))
         assert not np.array_equal(first.centers, other.centers)
 
+    @pytest.mark.parametrize("n, d, k", DRAW_SHAPES)
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_lengthscales_come_after_the_center_draw(self, seed):
-        """n > 1000 makes the heuristic subsample with the rng that drew the
-        centers, so the oracle's generator makes the same draw first."""
-        inputs = np.random.default_rng([seed, 1200]).standard_normal((1200, 2))
+    def test_lengthscales_come_after_the_center_draw(self, n, d, k, seed):
+        """Same centers and lengthscales, bit for bit, as `choice` on the
+        distinct rows followed by the median heuristic on the same generator
+        (n > 1000 makes the heuristic subsample with the rng that drew the
+        centers, so the oracle's generator makes the same draw first)."""
+        inputs = np.random.default_rng([seed, n, d]).standard_normal((n, d))
+        distinct = np.unique(inputs, axis=0)
         oracle_rng = np.random.default_rng(seed)
-        centers = oracle_rng.choice(np.unique(inputs, axis=0), 15, replace=False)
+        centers = oracle_rng.choice(distinct, min(k, distinct.shape[0]), replace=False)
         lengthscales = median_heuristic_oracle(inputs, oracle_rng)
-        fmap = fit_rbf_featurizer(inputs, num_centers=15, rng=np.random.default_rng(seed))
+        fmap = fit_rbf_featurizer(inputs, num_centers=k, rng=np.random.default_rng(seed))
         np.testing.assert_array_equal(fmap.centers, centers)
         np.testing.assert_array_equal(fmap.lengthscales, lengthscales)
 
