@@ -9,10 +9,10 @@ likelihood, the evidence, the predictive and both weight- and function-space
 KLs are unchanged by that map.
 
 One place forms a dataset's likelihood statistics, `_full_batch_stats`:
-Phi^T Phi and the residual about the exact posterior mean, from the one Phi
-that `_per_pair` keeps for a (model, dataset) pair while both live, and
-shares with the objectives and closed forms on that pair.  From them the
-posterior and the log evidence cost O(k^3) each.
+Phi^T Phi, the Cholesky factor of sigma^2 I + Phi^T Phi and the residual
+about the exact posterior mean, from the one Phi that `_per_pair` keeps for
+a (model, dataset) pair while both live.  The objectives and closed forms on
+that pair share them; the posterior and the log evidence factorize nothing.
 """
 
 from __future__ import annotations
@@ -109,10 +109,11 @@ class _LikelihoodStats:
     residual_sq: float  # r^T r
     size: int  # number of rows
     anchor: np.ndarray  # a, (k,)
+    factor: np.ndarray | None = None  # L L^T = sigma^2 I + Phi^T Phi, (k, k); None for a minibatch
 
 
 def _likelihood_stats(
-    phi: np.ndarray, targets: np.ndarray, anchor: np.ndarray, gram: np.ndarray | None = None
+    phi: np.ndarray, targets: np.ndarray, anchor: np.ndarray, gram=None, factor=None
 ) -> _LikelihoodStats:
     residual = targets - phi @ anchor
     return _LikelihoodStats(
@@ -121,6 +122,7 @@ def _likelihood_stats(
         float(residual @ residual),
         phi.shape[0],
         anchor,
+        factor,
     )
 
 
@@ -141,16 +143,16 @@ def _per_pair(build, model: BlrModel, key):
 
 
 def _full_batch_stats(model: BlrModel, data: Dataset) -> _LikelihoodStats:
-    """Statistics of all rows, anchored at the exact posterior mean:
-    `exact_posterior` returns this anchor as its mean, and any anchor serves
-    the expected log-likelihood."""
+    """Statistics of all rows with the pair's one factorization, the Cholesky factor of
+    sigma^2 I + Phi^T Phi (`SingularReferenceError` unless positive definite), anchored
+    at the exact posterior mean it solves for; any anchor serves the ELL."""
     phi = _per_pair(_feature_matrix, model, data)
     gram = phi.T @ phi
-    posterior_mean = np.linalg.solve(
-        gram + model.noise_variance * np.eye(model.num_features), phi.T @ data.targets
-    )
-    stats = _likelihood_stats(phi, data.targets, posterior_mean, gram)
-    for array in (stats.gram, stats.cross, stats.anchor):
+    eye = np.eye(model.num_features)
+    factor = cholesky_psd(model.noise_variance * eye + gram, what="sigma^2 I + Phi^T Phi").matrix
+    anchor = cho_solve((factor, True), phi.T @ data.targets)
+    stats = _likelihood_stats(phi, data.targets, anchor, gram, factor)
+    for array in (stats.gram, stats.cross, stats.anchor, stats.factor):
         array.flags.writeable = False
     return stats
 
@@ -163,13 +165,10 @@ def _feature_matrix(model: BlrModel, data: Dataset) -> np.ndarray:
 
 
 def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:
-    """Conjugate posterior over weights: as mean the anchor of the pair's
-    statistics, and as covariance sigma^2 (sigma^2 I + Phi^T Phi)^{-1}, from
-    one Cholesky, symmetrized explicitly."""
+    """Conjugate posterior over weights: the pair's anchor as mean, and as covariance
+    sigma^2 (sigma^2 I + Phi^T Phi)^{-1} from their Cholesky factor, symmetrized explicitly."""
     stats = _per_pair(_full_batch_stats, model, data)
-    sigma2, eye = model.noise_variance, np.eye(model.num_features)
-    inner = cholesky_psd(sigma2 * eye + stats.gram, what="scaled posterior precision").matrix
-    cov = sigma2 * cho_solve((inner, True), eye)
+    cov = model.noise_variance * cho_solve((stats.factor, True), np.eye(model.num_features))
     return GaussianDist(stats.anchor, 0.5 * (cov + cov.T))
 
 
@@ -201,15 +200,14 @@ def nlpd(model: BlrModel, weights_dist: GaussianDist, test_data: Dataset) -> flo
 def log_marginal_likelihood(model: BlrModel, data: Dataset) -> float:
     """log density of the targets under the prior predictive.
 
-    Read off the pair's statistics, anchored at the posterior mean m, in
-    O(k^3) where the dense form costs O(n^3):
+    Read off the pair's statistics, anchored at the posterior mean m, and their
+    Cholesky factor of sigma^2 I_k + Phi^T Phi, in O(k) where the dense form costs O(n^3):
 
         y^T (sigma^2 I + Phi Phi^T)^{-1} y = ||y - Phi m||^2 / sigma^2 + ||m||^2,
         det(sigma^2 I_n + Phi Phi^T) = sigma^(2 (n - k)) det(sigma^2 I_k + Phi^T Phi).
     """
     stats = _per_pair(_full_batch_stats, model, data)
     n, k, sigma2 = stats.size, model.num_features, model.noise_variance
-    inner = cholesky_psd(sigma2 * np.eye(k) + stats.gram, what="scaled posterior precision").matrix
     quad = stats.residual_sq / sigma2 + float(stats.anchor @ stats.anchor)
-    log_det = (n - k) * np.log(sigma2) + 2.0 * float(np.sum(np.log(np.diag(inner))))
+    log_det = (n - k) * np.log(sigma2) + 2.0 * float(np.sum(np.log(np.diag(stats.factor))))
     return float(-0.5 * (n * np.log(2.0 * np.pi) + log_det + quad))

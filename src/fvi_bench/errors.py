@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check on integer counts."""
+"""Exception types shared across the package, and two shared argument checks."""
 
 import numbers
 
@@ -20,10 +20,10 @@ class DimensionMismatchError(FviBenchError):
 
 
 class SingularReferenceError(FviBenchError):
-    """A covariance that must be positive definite failed its Cholesky
+    """A matrix that must be positive definite failed its Cholesky
     factorization: a degenerate (rank-deficient) Gaussian where a full-rank
-    one is required, e.g. the reference distribution of a KL divergence.
-    """
+    one is required, e.g. the reference of a KL divergence, or a pair's
+    sigma^2 I + Phi^T Phi."""
 
 
 class DegenerateMarginalError(FviBenchError):
@@ -31,8 +31,8 @@ class DegenerateMarginalError(FviBenchError):
 
 
 class DegenerateKernelError(FviBenchError):
-    """The samples are all equal or their median pairwise distance is zero;
-    kernel bandwidth undefined."""
+    """The samples' median distance is within the roundoff of their squared
+    distances, as when all or most are equal; kernel bandwidth undefined."""
 
 
 class NonFiniteGradientError(FviBenchError):
@@ -57,3 +57,9 @@ def require_count(name: str, value, minimum: int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+def require_weights(state_dim: int, num_features: int):
+    """Raise DimensionMismatchError unless a state has one weight per feature."""
+    if state_dim != num_features:
+        raise DimensionMismatchError(f"state has {state_dim} weights, model has {num_features}")

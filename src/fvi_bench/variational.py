@@ -55,6 +55,7 @@ from .errors import (
     InvalidBoxError,
     NonFiniteValueError,
     require_count,
+    require_weights,
 )
 from .features import RANK_RTOL, _owned_rows, _strict_lower, independent_rows
 from .gaussian import GaussianDist
@@ -244,10 +245,7 @@ def expected_log_likelihood(
     statistics, or from the rows of its feature matrix that a minibatch of
     integer indices names, rescaled by n/|batch| to stay unbiased.  Every
     objective takes its ELL from here."""
-    if state.dim != model.num_features:
-        raise DimensionMismatchError(
-            f"state has {state.dim} weights, model has {model.num_features}"
-        )
+    require_weights(state.dim, model.num_features)
     if minibatch is None:
         stats, scale_factor = _per_pair(_full_batch_stats, model, data), 1.0
     else:
@@ -288,8 +286,7 @@ def expected_log_likelihood(
 def exact_kl(state: VariationalState, model: BlrModel) -> tuple[float, np.ndarray]:
     """Weight-space KL(q, N(0, I)) and its gradient."""
     k = state.dim
-    if model.num_features != k:
-        raise DimensionMismatchError(f"state has {k} weights, model has {model.num_features}")
+    require_weights(k, model.num_features)
     magnitudes = np.diag(state.scale) if state.is_full else state.scale
     log_det = 2.0 * float(np.sum(np.log(magnitudes)))
     value = 0.5 * (float(state.mean @ state.mean) + float(np.sum(state.scale**2)) - k - log_det)
@@ -361,6 +358,7 @@ class MarginalKl:
         """The KL with the rotated mean T mu, the rotated scale T S and the
         marginal covariance H = (T S)(T S)^T it is built from."""
         transform = self._transform
+        require_weights(state.dim, transform.shape[1])
         shifted = transform @ state.mean
         if state.is_full:
             rotated_scale = transform @ state.scale  # (m, k)
@@ -526,7 +524,8 @@ class Objective:
     statistics of (model, data), or for minibatches their feature matrix,
     and for `FixedA` the `MarginalKl` of (model, measurement set).  It
     rejects a kind that is not an `ObjectiveKind` with `TypeError`, and a
-    `RandA` or `Ssge` box whose dimension is not the data's.
+    `RandA` or `Ssge` box whose dimension is not the data's; a full-batch
+    pair whose sigma^2 I + Phi^T Phi is singular raises `SingularReferenceError`.
     """
 
     def __init__(

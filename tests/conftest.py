@@ -63,6 +63,25 @@ def counted_rows():
         yield rows
 
 
+@contextlib.contextmanager
+def counted_calls(*targets):
+    """The list of the names called in the block, in order, of the
+    ``(owner, name)`` targets: functions of a module or methods of a class."""
+    calls = []
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in targets:
+            patch.setattr(owner, name, counting(name, getattr(owner, name)))
+        yield calls
+
+
 def callers_of(name: str) -> set[str]:
     """'module.qualname' of each function in `src/` that calls ``name``,
     whether as a bare name or as an attribute (``np.name``)."""

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import random_gaussian, standard_gaussian, whiten
-from fvi_bench import gaussian
+from conftest import counted_calls, random_gaussian, standard_gaussian, whiten
+from fvi_bench import blr, gaussian
 from fvi_bench.blr import (
     BlrModel,
     Dataset,
@@ -22,7 +22,7 @@ from fvi_bench.blr import (
     nlpd,
     predictive_marginals,
 )
-from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError
+from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError, SingularReferenceError
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.gaussian import GaussianDist
 
@@ -127,6 +127,44 @@ class TestExactPosterior:
 
 def two_coordinate_model() -> BlrModel:
     return BlrModel(lambda x: x, noise_variance=1.0, num_features=2)
+
+
+class TestOneFactorization:
+    """sigma^2 I + Phi^T Phi is factorized once per (model, dataset) pair: the
+    anchor, the exact posterior and the log evidence read one Cholesky factor."""
+
+    def test_one_cholesky_and_no_solve_per_pair(self):
+        """An LU solve for the anchor and a Cholesky in each closed form once
+        made three factorizations of the same matrix.  The one factorization
+        is numpy's: scipy's, in set-up, slowed the build and the training
+        that followed through its second BLAS thread pool."""
+        from fvi_bench.variational import Exact, Objective
+
+        model, data = random_model_and_data(np.random.default_rng(71))
+        targets = [(blr, "cholesky_psd")] + [
+            (np.linalg, name) for name in ("cholesky", "solve", "inv", "slogdet")
+        ]
+        with counted_calls(*targets) as calls:
+            Objective(Exact(), model, data)
+            Objective(Exact(), model, data)
+            exact_posterior(model, data)
+            log_marginal_likelihood(model, data)
+        assert calls == ["cholesky_psd", "cholesky"]
+
+    def test_singular_matrix_raises_a_typed_error(self):
+        """Two equal features and a noise variance below the roundoff of 1:
+        the LU solve for the anchor once raised numpy's LinAlgError."""
+        from fvi_bench.variational import Exact, Objective
+
+        model = BlrModel(lambda x: np.hstack([x, x]), 1e-300, num_features=2)
+        data = Dataset([[1.0]], [0.0])
+        for call in (
+            lambda: Objective(Exact(), model, data),
+            lambda: exact_posterior(model, data),
+            lambda: log_marginal_likelihood(model, data),
+        ):
+            with pytest.raises(SingularReferenceError, match="sigma"):
+                call()
 
 
 class TestPredictive:

@@ -142,6 +142,17 @@ class TestFitScore:
         with pytest.raises(DegenerateKernelError):
             fit_score(np.vstack([np.zeros((9, 2)), np.ones((1, 2))]))
 
+    def test_mostly_equal_non_dyadic_samples_raise_degenerate_kernel(self):
+        """80 copies of the row of `test_equal_samples_raise_degenerate_kernel`
+        and 20 standard-normal rows: 3160 of the 4950 pairs are copies, at an
+        expanded distance of 3.4e-7.  A test for a zero median or for all
+        samples equal let them fit, with bandwidth 3.37e-7 and J = 21."""
+        rng = np.random.default_rng(0)
+        row = [3 * rng.standard_normal(50) + 1 for _ in range(3)][-1]
+        samples = np.vstack([np.tile(row, (80, 1)), rng.standard_normal((20, 50))])
+        with pytest.raises(DegenerateKernelError):
+            fit_score(samples)
+
     def test_non_finite_samples_raise_a_package_error(self):
         samples = np.random.default_rng(0).standard_normal((10, 2))
         samples[3, 1] = np.nan

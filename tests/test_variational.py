@@ -21,6 +21,7 @@ from conftest import (
     ILL_CONDITIONED_LENGTHSCALES,
     WORKLOAD_SHAPES,
     callers_of,
+    counted_calls,
     counted_rows,
     ill_conditioned_set,
     max_gradient_error,
@@ -607,17 +608,27 @@ class TestMeasurementSampling:
 class TestObjectives:
     @pytest.mark.parametrize("minibatch_size", [None, 2], ids=["full_batch", "minibatch"])
     def test_state_of_another_dimension_rejected(self, minibatch_size):
-        """Each call once failed with numpy's broadcast ValueError; `exact_kl`
-        already raised the typed error for the same mistake."""
+        """The ELL and the objective once failed with numpy's broadcast
+        ValueError, and the marginal-KL functions with its matmul ValueError;
+        `exact_kl` already raised the typed error for the same mistake."""
+        from fvi_bench.ssge import SsgeConfig, kl_gradient_estimate
+
         rng = np.random.default_rng(12)
         model, data = random_problem(rng, k=3, n=6)
         state = random_state(rng, Family.FFG, 4)
         objective = Objective(Exact(), model, data, minibatch_size)
         batch = None if minibatch_size is None else np.arange(minibatch_size)
+        mset = random_measurement(rng, data, 2)
+        marginal = MarginalKl(model, mset)
         calls = [
             lambda: expected_log_likelihood(state, model, data, batch),
             lambda: objective.value_and_grad(state, rng, step=1),
             lambda: optimize.run(objective, state, optimize.AdamConfig(0.01, 3), rng),
+            lambda: exact_kl(state, model),
+            lambda: marginal_kl(state, model, mset),
+            lambda: marginal.value(state),
+            lambda: marginal.value_and_grad(state),
+            lambda: kl_gradient_estimate(state, marginal, SsgeConfig(num_samples=10), rng),
         ]
         for call in calls:
             with pytest.raises(DimensionMismatchError, match="state has 4 weights, model has 3"):
@@ -769,7 +780,7 @@ class TestObjectives:
         assert not np.allclose(ssge_eval.grad, rand_eval.grad)
 
     @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
-    def test_ssge_step_forms_no_closed_form_kl_gradient(self, family, monkeypatch):
+    def test_ssge_step_forms_no_closed_form_kl_gradient(self, family):
         from fvi_bench.ssge import SsgeConfig
 
         rng = np.random.default_rng(33)
@@ -780,22 +791,9 @@ class TestObjectives:
         )
         ssge = Objective(Ssge(policy, SsgeConfig(num_samples=20)), model, data)
         rand_a = Objective(RandA(policy), model, data)
-        calls = []
-
-        def counting(name, func):
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return func(*args, **kwargs)
-
-            return counted
-
-        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
-        monkeypatch.setattr(
-            MarginalKl, "value_and_grad", counting("value_and_grad", MarginalKl.value_and_grad)
-        )
         for objective, expected in [(ssge, []), (rand_a, ["value_and_grad", "solve"])]:
-            calls.clear()
-            objective.value_and_grad(state, np.random.default_rng(0))
+            with counted_calls((np.linalg, "solve"), (MarginalKl, "value_and_grad")) as calls:
+                objective.value_and_grad(state, np.random.default_rng(0))
             assert calls == expected
 
     def test_exact_objective_is_deterministic(self):
@@ -1027,7 +1025,7 @@ class TestSharedStatistics:
     def test_shared_arrays_are_read_only(self):
         model, data = random_problem(np.random.default_rng(43), k=5, n=57)
         stats = shared_stats(Objective(Exact(), model, data))
-        for array in (stats.gram, stats.cross, stats.anchor):
+        for array in (stats.gram, stats.cross, stats.anchor, stats.factor):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
