@@ -75,8 +75,8 @@ class BlrModel:
     num_features: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.noise_variance < np.inf:  # NaN fails too
-            raise ValueError("noise variance must be finite and positive")
+        if isinstance(self.noise_variance, bool) or not 0.0 < self.noise_variance < np.inf:
+            raise ValueError("noise variance must be finite and positive")  # NaN fails too
         require_count("num_features", self.num_features, 0)
         k = self.num_features or getattr(self.feature_map, "num_features", 0)
         if k == 0:
@@ -89,6 +89,8 @@ class BlrModel:
             raise DimensionMismatchError(
                 f"feature map produced {phi.shape[1]} columns, expected {self.num_features}"
             )
+        if not np.isfinite(phi).all():
+            raise NonFiniteValueError("feature map produced NaN or Inf")
         return phi
 
 

@@ -46,10 +46,10 @@ class AdamConfig:
     decay_tail_fraction: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.learning_rate < math.inf:  # NaN fails too
-            raise ValueError("learning rate must be finite and >= 0")
+        if isinstance(self.learning_rate, bool) or not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning rate must be finite and >= 0")  # NaN fails too
         require_count("max_steps", self.max_steps, 0)
-        if not 0.0 <= self.decay_tail_fraction <= 1.0:
+        if isinstance(self.decay_tail_fraction, bool) or not 0.0 <= self.decay_tail_fraction <= 1.0:
             raise ValueError("decay_tail_fraction must be in [0, 1]")
 
     def rate_at(self, step: int) -> float:

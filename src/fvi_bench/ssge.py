@@ -37,9 +37,6 @@ from .gaussian import cholesky_psd  # noqa: F401
 if TYPE_CHECKING:  # pragma: no cover
     from .variational import MarginalKl, VariationalState
 
-# Eigenvalues below EIGEN_RTOL * lambda_max are discarded before the
-# retention rule; keeps the 1/lambda factors bounded.
-EIGEN_RTOL = 1e-10
 EIGEN_MASS = 0.99  # J is the fewest leading eigenvalues holding this share of the total
 # A squared median distance <= DISTANCE_RTOL * max ||x||^2 is within the roundoff
 # of the expanded squared distances, about 2 (m + 2) eps max ||x||^2 in dimension m.
@@ -129,12 +126,12 @@ def fit_score(samples: np.ndarray) -> ScoreEstimate:
     gram = _rbf_kernel(squared, bandwidth)
     eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
-    keep = eigvals > EIGEN_RTOL * eigvals[0]
-    eigvals, eigvecs = eigvals[keep], eigvecs[:, keep]
+    # The unit diagonal makes the total M, and the eigenvalues from the J-th on hold
+    # over 1 - EIGEN_MASS of it, so the J kept ones all exceed about 1 - EIGEN_MASS.
     ratios = np.cumsum(eigvals) / np.sum(eigvals)
     top = int(np.searchsorted(ratios, EIGEN_MASS - 1e-15) + 1)
-    top = min(top, eigvals.size)
-    eigvals, eigvecs = eigvals[:top], eigvecs[:, :top]
+    # Column-major: numpy's products with the reversed view are slower and round differently.
+    eigvals, eigvecs = eigvals[:top], np.asfortranarray(eigvecs[:, :top])
     # beta_j = -(1/M) sum_i grad_x psi_j(x_i); for the RBF kernel the inner
     # kernel gradients collapse to column sums of K against the samples.
     col_sums = gram.sum(axis=0)

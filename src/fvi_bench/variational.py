@@ -202,7 +202,7 @@ class MeasurementPolicy:
 
     def __post_init__(self):
         require_count("total_size", self.total_size, 1)
-        if not 0.0 <= self.data_fraction <= 1.0:
+        if isinstance(self.data_fraction, bool) or not 0.0 <= self.data_fraction <= 1.0:
             raise ValueError("data_fraction must be in [0, 1]")
         box = np.atleast_2d(np.array(self.box, dtype=float))
         if box.ndim != 2 or box.shape[1] != 2:

@@ -1,15 +1,12 @@
 """Tests for RBF feature maps, the featurizer and the rank of feature rows."""
 
 import math
-import tracemalloc
+import statistics
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
-from fvi_bench import features
 from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError
 from fvi_bench.features import (
     RbfFeatureMap,
@@ -25,21 +22,11 @@ def toy_feature_map() -> RbfFeatureMap:
     return RbfFeatureMap(np.linspace(-2.0, 2.0, 20).reshape(-1, 1), np.array([0.2]))
 
 
-def median_heuristic_oracle(inputs, rng):
-    """The median heuristic by its definition: the m x m absolute differences
-    of each dimension, their upper triangle, and `np.median`."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape[0] > features.LENGTHSCALE_MAX_POINTS:
-        picked = rng.choice(inputs.shape[0], size=features.LENGTHSCALE_MAX_POINTS, replace=False)
-        inputs = inputs[picked]
-    upper = np.triu_indices(inputs.shape[0], k=1)
-    scales = np.ones(inputs.shape[1])
-    for dim in range(inputs.shape[1]):
-        diffs = np.abs(inputs[:, dim, None] - inputs[None, :, dim])[upper]
-        median = float(np.median(diffs)) if diffs.size else 0.0
-        if median > 0.0:
-            scales[dim] = median
-    return scales
+def lengthscale_oracle(inputs):
+    """Each column's population standard deviation by `statistics.pstdev`,
+    which does not use numpy; 1.0 where it is 0."""
+    columns = np.asarray(inputs, dtype=float).reshape(np.shape(inputs)[0], -1).T
+    return np.array([statistics.pstdev(column) or 1.0 for column in columns.tolist()])
 
 
 class TestEvaluate:
@@ -206,7 +193,7 @@ class TestIndependentRows:
 
 
 # (n, d, k): fewer centers than rows, as many, more (clipped), one row, and
-# n > LENGTHSCALE_MAX_POINTS, where the median heuristic subsamples.
+# more than a thousand rows.
 DRAW_SHAPES = [(60, 1, 12), (40, 1, 40), (200, 3, 25), (1200, 2, 15), (9, 4, 20), (1, 3, 5)]
 
 
@@ -266,19 +253,17 @@ class TestFeaturizer:
 
     @pytest.mark.parametrize("n, d, k", DRAW_SHAPES)
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_lengthscales_come_after_the_center_draw(self, n, d, k, seed):
-        """Same centers and lengthscales, bit for bit, as `choice` on the
-        distinct rows followed by the median heuristic on the same generator
-        (n > 1000 makes the heuristic subsample with the rng that drew the
-        centers, so the oracle's generator makes the same draw first)."""
+    def test_centers_are_the_choice_draw_and_lengthscales_the_deviations(self, n, d, k, seed):
+        """The same centers, bit for bit, as `choice` on the distinct rows,
+        and each column's population standard deviation as its lengthscale."""
         inputs = np.random.default_rng([seed, n, d]).standard_normal((n, d))
         distinct = np.unique(inputs, axis=0)
-        oracle_rng = np.random.default_rng(seed)
-        centers = oracle_rng.choice(distinct, min(k, distinct.shape[0]), replace=False)
-        lengthscales = median_heuristic_oracle(inputs, oracle_rng)
+        centers = np.random.default_rng(seed).choice(
+            distinct, min(k, distinct.shape[0]), replace=False
+        )
         fmap = fit_rbf_featurizer(inputs, num_centers=k, rng=np.random.default_rng(seed))
         np.testing.assert_array_equal(fmap.centers, centers)
-        np.testing.assert_array_equal(fmap.lengthscales, lengthscales)
+        np.testing.assert_allclose(fmap.lengthscales, lengthscale_oracle(inputs), rtol=1e-12)
 
     def test_fewer_distinct_rows_than_centers(self):
         distinct = np.random.default_rng(4).standard_normal((5, 2))
@@ -299,19 +284,18 @@ class TestFeaturizer:
             fit_rbf_featurizer(inputs, num_centers=4, rng=rng)
         assert rng.bit_generator.state == state
 
-    def test_inputs_far_apart_raise_a_typed_error_and_large_inputs_fit(self):
-        """Gaps of values near +-1.7e308 overflow, so a median-heuristic
-        lengthscale is inf and the map rejects it with a typed error.  Rows
-        near 1e154, whose squared distances once overflowed in k-means, fit
-        with finite centers and features."""
-        inputs = np.random.default_rng(0).choice([1.7e308, -1.7e308, 0.0, 5e-324, 1.0, 2.0], 40)
-        with pytest.raises(NonFiniteValueError):
-            fit_rbf_featurizer(inputs, num_centers=4)
+    def test_inputs_far_apart_and_large_inputs_fit(self):
+        """Values near +-1.7e308, whose gaps once overflowed to an infinite
+        median-heuristic lengthscale, and rows near 1e154, whose squared
+        distances once overflowed in k-means, fit with finite lengthscales,
+        centers and features."""
+        far_apart = np.random.default_rng(0).choice([1.7e308, -1.7e308, 0.0, 5e-324, 1.0, 2.0], 40)
         spread = 1e151 * np.random.default_rng(0).uniform(size=(50, 2))
-        for large in (np.array([1e154, -1e154, 0.0, 1.0]), 1e154 + spread):
-            fmap = fit_rbf_featurizer(large, num_centers=3)
+        for inputs in (far_apart, np.array([1e154, -1e154, 0.0, 1.0]), 1e154 + spread):
+            fmap = fit_rbf_featurizer(inputs, num_centers=3)
+            np.testing.assert_allclose(fmap.lengthscales, lengthscale_oracle(inputs), rtol=1e-12)
             assert np.all(np.isfinite(fmap.centers))
-            assert np.all(np.isfinite(fmap(large)))
+            assert np.all(np.isfinite(fmap(inputs)))
 
     def test_empty_inputs_rejected_before_seeding(self):
         """Zero rows once reached the seeding's rng.integers(0) and failed
@@ -334,9 +318,9 @@ class TestFeaturizer:
 
     def test_constant_dimension_gets_unit_lengthscale(self):
         inputs = np.column_stack([np.linspace(0, 1, 50), np.zeros(50)])
-        scales = features.median_heuristic_lengthscales(inputs)
+        scales = fit_rbf_featurizer(inputs, num_centers=5).lengthscales
         assert scales[1] == 1.0
-        assert scales[0] > 0.0
+        np.testing.assert_allclose(scales[0], lengthscale_oracle(inputs[:, :1]), rtol=1e-12)
 
     def test_one_dimensional_inputs_are_one_column(self):
         inputs = np.linspace(0.0, 1.0, 50)
@@ -348,13 +332,12 @@ class TestFeaturizer:
         np.testing.assert_array_equal(fmap(inputs), column(inputs[:, None]))
 
 
-class TestMedianHeuristic:
+class TestLengthscales:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 1001, 1200])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_bit_identical_to_pairwise_median(self, n, seed):
-        """n rows give n (n - 1) / 2 pairs: odd for n = 2, 3, 7, even for
-        n = 4, 8, none for n = 1; above 1000 rows the heuristic subsamples.
-        Rounded columns have tied differences; a constant column gets 1.0."""
+    def test_population_deviation_of_each_column(self, n, seed):
+        """Normal, rounded (tied), constant and exponential columns; one row
+        and a constant column have deviation 0 and get 1.0."""
         rng = np.random.default_rng([seed, n])
         inputs = np.column_stack(
             [
@@ -364,26 +347,29 @@ class TestMedianHeuristic:
                 rng.exponential(size=n),
             ]
         )
-        scales = features.median_heuristic_lengthscales(inputs, rng=np.random.default_rng(seed))
-        np.testing.assert_array_equal(
-            scales, median_heuristic_oracle(inputs, np.random.default_rng(seed))
-        )
+        scales = fit_rbf_featurizer(inputs, 5, rng=np.random.default_rng(seed)).lengthscales
+        np.testing.assert_allclose(scales, lengthscale_oracle(inputs), rtol=1e-12)
         assert scales[2] == 1.0
 
     def test_one_dimensional_inputs_are_one_column(self):
         inputs = np.random.default_rng(6).standard_normal(50)
-        scales = features.median_heuristic_lengthscales(inputs)
+        scales = fit_rbf_featurizer(inputs, num_centers=5).lengthscales
         assert scales.shape == (1,)
-        np.testing.assert_array_equal(
-            scales, median_heuristic_oracle(inputs[:, None], np.random.default_rng(0))
-        )
+        np.testing.assert_allclose(scales, lengthscale_oracle(inputs[:, None]), rtol=1e-12)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_inputs_rejected(self, bad):
-        inputs = np.random.default_rng(8).standard_normal((20, 3))
-        inputs[11, 0] = bad
-        with pytest.raises(NonFiniteValueError):
-            features.median_heuristic_lengthscales(inputs)
+    def test_independent_of_the_rng(self):
+        """Two clusters of 1000 rows in eight dimensions: the median
+        heuristic subsampled such inputs with the rng and moved by up to
+        1.6x between rngs on one dimension."""
+        rng = np.random.default_rng(13)
+        means = rng.uniform(size=(2, 8))
+        inputs = means[rng.integers(0, 2, 2000)] + 0.08 * rng.standard_normal((2000, 8))
+        first, second = (
+            fit_rbf_featurizer(inputs, 20, rng=np.random.default_rng(seed)).lengthscales
+            for seed in (0, 1)
+        )
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_allclose(first, lengthscale_oracle(inputs), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -391,95 +377,10 @@ class TestMedianHeuristic:
     [
         lambda inputs: evaluate(toy_feature_map(), inputs),
         lambda inputs: fit_rbf_featurizer(inputs, 2),
-        features.median_heuristic_lengthscales,
     ],
-    ids=["evaluate", "fit_rbf_featurizer", "median_heuristic"],
+    ids=["evaluate", "fit_rbf_featurizer"],
 )
 def test_three_dimensional_inputs_rejected(call):
     """`evaluate` once returned a (3, 1, 20) array for (3, 1, 1) inputs."""
     with pytest.raises(DimensionMismatchError, match=r"\(3, 1, 1\)"):
         call(np.zeros((3, 1, 1)))
-
-
-def column_of(kind: str, m: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, m])
-    return {
-        "normal": lambda: rng.standard_normal(m),
-        "rounded": lambda: np.round(rng.uniform(0.0, 3.0, m)),  # four values, tied gaps
-        "tenths": lambda: np.round(rng.standard_normal(m), 1),  # many tied gaps
-        "constant": lambda: np.full(m, -2.5),
-        "cauchy": lambda: rng.standard_cauchy(m),
-        "offset": lambda: 1e6 + 1e-9 * rng.standard_normal(m),  # a few ulps of 1e6
-    }[kind]()
-
-
-class TestMedianPairGap:
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["normal", "rounded", "tenths", "constant", "cauchy", "offset"]),
-        m=st.integers(2, 1200),
-        seed=st.integers(0, 2**16),
-    )
-    @example(kind="normal", m=2, seed=0)  # one pair
-    @example(kind="normal", m=4, seed=0)  # six pairs: the mean of two middle gaps
-    @example(kind="cauchy", m=1200, seed=1)
-    @example(kind="offset", m=1000, seed=2)
-    @example(kind="constant", m=1000, seed=0)
-    def test_bit_identical_to_median_of_pdist(self, kind, m, seed):
-        column = column_of(kind, m, seed)
-        got = features._median_pair_gap(column)
-        expected = np.median(pdist(column[:, None], "cityblock"))
-        assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
-
-    def test_bracket_miss_widens_to_the_whole_triangle(self):
-        """Clusters of 13, 85 and 3 points.  The strided sample takes every
-        second value, and fewer than 48% of its gaps are at most the
-        column's median gap, so that median lies below the first bracket."""
-        column = np.concatenate(
-            [np.linspace(0.0, 0.5, 13), 50.0 + np.linspace(0.0, 2.0, 85), [60.0, 60.05, 60.1]]
-        )
-        median = np.median(pdist(column[:, None], "cityblock"))
-        sample = column[:: -(-column.size // features._BRACKET_SAMPLE)]
-        share = np.mean(pdist(sample[:, None], "cityblock") <= median)
-        assert share < 0.5 - features._BRACKET_MARGIN
-        assert features._median_pair_gap(column) == median
-
-    def test_band_cut_by_rounded_keys_is_rejected(self):
-        """The bracket is [2.7, 5.3999999999999995].  The key 1.2 + 2.7
-        rounds up to 3.9000000000000004, so the gap 3.9 - 1.2 = 2.7 falls
-        left of the band while 6.6 - 3.9 = 2.6999999999999997 falls inside.
-        The band's lower middle gap is then below a gap left of it: the
-        check rejects it, and the median averages 2.7, not the smaller gap,
-        with 3.6."""
-        column = np.array([0.3, 1.2, 3.9, 6.6])
-        assert features._median_pair_gap(column) == 3.1500000000000004
-
-    @pytest.mark.parametrize(
-        "column",
-        [
-            np.random.default_rng(0).choice([1.7e308, -1.7e308, 0.0, 5e-324, 1.0, 2.0], 40),
-            np.concatenate([np.arange(30.0), [1.7e308, -1.7e308]]),
-        ],
-        ids=["median_overflows", "tail_overflows"],
-    )
-    def test_overflowing_gaps_are_inf_without_a_warning(self, column):
-        """Gaps of values near +-1.7e308 overflow to +inf, as in `pdist`.
-        They once raised numpy's overflow warning, which this suite turns
-        into an error, where `pdist` is silent."""
-        with np.errstate(over="ignore"):  # np.median's mean of two inf gaps
-            expected = np.median(pdist(column[:, None], "cityblock"))
-        assert features._median_pair_gap(column) == expected
-        np.testing.assert_array_equal(features.median_heuristic_lengthscales(column), [expected])
-
-    def test_heuristic_forms_no_pair_buffer(self):
-        """The 2000 x 4 heuristic of the tabular-minibatch set-up peaked at
-        4.0 MB with its 499 500-pair buffer; the band selection at 0.77 MB."""
-        inputs = np.random.default_rng(3).uniform(size=(2000, 4))
-        features.median_heuristic_lengthscales(inputs)  # warm numpy's caches
-        tracemalloc.start()
-        try:
-            features.median_heuristic_lengthscales(inputs, rng=np.random.default_rng(5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5e6

@@ -38,7 +38,6 @@ ROW_READERS = {
     "MeasurementSet": MeasurementSet,
     "RbfFeatureMap": lambda rows: RbfFeatureMap(rows, np.ones(rows.shape[-1])),
     "fit_rbf_featurizer": lambda rows: fit_rbf_featurizer(rows, 2),
-    "median_heuristic_lengthscales": features.median_heuristic_lengthscales,
 }
 
 

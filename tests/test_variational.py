@@ -634,6 +634,29 @@ class TestObjectives:
             with pytest.raises(DimensionMismatchError, match="state has 4 weights, model has 3"):
                 call()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model, data: Objective(Exact(), model, data),
+            exact_posterior,
+            lambda model, data: MarginalKl(model, MeasurementSet(data.inputs)),
+            lambda model, data: expected_log_likelihood(
+                VariationalState.prior_state(Family.FFG, 2), model, data, np.arange(3)
+            ),
+            lambda model, data: blr.nlpd(model, standard_gaussian(2), data),
+        ],
+        ids=["objective", "exact_posterior", "marginal_kl", "minibatch_ell", "nlpd"],
+    )
+    def test_non_finite_features_raise_a_typed_error(self, call, bad):
+        """The closed forms and the marginal once raised scipy's bare
+        ValueError on such a map, and the minibatch ELL and the NLPD
+        returned NaN."""
+        model = BlrModel(lambda x: np.full((np.shape(x)[0], 2), bad), 0.1, 2)
+        data = Dataset(np.linspace(0.0, 1.0, 10), np.zeros(10))
+        with pytest.raises(NonFiniteValueError, match="feature map"):
+            call(model, data)
+
     def test_exact_at_posterior_equals_log_evidence(self):
         rng = np.random.default_rng(27)
         for _ in range(10):
@@ -1273,3 +1296,19 @@ class TestQrForm:
             assert ratio > RANK_RTOL
         if num_rows / ratio < 0.5 / RANK_RTOL:
             assert certified
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BlrModel(lambda x: x, True, num_features=1),
+        lambda: optimize.AdamConfig(True, 3),
+        lambda: optimize.AdamConfig(0.1, 3, True),
+        lambda: MeasurementPolicy(3, True, np.array([[0.0, 1.0]])),
+    ],
+    ids=["noise_variance", "learning_rate", "decay_tail_fraction", "data_fraction"],
+)
+def test_real_valued_settings_reject_bool(build):
+    """Each once constructed, reading True as 1."""
+    with pytest.raises(ValueError):
+        build()
