@@ -177,7 +177,8 @@ def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:
 def predictive_marginals(
     model: BlrModel, weights_dist: GaussianDist, inputs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point predictive means and noiseless variances, O(n k^2)."""
+    """Per-point predictive means and noiseless variances, O(n k^2): the
+    variances are the row sums of (Phi Sigma) * Phi, one BLAS product."""
     if weights_dist.dim != model.num_features:
         raise DimensionMismatchError(
             f"weight distribution has dimension {weights_dist.dim}, "
@@ -185,7 +186,7 @@ def predictive_marginals(
         )
     phi = model.features(_as_rows(inputs))
     means = phi @ weights_dist.mean
-    variances = np.einsum("ij,jk,ik->i", phi, weights_dist.cov, phi)
+    variances = np.einsum("ij,ij->i", phi @ weights_dist.cov, phi)
     return means, np.maximum(variances, 0.0)
 
 

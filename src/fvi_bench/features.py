@@ -23,7 +23,11 @@ chosen; k-means fits the data better, at about three times the set-up cost.
 The lengthscales are the columns' standard deviations: one pass over the
 inputs, the same scale as the median pairwise gap on uniform inputs (0.289
 against 0.293 on [0, 1]), and, unlike a median over a subsample of pairs,
-independent of the rng.
+independent of the rng.  The distinct rows come from one sort of 1-D keys,
+each row's bytes with -0.0 read as 0.0, so the draw sees them in byte order;
+a row-wise `np.unique(axis=0)` took twice as long.  `evaluate` works in row
+blocks that stay in cache, not in six passes over the whole (n, k) array,
+with the same bits (20000 x 200 on a 2-vCPU Xeon: 19-27 -> 17-19 ms).
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ from scipy.linalg import qr as _scipy_qr
 from .errors import DimensionMismatchError, NonFiniteValueError, require_count
 
 RANK_RTOL = 1e-8  # singular values below RANK_RTOL * sigma_max count as zero
+# Rows per block of `evaluate`: 512 x 200 features is 800 KB, inside the
+# 2 MB per-core L2 cache of the Xeon it was timed on.  Blocks of 128 to 4096
+# rows gave the tabular benchmark's 20000 x 200 features bit for bit as one
+# buffer does, and 512 to 1024 were the fastest.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +70,10 @@ class RbfFeatureMap:
         lengthscales.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "lengthscales", lengthscales)
+        # What `evaluate` reads on every call, formed once: centers / ell.
+        scaled_centers = centers / lengthscales
+        scaled_centers.flags.writeable = False
+        object.__setattr__(self, "_scaled_centers", scaled_centers)
 
     @property
     def num_features(self) -> int:
@@ -96,17 +109,28 @@ def _owned_rows(array: np.ndarray, what: str) -> np.ndarray:
 
 
 def evaluate(feature_map: RbfFeatureMap, inputs: np.ndarray) -> np.ndarray:
-    """The RBF features at each input row, (n, k): [i, j] is feature j at row i."""
+    """The RBF features at each input row, (n, k): [i, j] is feature j at row i.
+
+    Computed in place in the output, in near-equal blocks of at most
+    `_BLOCK_ROWS` rows.  No block has one row when there are more: numpy
+    takes a one-row product to a matrix-vector kernel, whose rounding differs.
+    """
     inputs = _as_rows(inputs)
     if inputs.shape[1] != feature_map.input_dim:
         raise DimensionMismatchError(
             f"inputs have dimension {inputs.shape[1]}, centers have {feature_map.input_dim}"
         )
     scaled_x = inputs / feature_map.lengthscales
-    scaled_c = feature_map.centers / feature_map.lengthscales
-    values = squared_distances(scaled_x, scaled_c)
-    values *= -0.5
-    return np.exp(values, out=values)
+    scaled_c = feature_map._scaled_centers
+    n = scaled_x.shape[0]
+    values = np.empty((n, scaled_c.shape[0]))
+    num_blocks = -(-n // _BLOCK_ROWS)
+    for i in range(num_blocks):
+        rows = slice(i * n // num_blocks, (i + 1) * n // num_blocks)
+        block = _squared_distances_into(scaled_x[rows], scaled_c, values[rows])
+        block *= -0.5
+        np.exp(block, out=block)
+    return values
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,7 +141,12 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Scaling a before the product keeps numpy from taking a @ a.T to the
     symmetric BLAS kernel, whose rounding differs, when b is a.
     """
-    out = (-2.0 * a) @ b.T
+    return _squared_distances_into(a, b, np.empty((a.shape[0], b.shape[0])))
+
+
+def _squared_distances_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`squared_distances(a, b)` written into `out`, which it returns."""
+    np.matmul(-2.0 * a, b.T, out=out)
     out += np.sum(a**2, axis=1)[:, None]
     out += np.sum(b**2, axis=1)
     return np.maximum(out, 0.0, out=out)
@@ -156,13 +185,21 @@ def fit_rbf_featurizer(
     deviation of its input column, 1.0 where that is 0 (a constant column,
     or one row).  The rng draws only the centers.  1-D inputs are one column.
 
+    The distinct rows are taken in the order of their bytes, with -0.0
+    folded into 0.0, so rows equal as floats count once; `rng.choice` draws
+    the centers from them in that order.
+
     The deviation is taken of the column over its largest magnitude and
     scaled back, so no finite input overflows.
     """
     inputs = _owned_rows(inputs, "featurizer inputs")
     require_count("num_centers", num_centers, 1)
     rng = rng or np.random.default_rng(0)
-    distinct = np.unique(inputs, axis=0)
+    # Each row as one key of its d * 8 bytes, -0.0 folded into 0.0: finite
+    # rows have equal bytes exactly when they are equal as floats.
+    rows = np.ascontiguousarray(inputs + 0.0)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    distinct = np.unique(keys).view(float).reshape(-1, rows.shape[1])
     centers = rng.choice(distinct, min(num_centers, distinct.shape[0]), replace=False)
     magnitude = np.abs(inputs).max(axis=0)
     magnitude[magnitude == 0.0] = 1.0

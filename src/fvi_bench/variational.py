@@ -218,7 +218,10 @@ class MeasurementPolicy:
 def sample_measurement_set(
     policy: MeasurementPolicy, data: Dataset, rng: np.random.Generator
 ) -> MeasurementSet:
-    """floor(m * data_fraction) training inputs, then uniform box points."""
+    """floor(m * data_fraction) training inputs, then uniform box points.
+    A box whose dimension is not the data's raises `DimensionMismatchError`
+    before any draw."""
+    _require_box_dim(policy, data)
     num_data = math.floor(policy.total_size * policy.data_fraction)
     num_box = policy.total_size - num_data
     pieces = []
@@ -230,6 +233,14 @@ def sample_measurement_set(
         lo, hi = policy.box[:, 0], policy.box[:, 1]
         pieces.append(rng.uniform(lo, hi, size=(num_box, policy.box.shape[0])))
     return MeasurementSet(np.vstack(pieces))
+
+
+def _require_box_dim(policy: MeasurementPolicy, data: Dataset) -> None:
+    if policy.box.shape[0] != data.inputs.shape[1]:
+        raise DimensionMismatchError(
+            f"measurement box has dimension {policy.box.shape[0]}, "
+            f"data has {data.inputs.shape[1]}"
+        )
 
 
 # --- closed-form objective terms ---------------------------------------------
@@ -537,11 +548,8 @@ class Objective:
     ):
         if not isinstance(kind, ObjectiveKind):
             raise TypeError(f"kind must be an Exact, FixedA, RandA or Ssge, got {kind!r}")
-        if isinstance(kind, (RandA, Ssge)) and kind.policy.box.shape[0] != data.inputs.shape[1]:
-            raise DimensionMismatchError(
-                f"measurement box has dimension {kind.policy.box.shape[0]}, "
-                f"data has {data.inputs.shape[1]}"
-            )
+        if isinstance(kind, (RandA, Ssge)):
+            _require_box_dim(kind.policy, data)
         self.kind = kind
         self.model = model
         self.data = data

@@ -209,9 +209,9 @@ class TestPredictive:
             nlpd(model, weights, Dataset(np.ones((4, 2)), np.zeros(4)))
 
     def test_roundoff_negative_variance_clipped(self):
-        w = GaussianDist([0.0, 0.0], 0.1 * np.ones((2, 2)))
-        row = np.array([[0.1, -0.1000000001]])  # exact variance 1e-21
-        assert np.einsum("ij,jk,ik->i", row, w.cov, row)[0] < 0.0  # rounds below zero
+        w = GaussianDist([0.0, 0.0], [[1.0, 3.0], [3.0, 9.0]])  # (1, 3)(1, 3)^T
+        row = np.array([[0.9, -0.3]])  # exact variance (0.9 - 3 * 0.3)^2, about 3e-33
+        assert np.einsum("ij,ij->i", row @ w.cov, row)[0] < 0.0  # rounds below zero
         _, variances = predictive_marginals(two_coordinate_model(), w, row)
         assert 0.0 <= variances[0] < 1e-18
 

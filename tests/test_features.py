@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 
 from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError
 from fvi_bench.features import (
+    _BLOCK_ROWS,
     RbfFeatureMap,
     evaluate,
     fit_rbf_featurizer,
@@ -63,15 +64,24 @@ class TestEvaluate:
             evaluate(fmap, points)[perm], evaluate(fmap, points[perm])
         )
 
-    def test_matches_direct_formula(self):
+    @pytest.mark.parametrize(
+        "n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    )
+    def test_matches_direct_formula(self, n):
+        """Around the block size: the per-entry formula, and bit for bit the
+        one-buffer expression over all rows at once."""
         rng = np.random.default_rng(2)
         fmap = RbfFeatureMap(rng.standard_normal((6, 2)), rng.uniform(0.3, 2.0, 2))
-        points = rng.standard_normal((7, 2))
-        direct = np.empty((7, 6))
+        points = rng.standard_normal((n, 2))
+        direct = np.empty((n, 6))
         for i, x in enumerate(points):
             for j, c in enumerate(fmap.centers):
                 direct[i, j] = math.exp(-0.5 * float(np.sum(((x - c) / fmap.lengthscales) ** 2)))
-        np.testing.assert_allclose(evaluate(fmap, points), direct, rtol=1e-12)
+        out = evaluate(fmap, points)
+        np.testing.assert_allclose(out, direct, rtol=1e-12)
+        ell = fmap.lengthscales
+        one_buffer = np.exp(-0.5 * squared_distances(points / ell, fmap.centers / ell))
+        np.testing.assert_array_equal(out, one_buffer)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -195,6 +205,17 @@ class TestIndependentRows:
 # (n, d, k): fewer centers than rows, as many, more (clipped), one row, and
 # more than a thousand rows.
 DRAW_SHAPES = [(60, 1, 12), (40, 1, 40), (200, 3, 25), (1200, 2, 15), (9, 4, 20), (1, 3, 5)]
+# DRAW_SHAPES of normal rows, and rounded normal rows: repeated rows, with
+# both 0.0 and -0.0 among their entries.
+CHOICE_SHAPES = [pytest.param(*shape, False, id="-".join(map(str, shape))) for shape in DRAW_SHAPES]
+CHOICE_SHAPES.append(pytest.param(300, 2, 20, True, id="300-2-20-rounded"))
+
+
+def distinct_rows_oracle(inputs):
+    """The distinct rows sorted by their bytes, -0.0 read as 0.0: a Python
+    set and `sorted`, without numpy's `unique`."""
+    keys = sorted({(row + 0.0).tobytes() for row in inputs})
+    return np.array([np.frombuffer(key) for key in keys]).reshape(-1, inputs.shape[1])
 
 
 class TestFeaturizer:
@@ -251,13 +272,21 @@ class TestFeaturizer:
         other = fit_rbf_featurizer(inputs, num_centers=25, rng=np.random.default_rng(4))
         assert not np.array_equal(first.centers, other.centers)
 
-    @pytest.mark.parametrize("n, d, k", DRAW_SHAPES)
+    @pytest.mark.parametrize("n, d, k, rounded", CHOICE_SHAPES)
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_centers_are_the_choice_draw_and_lengthscales_the_deviations(self, n, d, k, seed):
-        """The same centers, bit for bit, as `choice` on the distinct rows,
-        and each column's population standard deviation as its lengthscale."""
+    def test_centers_are_the_choice_draw_and_lengthscales_the_deviations(
+        self, n, d, k, rounded, seed
+    ):
+        """The same centers, bit for bit, as `choice` on the distinct rows in
+        the order of their bytes (-0.0 read as 0.0), and each column's
+        population standard deviation as its lengthscale."""
         inputs = np.random.default_rng([seed, n, d]).standard_normal((n, d))
-        distinct = np.unique(inputs, axis=0)
+        if rounded:
+            inputs = np.round(inputs)
+            zeros = inputs[inputs == 0.0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        distinct = distinct_rows_oracle(inputs)
+        assert rounded == (distinct.shape[0] < n)
         centers = np.random.default_rng(seed).choice(
             distinct, min(k, distinct.shape[0]), replace=False
         )

@@ -542,6 +542,18 @@ class TestMeasurementSampling:
         lo, hi = policy.box[:, 0], policy.box[:, 1]
         assert np.all(mset.points >= lo) and np.all(mset.points <= hi)
 
+    @pytest.mark.parametrize("data_fraction", [0.0, 0.5, 1.0])
+    def test_box_of_another_dimension_rejected_before_drawing(self, data_fraction):
+        """A 2-D box on 3-D data once raised numpy's bare ValueError (0.5),
+        was ignored (1) or gave 2-D points (0)."""
+        data = Dataset(np.random.default_rng(27).uniform(size=(10, 3)), np.zeros(10))
+        policy = MeasurementPolicy(4, data_fraction, [[0.0, 1.0], [0.0, 1.0]])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DimensionMismatchError, match="box has dimension 2, data has 3"):
+            sample_measurement_set(policy, data, rng)
+        assert rng.bit_generator.state == state
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(25)
         model, data = random_problem(rng)
