@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and two shared argument checks."""
+"""Exception types shared across the package, and two shared argument checks.
+
+A training run that diverges raises `NonFiniteValueError`, whatever diverged."""
 
 import numbers
 
@@ -33,10 +35,6 @@ class DegenerateMarginalError(FviBenchError):
 class DegenerateKernelError(FviBenchError):
     """The samples' median distance is within the roundoff of their squared
     distances, as when all or most are equal; kernel bandwidth undefined."""
-
-
-class NonFiniteGradientError(FviBenchError):
-    """Optimization aborted on a NaN/Inf gradient."""
 
 
 class NonFiniteValueError(FviBenchError):

@@ -88,9 +88,10 @@ class RbfFeatureMap:
 
 
 def _as_rows(array: np.ndarray) -> np.ndarray:
-    """An outside array as (n, d) float rows; 1-D is one column.  The package
-    reads every row array it is given through this function."""
-    array = np.asarray(array, dtype=float)
+    """An outside array as C-ordered (n, d) float rows; 1-D is one column.
+    The package reads every row array it is given through this function, so
+    no result depends on the caller's memory layout."""
+    array = np.asarray(array, dtype=float, order="C")
     if array.ndim > 2:
         raise DimensionMismatchError(f"expected (n, d) rows, got shape {array.shape}")
     return array.reshape(-1, 1) if array.ndim < 2 else array
@@ -99,7 +100,7 @@ def _as_rows(array: np.ndarray) -> np.ndarray:
 def _owned_rows(array: np.ndarray, what: str) -> np.ndarray:
     """A read-only copy of `_as_rows(array)` with at least one row and one
     column, all finite: the rows a value keeps, which no caller can change."""
-    rows = _as_rows(np.array(array, dtype=float))
+    rows = _as_rows(np.array(array, dtype=float, order="C"))
     if rows.shape[0] < 1 or rows.shape[1] < 1:
         raise ValueError(f"{what} are empty: need at least one row and one column")
     if not np.all(np.isfinite(rows)):
@@ -195,9 +196,9 @@ def fit_rbf_featurizer(
     inputs = _owned_rows(inputs, "featurizer inputs")
     require_count("num_centers", num_centers, 1)
     rng = rng or np.random.default_rng(0)
-    # Each row as one key of its d * 8 bytes, -0.0 folded into 0.0: finite
+    # Each C-ordered row as one key of its d * 8 bytes, -0.0 read as 0.0: finite
     # rows have equal bytes exactly when they are equal as floats.
-    rows = np.ascontiguousarray(inputs + 0.0)
+    rows = inputs + 0.0
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     distinct = np.unique(keys).view(float).reshape(-1, rows.shape[1])
     centers = rng.choice(distinct, min(num_centers, distinct.shape[0]), replace=False)

@@ -3,7 +3,8 @@
 The optimizer is deliberately plain: bias-corrected Adam on the
 unconstrained parameter vector, on the learning-rate schedule of
 `AdamConfig`, and no early stopping: every run takes its whole step
-budget.  A run is deterministic given its seed.
+budget.  A run is deterministic given its seed.  Its trace records the
+ELBO estimate, the KL term and the rows dropped, the paper's diagnostics.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FviBenchError, NonFiniteGradientError, require_count
-from .variational import Objective, ObjectiveEval, VariationalState
+from .errors import FviBenchError, NonFiniteValueError, require_count
+from .variational import Objective, VariationalState
 
 FINAL_LR_FACTOR = 1e-6  # the decay tail ends at this multiple of the base rate
 LOG_EVERY = 50  # a run records steps 1, LOG_EVERY, 2 LOG_EVERY, ... and its last
@@ -67,8 +68,6 @@ class TraceRecord:
     step: int
     elbo_estimate: float
     kl_term: float
-    expected_ll_term: float
-    grad_norm: float
     rows_dropped: int  # dependent measurement rows dropped at this step
 
 
@@ -88,7 +87,8 @@ def run(
     """Adam-ascend the objective from the initial state.
 
     Raises:
-        NonFiniteGradientError: a NaN/Inf gradient appeared.
+        NonFiniteValueError: a step's gradient or ELBO estimate is NaN or
+            Inf, or an updated parameter leaves the range of its exp.
         FviBenchError: any package error raised by a step (for example
             ``DegenerateMarginalError``).  Every such error carries the trace
             accumulated so far as ``trace``, ending at the last good state.
@@ -98,28 +98,18 @@ def run(
     first_moment = np.zeros_like(params)
     second_moment = np.zeros_like(params)
     trace = TrainTrace()
-
-    def record(step: int, evaluation: ObjectiveEval, grad_norm: float):
-        trace.records.append(
-            TraceRecord(
-                step,
-                evaluation.elbo_estimate,
-                evaluation.kl_term,
-                evaluation.expected_ll,
-                grad_norm,
-                evaluation.rows_dropped,
-            )
-        )
-
     try:
         for step in range(1, config.max_steps + 1):
             evaluation = objective.value_and_grad(state, rng, step)
             grad = evaluation.grad
             if not np.all(np.isfinite(grad)) or not np.isfinite(evaluation.elbo_estimate):
-                raise NonFiniteGradientError(f"non-finite gradient or objective at step {step}")
-            grad_norm = float(np.linalg.norm(grad))
+                raise NonFiniteValueError(f"non-finite gradient or objective at step {step}")
             if step % LOG_EVERY == 0 or step == config.max_steps or step == 1:
-                record(step, evaluation, grad_norm)
+                trace.records.append(
+                    TraceRecord(
+                        step, evaluation.elbo_estimate, evaluation.kl_term, evaluation.rows_dropped
+                    )
+                )
             first_moment = config.beta1 * first_moment + (1.0 - config.beta1) * grad
             second_moment = config.beta2 * second_moment + (1.0 - config.beta2) * grad**2
             corrected_first = first_moment / (1.0 - config.beta1**step)
@@ -130,8 +120,8 @@ def run(
             state = state.with_params(params)
             trace.steps_run = step
     except FviBenchError as error:
-        trace.final_state = state
         error.trace = trace
         raise
-    trace.final_state = state
+    finally:
+        trace.final_state = state
     return trace

@@ -8,7 +8,7 @@ import pytest
 from conftest import max_gradient_error
 from fvi_bench import gaussian, optimize
 from fvi_bench.blr import BlrModel, Dataset, exact_posterior, log_marginal_likelihood
-from fvi_bench.errors import DegenerateMarginalError, NonFiniteGradientError, NonFiniteValueError
+from fvi_bench.errors import DegenerateMarginalError, NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap
 from fvi_bench.optimize import LOG_EVERY, AdamConfig, run
 from fvi_bench.ssge import SsgeConfig
@@ -144,16 +144,22 @@ class TestAdamRun:
         )
         assert [record.step for record in trace.records] == [1, 50, 100, 150, 200]
 
-    def test_nonfinite_gradient_aborts_with_trace(self):
+    @pytest.mark.parametrize(
+        "elbo, grad", [(1.0, np.nan), (np.nan, 1.0)], ids=["nan_gradient", "nan_elbo"]
+    )
+    def test_nonfinite_gradient_aborts_with_trace(self, elbo, grad):
+        """A run that diverges raises one error type, whichever value is NaN;
+        a NaN ELBO with a finite gradient once raised a gradient error."""
+
         class ExplodingObjective:
             def value_and_grad(self, state, rng, step):
                 from fvi_bench.variational import ObjectiveEval
 
                 if step >= 3:
-                    return ObjectiveEval(np.nan, 0.0, 0.0, np.full(40, np.nan))
+                    return ObjectiveEval(elbo, 0.0, 0.0, np.full(40, grad))
                 return ObjectiveEval(1.0, 1.0, 0.0, np.ones(40))
 
-        with pytest.raises(NonFiniteGradientError) as err:
+        with pytest.raises(NonFiniteValueError, match="step 3") as err:
             run(
                 ExplodingObjective(),
                 VariationalState.prior_state(Family.FFG, 20),
