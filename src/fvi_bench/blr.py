@@ -11,8 +11,10 @@ KLs are unchanged by that map.
 One place forms a dataset's likelihood statistics, `_full_batch_stats`:
 Phi^T Phi, the Cholesky factor of sigma^2 I + Phi^T Phi and the residual
 about the exact posterior mean, from the one Phi that `_per_pair` keeps for
-a (model, dataset) pair while both live.  The objectives and closed forms on
-that pair share them; the posterior and the log evidence factorize nothing.
+a (model, dataset) pair while both live.  The full-batch objectives and the
+closed forms on that pair share them; the posterior and the log evidence
+factorize nothing.  A minibatch forms no statistics: its ELL reads the
+batch's rows of that Phi.
 """
 
 from __future__ import annotations
@@ -96,14 +98,16 @@ class BlrModel:
 
 @dataclass(frozen=True, eq=False)
 class _LikelihoodStats:
-    """Sufficient statistics of the Gaussian likelihood of rows (Phi, y), taken
-    about an anchor mean a.  With r = y - Phi a and d = m - a, any mean m has
+    """Sufficient statistics of the Gaussian likelihood of a dataset's rows
+    (Phi, y), taken about an anchor mean a.  With r = y - Phi a and d = m - a,
+    any mean m has
 
         ||y - Phi m||^2 = r^T r - 2 d^T Phi^T r + d^T Phi^T Phi d
         Phi^T (y - Phi m) = Phi^T r - Phi^T Phi d,
 
-    and no evaluation touches the rows again.  An anchor near the fitted
-    mean keeps the expansion from cancelling when ||y|| >> ||y - Phi m||.
+    and no evaluation touches the rows again.  The anchor is the exact
+    posterior mean, which keeps the expansion from cancelling when
+    ||y|| >> ||y - Phi m||; the factor is the one that solves for it.
     """
 
     gram: np.ndarray  # Phi^T Phi, (k, k)
@@ -111,21 +115,7 @@ class _LikelihoodStats:
     residual_sq: float  # r^T r
     size: int  # number of rows
     anchor: np.ndarray  # a, (k,)
-    factor: np.ndarray | None = None  # L L^T = sigma^2 I + Phi^T Phi, (k, k); None for a minibatch
-
-
-def _likelihood_stats(
-    phi: np.ndarray, targets: np.ndarray, anchor: np.ndarray, gram=None, factor=None
-) -> _LikelihoodStats:
-    residual = targets - phi @ anchor
-    return _LikelihoodStats(
-        phi.T @ phi if gram is None else gram,
-        phi.T @ residual,
-        float(residual @ residual),
-        phi.shape[0],
-        anchor,
-        factor,
-    )
+    factor: np.ndarray  # L with L L^T = sigma^2 I + Phi^T Phi, (k, k)
 
 
 # Model -> dataset or measurement set -> {builder: its shared result}, keyed
@@ -153,7 +143,10 @@ def _full_batch_stats(model: BlrModel, data: Dataset) -> _LikelihoodStats:
     eye = np.eye(model.num_features)
     factor = cholesky_psd(model.noise_variance * eye + gram, what="sigma^2 I + Phi^T Phi").matrix
     anchor = cho_solve((factor, True), phi.T @ data.targets)
-    stats = _likelihood_stats(phi, data.targets, anchor, gram, factor)
+    residual = data.targets - phi @ anchor
+    stats = _LikelihoodStats(
+        gram, phi.T @ residual, float(residual @ residual), phi.shape[0], anchor, factor
+    )
     for array in (stats.gram, stats.cross, stats.anchor, stats.factor):
         array.flags.writeable = False
     return stats

@@ -31,8 +31,10 @@ of B.
 
 A full-batch training step costs O(k^3) whatever the number of data points
 n: the expected log-likelihood is read off the likelihood statistics that
-`blr` forms once per (model, dataset) pair for its closed forms too; a
-minibatch step reads its rows from the pair's one read-only feature matrix.
+`blr` forms once per (model, dataset) pair for its closed forms too.  A
+minibatch step reads its rows from the pair's one read-only feature matrix
+and forms only what its family's ELL needs: the residual, Phi_b^T r, and
+Phi_b^T Phi_b for the full family or the column sums of squares for ffg.
 The step path does its linear algebra in numpy only, so it runs on numpy's
 BLAS and never alternates with the separate BLAS that scipy bundles; scipy's
 pivoted QR runs only for a measurement set whose rows fail the rank
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blr import BlrModel, Dataset
-from .blr import _feature_matrix, _full_batch_stats, _likelihood_stats, _per_pair
+from .blr import _feature_matrix, _full_batch_stats, _per_pair
 from .errors import (
     DegenerateMarginalError,
     DimensionMismatchError,
@@ -254,11 +256,20 @@ def expected_log_likelihood(
 ) -> tuple[float, np.ndarray]:
     """Closed-form E_q[log likelihood] and its gradient, from the pair's
     statistics, or from the rows of its feature matrix that a minibatch of
-    integer indices names, rescaled by n/|batch| to stay unbiased.  Every
-    objective takes its ELL from here."""
+    integer indices names, rescaled by n/|batch| to stay unbiased.  A
+    minibatch's residual is taken at the state's mean, and of Phi_b^T Phi_b
+    it forms only what the family's trace term reads: all of it for the full
+    family, its diagonal for ffg.  Every objective takes its ELL from here."""
     require_weights(state.dim, model.num_features)
     if minibatch is None:
         stats, scale_factor = _per_pair(_full_batch_stats, model, data), 1.0
+        offset = state.mean - stats.anchor
+        gram_offset = stats.gram @ offset
+        residual_sq = (
+            stats.residual_sq - 2.0 * float(offset @ stats.cross) + float(offset @ gram_offset)
+        )
+        cross, size = stats.cross - gram_offset, stats.size
+        gram = stats.gram if state.is_full else np.einsum("ii->i", stats.gram)
     else:
         minibatch = np.asarray(minibatch)
         if minibatch.ndim != 1:
@@ -270,28 +281,24 @@ def expected_log_likelihood(
         if minibatch.size == 0 or minibatch.min() < 0 or minibatch.max() >= data.size:
             raise DimensionMismatchError("minibatch indices out of range")
         phi = _per_pair(_feature_matrix, model, data)[minibatch]
-        stats = _likelihood_stats(phi, data.targets[minibatch], state.mean)
-        scale_factor = data.size / minibatch.size
-    gram, noise_variance = stats.gram, model.noise_variance
-    offset = state.mean - stats.anchor
-    gram_offset = gram @ offset
-    residual_sq = (
-        stats.residual_sq - 2.0 * float(offset @ stats.cross) + float(offset @ gram_offset)
-    )
+        residual = data.targets[minibatch] - phi @ state.mean
+        residual_sq, cross = float(residual @ residual), phi.T @ residual
+        size, scale_factor = minibatch.size, data.size / minibatch.size
+        gram = phi.T @ phi if state.is_full else np.einsum("ij,ij->j", phi, phi)
+    # gram is Phi^T Phi for the full family and only its diagonal for ffg.
+    noise_variance = model.noise_variance
     if state.is_full:
         half = gram @ state.scale
         trace = float(np.sum(state.scale * half))
         grad_scale = -scale_factor / noise_variance * half
     else:
-        gram_diag = np.einsum("ii->i", gram)
-        trace = float(np.sum(gram_diag * state.scale**2))
-        grad_scale = -scale_factor / noise_variance * gram_diag * state.scale
+        trace = float(np.sum(gram * state.scale**2))
+        grad_scale = -scale_factor / noise_variance * gram * state.scale
     value = scale_factor * (
-        -0.5 * stats.size * math.log(2.0 * math.pi * noise_variance)
+        -0.5 * size * math.log(2.0 * math.pi * noise_variance)
         - 0.5 / noise_variance * (residual_sq + trace)
     )
-    grad_mean = scale_factor / noise_variance * (stats.cross - gram_offset)
-    return value, state.pack_grad(grad_mean, grad_scale)
+    return value, state.pack_grad(scale_factor / noise_variance * cross, grad_scale)
 
 
 def exact_kl(state: VariationalState, model: BlrModel) -> tuple[float, np.ndarray]:
@@ -301,9 +308,11 @@ def exact_kl(state: VariationalState, model: BlrModel) -> tuple[float, np.ndarra
     magnitudes = np.diag(state.scale) if state.is_full else state.scale
     log_det = 2.0 * float(np.sum(np.log(magnitudes)))
     value = 0.5 * (float(state.mean @ state.mean) + float(np.sum(state.scale**2)) - k - log_det)
-    inverse = 1.0 / magnitudes
-    grad_scale = state.scale - (np.diag(inverse) if state.is_full else inverse)
-    return value, state.pack_grad(state.mean, grad_scale)
+    # scale - diag(1 / magnitudes), packed directly: its strict lower triangle is the scale's.
+    packed = [state.mean, (magnitudes - 1.0 / magnitudes) * magnitudes]
+    if state.is_full:
+        packed.append(state.scale[_strict_lower(k)])
+    return value, np.concatenate(packed)
 
 
 def _certified_inverse_r(rows: np.ndarray) -> np.ndarray | None:

@@ -178,6 +178,11 @@ def _policy():
     return MeasurementPolicy(4, 0.5, np.array([[-1.0, 1.0]]))
 
 
+def _likelihood_stats():
+    model = BlrModel(lambda rows: rows, noise_variance=1.0, num_features=2)
+    return blr._full_batch_stats(model, Dataset(np.eye(2), np.ones(2)))
+
+
 # Two instances of equal content of each value type that holds arrays.
 ARRAY_VALUES = {
     "Dataset": lambda: Dataset(np.zeros((2, 1)), np.zeros(2)),
@@ -192,7 +197,7 @@ ARRAY_VALUES = {
     "RbfFeatureMap": lambda: RbfFeatureMap(np.zeros((2, 1)), [1.0]),
     "ScoreEstimate": lambda: fit_score(np.linspace(-1.0, 1.0, 10)),
     "ObjectiveEval": lambda: ObjectiveEval(0.0, 0.0, 0.0, np.zeros(2)),
-    "_LikelihoodStats": lambda: blr._likelihood_stats(np.eye(2), np.ones(2), np.zeros(2)),
+    "_LikelihoodStats": _likelihood_stats,
 }
 
 

@@ -9,6 +9,7 @@ retained measurement rows, and hand algebra for the stationary-mean formulas.
 
 import gc
 import math
+import tracemalloc
 import typing
 import weakref
 
@@ -952,6 +953,29 @@ class TestLikelihoodStatistics:
         analytic = float(evaluation.grad @ direction)
         assert abs((plus - minus) / (2 * step) - analytic) <= 1e-5 * max(1.0, abs(analytic))
 
+    def test_ffg_minibatch_forms_no_batch_gram(self):
+        """An ffg minibatch ELL once formed the whole k x k batch Gram to read
+        its diagonal: at k = 300 and 20 rows it peaked at 789 KB, where the
+        batch's rows take 48 KB.  The full family's trace term needs the Gram."""
+        rng = np.random.default_rng(53)
+        k = 300
+        model, data = random_problem(rng, k=k, n=60)
+        batch = rng.choice(data.size, 20, replace=False)
+        phi = model.features(data.inputs)[batch]
+        states = {family: random_state(rng, family, k) for family in Family}
+        for state in states.values():
+            ell, ell_grad = expected_log_likelihood(state, model, data, batch)
+            expected = direct_ell(state, model, phi, data.targets[batch], data.size / batch.size)
+            assert_close(ell, expected[0], 1e-12)
+            assert_close(ell_grad, expected[1], 1e-12)
+        tracemalloc.start()
+        try:
+            expected_log_likelihood(states[Family.FFG], model, data, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * k * 8
+
     @pytest.mark.parametrize(
         "kind",
         [
@@ -1120,13 +1144,16 @@ class TestSharedStatistics:
         assert blr._per_pair(blr._full_batch_stats, model, data) is stats
         np.testing.assert_array_equal(posterior.mean, stats.anchor)
 
-    def test_two_functions_form_likelihood_statistics(self):
+    def test_one_function_forms_likelihood_statistics(self):
         """The objectives once kept a second copy of the ELL's minibatch
-        statistics."""
-        assert callers_of("_likelihood_stats") == {
-            "blr._full_batch_stats",
-            "variational.expected_log_likelihood",
-        }
+        statistics, and the ELL once formed statistics, with the batch Gram,
+        for every minibatch.  A minibatch reads only the pair's feature matrix."""
+        assert callers_of("_LikelihoodStats") == {"blr._full_batch_stats"}
+        rng = np.random.default_rng(52)
+        model, data = random_problem(rng, k=5, n=57)
+        for family in Family:
+            expected_log_likelihood(random_state(rng, family, 5), model, data, np.arange(10))
+        assert list(blr._PAIR_CACHE[model][data]) == [blr._feature_matrix]
 
 
 class TestSharedFeatureMatrix:
