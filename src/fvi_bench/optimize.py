@@ -5,6 +5,11 @@ unconstrained parameter vector, on the learning-rate schedule of
 `AdamConfig`, and no early stopping: every run takes its whole step
 budget.  A run is deterministic given its seed.  Its trace records the
 ELBO estimate, the KL term and the rows dropped, the paper's diagnostics.
+
+Adam's two moments live in buffers allocated once per run and are updated
+in place, rounded as the textbook expression rounds them.  The parameter
+vector is new at every step: the state built from it holds a view of it,
+and the last good state must outlive a step that fails.
 """
 
 from __future__ import annotations
@@ -86,6 +91,10 @@ def run(
 ) -> TrainTrace:
     """Adam-ascend the objective from the initial state.
 
+    The moments are updated in place; ``params`` is a new array at every
+    step, because the state `VariationalState.with_params` returns holds a
+    view of it.
+
     Raises:
         NonFiniteValueError: a step's gradient or ELBO estimate is NaN or
             Inf, or an updated parameter leaves the range of its exp.
@@ -97,6 +106,8 @@ def run(
     state = initial
     first_moment = np.zeros_like(params)
     second_moment = np.zeros_like(params)
+    scratch = np.empty_like(params)
+    update = np.empty_like(params)
     trace = TrainTrace()
     try:
         for step in range(1, config.max_steps + 1):
@@ -110,13 +121,20 @@ def run(
                         step, evaluation.elbo_estimate, evaluation.kl_term, evaluation.rows_dropped
                     )
                 )
-            first_moment = config.beta1 * first_moment + (1.0 - config.beta1) * grad
-            second_moment = config.beta2 * second_moment + (1.0 - config.beta2) * grad**2
-            corrected_first = first_moment / (1.0 - config.beta1**step)
-            corrected_second = second_moment / (1.0 - config.beta2**step)
-            params = params + config.rate_at(step) * corrected_first / (
-                np.sqrt(corrected_second) + config.epsilon
-            )
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, then
+            # params + rate m_hat / (sqrt(v_hat) + eps), rounded as written.
+            first_moment *= config.beta1
+            first_moment += np.multiply(1.0 - config.beta1, grad, out=scratch)
+            second_moment *= config.beta2
+            np.multiply(grad, grad, out=scratch)
+            second_moment += np.multiply(1.0 - config.beta2, scratch, out=scratch)
+            np.divide(second_moment, 1.0 - config.beta2**step, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += config.epsilon
+            np.divide(first_moment, 1.0 - config.beta1**step, out=update)
+            np.multiply(config.rate_at(step), update, out=update)
+            update /= scratch
+            params = params + update  # a new array: the state's mean is a view of it
             state = state.with_params(params)
             trace.steps_run = step
     except FviBenchError as error:

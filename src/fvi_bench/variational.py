@@ -39,6 +39,12 @@ The step path does its linear algebra in numpy only, so it runs on numpy's
 BLAS and never alternates with the separate BLAS that scipy bundles; scipy's
 pivoted QR runs only for a measurement set whose rows fail the rank
 certificate of `MarginalKl`.
+
+Three sums of products feed objective values only, never a gradient: the
+full-family ELL trace tr(L^T Phi^T Phi L), the squared Frobenius norm of
+the scale in `exact_kl`, and that of the rotated scale in the marginal KL.
+Each is one `np.vdot` of the two factors, with no k x k temporary.  It may
+differ from an elementwise sum in the last bits, and no parameter moves.
 """
 
 from __future__ import annotations
@@ -132,7 +138,21 @@ class VariationalState:
             return np.concatenate([self.mean, np.log(np.diag(self.scale)), lower])
         return np.concatenate([self.mean, np.log(self.scale)])
 
+    @classmethod
+    def _trusted(cls, family: Family, mean: np.ndarray, scale: np.ndarray) -> "VariationalState":
+        """A state from arrays that already pass every check of
+        ``__post_init__``, which it skips."""
+        state = object.__new__(cls)
+        state.__dict__.update(family=family, mean=mean, scale=scale)
+        return state
+
     def with_params(self, vec: np.ndarray) -> "VariationalState":
+        """The state whose parameters are ``vec``; its mean is a view of it.
+
+        It trusts its own construction and skips the constructor's checks:
+        the length check below is the only shape check, the scales are
+        checked finite and positive, and the full factor starts from zeros.
+        """
         k = self.dim
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.num_params(self.family, k),):
@@ -150,8 +170,8 @@ class VariationalState:
             lower = np.zeros((k, k))
             lower[np.diag_indices(k)] = scales
             lower[_strict_lower(k)] = vec[2 * k :]
-            return VariationalState(Family.FULL, mean, lower)
-        return VariationalState(Family.FFG, mean, scales)
+            return VariationalState._trusted(Family.FULL, mean, lower)
+        return VariationalState._trusted(Family.FFG, mean, scales)
 
     def pack_grad(self, grad_mean: np.ndarray, grad_scale: np.ndarray) -> np.ndarray:
         """Chain a gradient w.r.t. (mean, natural scale) into parameter space.
@@ -289,7 +309,7 @@ def expected_log_likelihood(
     noise_variance = model.noise_variance
     if state.is_full:
         half = gram @ state.scale
-        trace = float(np.sum(state.scale * half))
+        trace = float(np.vdot(state.scale, half))
         grad_scale = -scale_factor / noise_variance * half
     else:
         trace = float(np.sum(gram * state.scale**2))
@@ -307,7 +327,8 @@ def exact_kl(state: VariationalState, model: BlrModel) -> tuple[float, np.ndarra
     require_weights(k, model.num_features)
     magnitudes = np.diag(state.scale) if state.is_full else state.scale
     log_det = 2.0 * float(np.sum(np.log(magnitudes)))
-    value = 0.5 * (float(state.mean @ state.mean) + float(np.sum(state.scale**2)) - k - log_det)
+    trace = float(np.vdot(state.scale, state.scale))
+    value = 0.5 * (float(state.mean @ state.mean) + trace - k - log_det)
     # scale - diag(1 / magnitudes), packed directly: its strict lower triangle is the scale's.
     packed = [state.mean, (magnitudes - 1.0 / magnitudes) * magnitudes]
     if state.is_full:
@@ -391,7 +412,7 @@ class MarginalKl:
             raise DegenerateMarginalError(
                 "variational marginal is rank-deficient on the retained rows"
             ) from None
-        trace = float(np.sum(rotated_scale**2))
+        trace = float(np.vdot(rotated_scale, rotated_scale))
         log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
         value = 0.5 * (float(shifted @ shifted) + trace - self.size - log_det)
         return value, shifted, rotated_scale, marginal_cov
@@ -575,4 +596,5 @@ class Objective:
         batch = None if self._schedule is None else self._schedule.next_batch(rng, step == 1)
         ell, ell_grad = expected_log_likelihood(state, self.model, self.data, batch)
         kl, kl_grad, rows_dropped = self.kind._kl_term(state, self.model, self.data, rng)
-        return ObjectiveEval(ell - kl, ell, kl, ell_grad - kl_grad, rows_dropped)
+        ell_grad -= kl_grad  # ell_grad is freshly packed, so the step owns it
+        return ObjectiveEval(ell - kl, ell, kl, ell_grad, rows_dropped)

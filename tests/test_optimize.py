@@ -84,7 +84,43 @@ class TestAdamConfig:
             AdamConfig(0.1, value)
 
 
+def out_of_place_adam(objective, initial, config, rng):
+    """The textbook Adam loop, a new array for every moment and update."""
+    params, state = initial.params(), initial
+    first_moment, second_moment = np.zeros_like(params), np.zeros_like(params)
+    for step in range(1, config.max_steps + 1):
+        grad = objective.value_and_grad(state, rng, step).grad
+        first_moment = config.beta1 * first_moment + (1.0 - config.beta1) * grad
+        second_moment = config.beta2 * second_moment + (1.0 - config.beta2) * grad**2
+        corrected_first = first_moment / (1.0 - config.beta1**step)
+        corrected_second = second_moment / (1.0 - config.beta2**step)
+        params = params + config.rate_at(step) * corrected_first / (
+            np.sqrt(corrected_second) + config.epsilon
+        )
+        state = state.with_params(params)
+    return state
+
+
 class TestAdamRun:
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    @pytest.mark.parametrize("minibatch", [False, True], ids=["exact", "fixed_a_minibatch"])
+    def test_in_place_moments_end_where_the_textbook_loop_ends(self, family, minibatch):
+        """`run` updates its moments in place; every bit of the final state
+        is the out-of-place loop's, through a decay tail and on minibatches."""
+        model, data, _ = toy_problem(4)
+        if minibatch:
+            kind, batch_size = FixedA(measurement_set_from_points(np.linspace(-2, 2, 8))), 7
+            config = AdamConfig(0.05, 120, decay_tail_fraction=0.0)
+        else:
+            kind, batch_size = Exact(), None
+            config = AdamConfig(0.1, 300, decay_tail_fraction=0.3)
+        objective = Objective(kind, model, data, batch_size)
+        initial = VariationalState.prior_state(family, 20)
+        final = run(objective, initial, config, np.random.default_rng(3)).final_state
+        expected = out_of_place_adam(objective, initial, config, np.random.default_rng(3))
+        assert final.mean.tobytes() == expected.mean.tobytes()
+        assert final.scale.tobytes() == expected.scale.tobytes()
+
     def test_zero_learning_rate_keeps_state(self):
         model, data, _ = toy_problem(0)
         initial = VariationalState.prior_state(Family.FULL, 20)

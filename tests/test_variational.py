@@ -206,6 +206,37 @@ class TestVariationalState:
         with pytest.raises(NonFiniteValueError):
             state.with_params(params)
 
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    def test_with_params_rejects_a_vector_of_the_wrong_shape(self, family):
+        """`with_params` skips the constructor's checks, so its own length
+        check is the only shape check on the states it builds."""
+        state = VariationalState.prior_state(family, 4)
+        params = state.params()
+        for bad in (params[:-1], np.append(params, 0.0), params[None, :], params.reshape(2, -1)):
+            with pytest.raises(DimensionMismatchError):
+                state.with_params(bad)
+
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_with_params_builds_what_the_checked_constructor_accepts(self, family, k):
+        """Every state `with_params` builds without the constructor's checks
+        passes them, and the constructor keeps its arrays bit for bit."""
+        rng = np.random.default_rng(k)
+        state = VariationalState.prior_state(family, k)
+        for _ in range(20):
+            params = 3.0 * rng.standard_normal(state.num_params(family, k))
+            built = state.with_params(params)
+            checked = VariationalState(built.family, built.mean, built.scale)
+            assert type(built) is VariationalState and checked.family is family
+            for trusted, rebuilt in ((built.mean, checked.mean), (built.scale, checked.scale)):
+                assert (trusted.dtype, trusted.shape) == (rebuilt.dtype, rebuilt.shape)
+                assert trusted.tobytes() == rebuilt.tobytes()
+            # Why optimize.run never updates its parameter vector in place.
+            assert np.shares_memory(built.mean, params)
+            if family is Family.FULL:
+                above = built.scale[np.triu_indices(k, 1)]
+                assert above.tobytes() == np.zeros(above.size).tobytes()
+
     def test_apply_scale_matches_cov(self):
         rng = np.random.default_rng(1)
         for family in (Family.FULL, Family.FFG):
@@ -1335,6 +1366,50 @@ class TestQrForm:
             assert ratio > RANK_RTOL
         if num_rows / ratio < 0.5 / RANK_RTOL:
             assert certified
+
+
+class TestValueOnlyReductions:
+    """The three sums of products that feed objective values only are taken
+    by `np.vdot`; at tabular-full size each agrees with its elementwise sum."""
+
+    K, M = 200, 100
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(32)
+        fmap = RbfFeatureMap(rng.uniform(size=(self.K, 8)), np.full(8, 0.5))
+        model = BlrModel(fmap, noise_variance=0.01)
+        lower = np.tril(rng.standard_normal((self.K, self.K)), -1)
+        lower[np.diag_indices(self.K)] = rng.uniform(0.5, 1.5, self.K)
+        # A zero mean and zero targets leave each trace as the only varying term.
+        state = VariationalState(Family.FULL, np.zeros(self.K), lower)
+        data = Dataset(rng.uniform(size=(300, 8)), np.zeros(300))
+        return model, state, data, MeasurementSet(rng.uniform(size=(self.M, 8)))
+
+    def test_full_ell_trace(self, problem):
+        model, state, data, _ = problem
+        phi = model.features(data.inputs)
+        expected = direct_ell(state, model, phi, data.targets, 1.0)[0]  # np.sum(L * (G @ L))
+        value, _ = expected_log_likelihood(state, model, data)
+        assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_exact_kl_trace(self, problem):
+        model, state, _, _ = problem
+        log_det = 2.0 * np.sum(np.log(np.diag(state.scale)))
+        expected = 0.5 * (np.sum(state.scale**2) - self.K - log_det)
+        value, _ = exact_kl(state, model)
+        assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_marginal_kl_trace(self, problem):
+        model, state, _, measurement_set = problem
+        marginal = MarginalKl(model, measurement_set)
+        assert marginal.size == self.M
+        rotated_scale = marginal._transform @ state.scale
+        lower = np.linalg.cholesky(rotated_scale @ rotated_scale.T)
+        log_det = 2.0 * np.sum(np.log(np.diag(lower)))
+        expected = 0.5 * (np.sum(rotated_scale**2) - marginal.size - log_det)
+        assert marginal.value(state) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
 
 
 @pytest.mark.parametrize(
