@@ -12,9 +12,9 @@ One place forms a dataset's likelihood statistics, `_full_batch_stats`:
 Phi^T Phi, the Cholesky factor of sigma^2 I + Phi^T Phi and the residual
 about the exact posterior mean, from the one Phi that `_per_pair` keeps for
 a (model, dataset) pair while both live.  The full-batch objectives and the
-closed forms on that pair share them; the posterior and the log evidence
-factorize nothing.  A minibatch forms no statistics: its ELL reads the
-batch's rows of that Phi.
+closed forms on that pair share them; the log evidence factorizes nothing,
+and the posterior only its own covariance.  A minibatch forms no statistics:
+its ELL reads the batch's rows of that Phi.
 """
 
 from __future__ import annotations
@@ -160,27 +160,30 @@ def _feature_matrix(model: BlrModel, data: Dataset) -> np.ndarray:
 
 
 def exact_posterior(model: BlrModel, data: Dataset) -> GaussianDist:
-    """Conjugate posterior over weights: the pair's anchor as mean, and as covariance
-    sigma^2 (sigma^2 I + Phi^T Phi)^{-1} from their Cholesky factor, symmetrized explicitly."""
+    """Conjugate posterior over weights: the pair's anchor as mean, and the lower
+    Cholesky factor of sigma^2 (sigma^2 I + Phi^T Phi)^{-1}, a covariance formed from
+    the pair's factor of sigma^2 I + Phi^T Phi and symmetrized explicitly.  That is the
+    one factorization the posterior adds to the pair's; no training step makes it."""
     stats = _per_pair(_full_batch_stats, model, data)
     cov = model.noise_variance * cho_solve((stats.factor, True), np.eye(model.num_features))
-    return GaussianDist(stats.anchor, 0.5 * (cov + cov.T))
+    factor = cholesky_psd(0.5 * (cov + cov.T), what="posterior covariance").matrix
+    return GaussianDist(stats.anchor, factor)
 
 
 def predictive_marginals(
     model: BlrModel, weights_dist: GaussianDist, inputs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point predictive means and noiseless variances, O(n k^2): the
-    variances are the row sums of (Phi Sigma) * Phi, one BLAS product."""
+    """Per-point predictive means and noiseless variances, O(n k^2): each
+    variance is the row sum of (Phi L)^2 for the weights' factor L, one BLAS
+    product, and a sum of squares is never negative."""
     if weights_dist.dim != model.num_features:
         raise DimensionMismatchError(
             f"weight distribution has dimension {weights_dist.dim}, "
             f"model has {model.num_features} features"
         )
     phi = model.features(_as_rows(inputs))
-    means = phi @ weights_dist.mean
-    variances = np.einsum("ij,ij->i", phi @ weights_dist.cov, phi)
-    return means, np.maximum(variances, 0.0)
+    rotated = phi @ weights_dist.factor
+    return phi @ weights_dist.mean, np.einsum("ij,ij->i", rotated, rotated)
 
 
 def nlpd(model: BlrModel, weights_dist: GaussianDist, test_data: Dataset) -> float:

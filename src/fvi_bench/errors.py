@@ -17,15 +17,14 @@ class FviBenchError(Exception):
 
 class DimensionMismatchError(FviBenchError):
     """Operands have incompatible shapes, or an input has a shape no operand
-    may have: a Gaussian of dimension 0, a minibatch that is not a 1-D
-    array of row indices."""
+    may have: a Gaussian of dimension 0 or whose factor is not (n, n), a
+    minibatch that is not a 1-D array of row indices."""
 
 
 class SingularReferenceError(FviBenchError):
-    """A matrix that must be positive definite failed its Cholesky
-    factorization: a degenerate (rank-deficient) Gaussian where a full-rank
-    one is required, e.g. the reference of a KL divergence, or a pair's
-    sigma^2 I + Phi^T Phi."""
+    """A matrix that must be positive definite is numerically singular: its
+    Cholesky factorization failed, as for a pair's sigma^2 I + Phi^T Phi, or
+    the reference of a KL divergence has a factor with a (near-)zero pivot."""
 
 
 class DegenerateMarginalError(FviBenchError):

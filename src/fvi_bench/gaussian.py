@@ -1,10 +1,12 @@
-"""Multivariate Gaussian value type and closed-form operations.
+"""Multivariate Gaussian value type and the closed-form KL divergence.
 
-The distribution is stored as a mean vector plus a dense symmetric positive
-semidefinite covariance matrix.  All operations are pure.  A factorization
-is one plain Cholesky, never of a matrix with an added diagonal: a matrix
-that must be positive definite and is not raises `SingularReferenceError`,
-and a degenerate q makes KL(q || p) infinite, as it is in exact arithmetic.
+A distribution is a mean vector and a lower-triangular factor L of its
+covariance L L^T, the form of a variational state and of the exact
+posterior.  All operations are pure.  The KL reads both factors and never
+forms L L^T to factorize it again, which would square the condition number
+of L.  A factorization is one plain Cholesky, with no added diagonal: a
+matrix that must be positive definite and is not raises
+`SingularReferenceError`.
 """
 
 from __future__ import annotations
@@ -21,39 +23,40 @@ from .features import RANK_RTOL
 
 @dataclass(frozen=True, eq=False)
 class GaussianDist:
-    """Gaussian with a mean vector and an ``(n, n)`` symmetric PSD covariance.
+    """Gaussian N(mean, factor factor^T) with an ``(n, n)`` lower-triangular
+    factor of non-negative diagonal; a zero on that diagonal makes it degenerate.
 
     The distribution owns read-only copies of its arrays, so a property
     decided once from them stays true.  It has at least one dimension.
     """
 
     mean: np.ndarray
-    cov: np.ndarray
+    factor: np.ndarray
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
+        factor = np.array(self.factor, dtype=float)
         n = mean.shape[0]
         if n == 0:
             raise DimensionMismatchError("a Gaussian needs at least one dimension")
-        if cov.shape != (n, n):
-            raise DimensionMismatchError(f"covariance must be ({n}, {n}), got {cov.shape}")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise NonFiniteValueError("mean and covariance must be finite")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if float(np.abs(cov - cov.T).max()) > 1e-10 * scale:
-            raise ValueError("covariance is not symmetric within 1e-10")
-        cov = 0.5 * (cov + cov.T)
-        diag = np.diag(cov)
-        if float(diag.min()) < -1e-10 * max(1.0, float(np.abs(diag).max())):
-            raise ValueError("covariance has a negative diagonal entry")
-        mean.flags.writeable = cov.flags.writeable = False
+        if factor.shape != (n, n):
+            raise DimensionMismatchError(f"factor must be ({n}, {n}), got {factor.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(factor).all()):
+            raise NonFiniteValueError("mean and factor must be finite")
+        if np.triu(factor, 1).any() or (np.diag(factor) < 0.0).any():
+            raise ValueError("factor must be lower triangular with a non-negative diagonal")
+        mean.flags.writeable = factor.flags.writeable = False
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "factor", factor)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The dense covariance factor factor^T, formed anew at each read."""
+        return self.factor @ self.factor.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,32 +85,26 @@ def cholesky_psd(cov: np.ndarray, *, what: str = "covariance") -> CholeskyFactor
 
 
 def kl_divergence(q: GaussianDist, p: GaussianDist) -> float:
-    """KL(q || p) in closed form by Cholesky solves; ``math.inf`` when q is
-    degenerate, as for a q with fewer parameters than points (the paper's
-    first result).  A covariance C = L L^T counts as singular when its
-    factorization fails or a pivot has L_ii^2 <= ``RANK_RTOL`` * C_ii.  With
-    B the leading block of C through row and column i, L_ii^2 =
-    1 / (B^{-1})_ii >= lambda_min(B) >= lambda_min(C) by interlacing, and
-    C_ii <= lambda_max(C), so only a C of eigenvalue ratio <= ``RANK_RTOL``
-    is flagged.  A singular p has no density and raises `SingularReferenceError`.
+    """KL(q || p) in closed form from the two factors: two triangular solves
+    by p's and the log-determinants off both diagonals.  ``math.inf`` when
+    q's factor has a zero pivot, as for a q with fewer parameters than points
+    (the paper's first result).  A singular p has no density and raises
+    `SingularReferenceError`: its covariance C = L L^T counts as singular
+    when a pivot has L_ii^2 <= ``RANK_RTOL`` * C_ii, C_ii being the squared
+    norm of row i of L.  With B the leading block of C through row and column
+    i, L_ii^2 = 1 / (B^{-1})_ii >= lambda_min(B) >= lambda_min(C) by
+    interlacing, and C_ii <= lambda_max(C), so only a C of eigenvalue ratio
+    <= ``RANK_RTOL`` is flagged.  No logarithm is taken of a zero pivot.
     """
     n = q.dim
     if p.dim != n:
         raise DimensionMismatchError(f"dimension mismatch: {n} vs {p.dim}")
-    lp = cholesky_psd(p.cov, what="reference covariance").matrix
-    if np.any(np.diag(lp) ** 2 <= RANK_RTOL * np.diag(p.cov)):
+    lp, lq = p.factor, q.factor
+    if np.any(np.diag(lp) ** 2 <= RANK_RTOL * np.sum(lp**2, axis=1)):
         raise SingularReferenceError("reference covariance is numerically singular")
-    try:
-        lq = cholesky_psd(q.cov, what="approximate covariance").matrix
-    except SingularReferenceError:
-        return math.inf
-    if np.any(np.diag(lq) ** 2 <= RANK_RTOL * np.diag(q.cov)):
+    if not np.all(np.diag(lq) > 0.0):
         return math.inf
     half_rotated = solve_triangular(lp, lq, lower=True)
-    trace_term = float(np.sum(half_rotated**2))
     white_delta = solve_triangular(lp, q.mean - p.mean, lower=True)
-    mean_term = float(white_delta @ white_delta)
-    log_det_term = 2.0 * float(
-        np.sum(np.log(np.diag(lp))) - np.sum(np.log(np.diag(lq)))
-    )
-    return 0.5 * (trace_term + mean_term - n + log_det_term)
+    log_det_term = 2.0 * float(np.sum(np.log(np.diag(lp))) - np.sum(np.log(np.diag(lq))))
+    return 0.5 * (float(np.sum(half_rotated**2) + white_delta @ white_delta) - n + log_det_term)

@@ -111,13 +111,8 @@ class VariationalState:
     def is_full(self) -> bool:
         return self.family is Family.FULL
 
-    def cov_matrix(self) -> np.ndarray:
-        if self.is_full:
-            return self.scale @ self.scale.T
-        return np.diag(self.scale**2)
-
     def to_gaussian(self) -> GaussianDist:
-        return GaussianDist(self.mean, self.cov_matrix())
+        return GaussianDist(self.mean, self.scale if self.is_full else np.diag(self.scale))
 
     def apply_scale(self, eps: np.ndarray) -> np.ndarray:
         """Map standard-normal rows through the scale factor (reparameterization)."""

@@ -1,12 +1,15 @@
 import ast
 import contextlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from fvi_bench import features, gaussian
 from fvi_bench.blr import BlrModel, Dataset
+from fvi_bench.errors import SingularReferenceError
 from fvi_bench.features import RANK_RTOL, RbfFeatureMap, fit_rbf_featurizer, independent_rows
 from fvi_bench.variational import (
     MeasurementPolicy,
@@ -22,12 +25,15 @@ def random_spd_matrix(rng: np.random.Generator, n: int, *, min_eig: float = 0.1)
 
 
 def random_gaussian(rng: np.random.Generator, n: int) -> gaussian.GaussianDist:
-    return gaussian.GaussianDist(rng.standard_normal(n), random_spd_matrix(rng, n))
+    """A Gaussian whose covariance is `random_spd_matrix`, by its numpy Cholesky factor."""
+    return gaussian.GaussianDist(
+        rng.standard_normal(n), np.linalg.cholesky(random_spd_matrix(rng, n))
+    )
 
 
 def random_uncorrelated_gaussian(rng: np.random.Generator, n: int) -> gaussian.GaussianDist:
-    """A random Gaussian whose dense covariance is diagonal."""
-    return gaussian.GaussianDist(rng.standard_normal(n), np.diag(rng.uniform(0.2, 3.0, n)))
+    """A random Gaussian whose covariance is diagonal, variances in [0.2, 3]."""
+    return gaussian.GaussianDist(rng.standard_normal(n), np.diag(np.sqrt(rng.uniform(0.2, 3.0, n))))
 
 
 def standard_gaussian(n: int) -> gaussian.GaussianDist:
@@ -35,12 +41,51 @@ def standard_gaussian(n: int) -> gaussian.GaussianDist:
     return gaussian.GaussianDist(np.zeros(n), np.eye(n))
 
 
+def lower_factor(columns: np.ndarray) -> np.ndarray:
+    """A lower-triangular L of non-negative diagonal with L L^T = A A^T for an
+    (n, r) matrix A, from the R of the QR factorization of A^T, never from
+    A A^T.  Its diagonal past the first r entries is exactly zero."""
+    n = columns.shape[0]
+    lower = np.zeros((n, n))
+    upper = np.linalg.qr(columns.T, mode="r")
+    lower[:, : upper.shape[0]] = upper.T
+    return lower * np.where(np.diag(lower) < 0.0, -1.0, 1.0)  # a column's sign leaves L L^T
+
+
+def dense_kl(q_mean, q_cov, p_mean, p_cov) -> float:
+    """KL(N(q_mean, q_cov) || N(p_mean, p_cov)) from dense covariances: the
+    reference for `gaussian.kl_divergence`, and the KL of Gaussians that are
+    dense by nature, such as function-space marginals.  Each covariance is symmetrized and factorized, C = L L^T, and
+    counts as singular when the factorization fails or a pivot has
+    L_ii^2 <= RANK_RTOL * C_ii; a singular q gives math.inf and a singular p
+    raises `SingularReferenceError`."""
+
+    def checked_factor(cov):
+        cov = 0.5 * (np.asarray(cov) + np.asarray(cov).T)
+        try:
+            lower = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            return None
+        return None if np.any(np.diag(lower) ** 2 <= RANK_RTOL * np.diag(cov)) else lower
+
+    lp, lq = checked_factor(p_cov), checked_factor(q_cov)
+    if lp is None:
+        raise SingularReferenceError("reference covariance is numerically singular")
+    if lq is None:
+        return math.inf
+    half_rotated = solve_triangular(lp, lq, lower=True)
+    white_delta = solve_triangular(lp, np.asarray(q_mean) - p_mean, lower=True)
+    log_det_term = 2.0 * float(np.sum(np.log(np.diag(lp))) - np.sum(np.log(np.diag(lq))))
+    trace_term = float(np.sum(half_rotated**2))
+    return 0.5 * (trace_term + float(white_delta @ white_delta) - lp.shape[0] + log_det_term)
+
+
 def whiten(model: BlrModel, prior: gaussian.GaussianDist, *datasets: Dataset) -> tuple:
     """The problem of ``model`` under the prior N(mu, L L^T), rewritten by hand
     as the package's N(0, I) problem in v = L^{-1} (w - mu): ``(model with
     features Phi L, L, *datasets with targets y - Phi mu)``.  A Gaussian
     N(m, S) over v is N(mu + L m, L S L^T) over w."""
-    factor = np.linalg.cholesky(prior.cov)
+    factor = prior.factor
     white = BlrModel(lambda x: model.features(x) @ factor, model.noise_variance, prior.dim)
     shifted = (
         Dataset(data.inputs, data.targets - model.features(data.inputs) @ prior.mean)

@@ -91,7 +91,7 @@ class TestExactPosterior:
         np.testing.assert_allclose(post.cov, prior.cov, atol=1e-5)
 
     def test_general_prior_against_quadrature(self):
-        prior = GaussianDist([0.3], [[2.0]])
+        prior = GaussianDist([0.3], [[math.sqrt(2.0)]])
         white, factor, data = whiten(
             identity_feature_model(noise_variance=0.5), prior, Dataset([[2.0]], [1.5])
         )
@@ -131,25 +131,37 @@ def two_coordinate_model() -> BlrModel:
 
 class TestOneFactorization:
     """sigma^2 I + Phi^T Phi is factorized once per (model, dataset) pair: the
-    anchor, the exact posterior and the log evidence read one Cholesky factor."""
+    anchor, the exact posterior and the log evidence read one Cholesky factor.
+    The exact posterior factorizes its own covariance besides."""
 
     def test_one_cholesky_and_no_solve_per_pair(self):
         """An LU solve for the anchor and a Cholesky in each closed form once
         made three factorizations of the same matrix.  The one factorization
         is numpy's: scipy's, in set-up, slowed the build and the training
-        that followed through its second BLAS thread pool."""
+        that followed through its second BLAS thread pool.  Each
+        factorization is told apart by the name it would raise with."""
         from fvi_bench.variational import Exact, Objective
 
         model, data = random_model_and_data(np.random.default_rng(71))
         targets = [(blr, "cholesky_psd")] + [
             (np.linalg, name) for name in ("cholesky", "solve", "inv", "slogdet")
         ]
-        with counted_calls(*targets) as calls:
-            Objective(Exact(), model, data)
-            Objective(Exact(), model, data)
-            exact_posterior(model, data)
-            log_marginal_likelihood(model, data)
-        assert calls == ["cholesky_psd", "cholesky"]
+        named, factorize = [], blr.cholesky_psd
+
+        def naming(matrix, *, what):
+            named.append(what)
+            return factorize(matrix, what=what)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blr, "cholesky_psd", naming)
+            with counted_calls(*targets) as calls:
+                Objective(Exact(), model, data)
+                Objective(Exact(), model, data)
+                log_marginal_likelihood(model, data)
+                assert calls == ["cholesky_psd", "cholesky"]
+                exact_posterior(model, data)
+        assert calls == ["cholesky_psd", "cholesky"] * 2
+        assert named == ["sigma^2 I + Phi^T Phi", "posterior covariance"]
 
     def test_singular_matrix_raises_a_typed_error(self):
         """Two equal features and a noise variance below the roundoff of 1:
@@ -187,7 +199,7 @@ class TestPredictive:
         np.testing.assert_allclose(variances, np.sum(phi**2, axis=1), rtol=1e-12)
 
     def test_coordinate_marginalization(self):
-        w = GaussianDist([1.0, 2.0], np.diag([1.0, 4.0]))
+        w = GaussianDist([1.0, 2.0], np.diag([1.0, 2.0]))
         means, variances = predictive_marginals(two_coordinate_model(), w, np.eye(2))
         np.testing.assert_allclose(means, [1.0, 2.0])
         np.testing.assert_allclose(variances, [1.0, 4.0])
@@ -208,12 +220,14 @@ class TestPredictive:
         with pytest.raises(DimensionMismatchError, match="dimension 3"):
             nlpd(model, weights, Dataset(np.ones((4, 2)), np.zeros(4)))
 
-    def test_roundoff_negative_variance_clipped(self):
-        w = GaussianDist([0.0, 0.0], [[1.0, 3.0], [3.0, 9.0]])  # (1, 3)(1, 3)^T
+    def test_rank_one_factor_gives_a_non_negative_variance(self):
+        """The dense form of this variance rounds below zero and was clamped;
+        the row sum of (Phi L)^2 is a sum of squares and needs no clamp."""
+        w = GaussianDist([0.0, 0.0], [[1.0, 0.0], [3.0, 0.0]])  # cov (1, 3)(1, 3)^T
         row = np.array([[0.9, -0.3]])  # exact variance (0.9 - 3 * 0.3)^2, about 3e-33
         assert np.einsum("ij,ij->i", row @ w.cov, row)[0] < 0.0  # rounds below zero
         _, variances = predictive_marginals(two_coordinate_model(), w, row)
-        assert 0.0 <= variances[0] < 1e-18
+        assert variances[0] == np.sum((row @ w.factor) ** 2) and 0.0 <= variances[0] < 1e-18
 
     def test_against_monte_carlo(self):
         rng = np.random.default_rng(1)
@@ -221,7 +235,7 @@ class TestPredictive:
         weights = random_gaussian(rng, model.num_features)
         means, variances = predictive_marginals(model, weights, data.inputs)
         eps = np.random.default_rng(2).standard_normal((10**5, model.num_features))
-        draws = weights.mean + eps @ np.linalg.cholesky(weights.cov).T
+        draws = weights.mean + eps @ weights.factor.T
         sampled_outputs = draws @ model.features(data.inputs).T
         stderr = np.std(sampled_outputs, axis=0, ddof=1) / math.sqrt(10**5)
         np.testing.assert_array_less(
@@ -245,14 +259,14 @@ class TestPredictive:
 class TestNlpd:
     def test_perfect_prediction_value(self):
         model = identity_feature_model(noise_variance=0.3)
-        w = GaussianDist([1.0], [[0.2]])
+        w = GaussianDist([1.0], [[math.sqrt(0.2)]])
         data = Dataset([[2.0]], [2.0])  # prediction mean is exactly the target
         total_var = 0.2 * 4.0 + 0.3
         assert nlpd(model, w, data) == pytest.approx(0.5 * math.log(2 * math.pi * total_var))
 
     def test_standard_normal_predictive_at_zero(self):
         model = identity_feature_model(noise_variance=0.5)
-        w = GaussianDist([0.0], [[0.5]])  # predictive at x=1: N(0, 0.5 + 0.5) = N(0, 1)
+        w = GaussianDist([0.0], [[math.sqrt(0.5)]])  # predictive at x=1: N(0, 0.5 + 0.5) = N(0, 1)
         assert nlpd(model, w, Dataset([[1.0]], [0.0])) == pytest.approx(0.91894, abs=5e-6)
 
     def test_posterior_beats_prior_on_training_data(self):
@@ -340,7 +354,7 @@ class TestElboProperties:
             mean = post.mean + 1e-3 * rng.standard_normal(post.dim)
             bump = rng.standard_normal((post.dim, post.dim))
             cov = post.cov + 1e-4 * (bump + bump.T) + 1e-3 * np.eye(post.dim)
-            perturbed = GaussianDist(mean, cov)
+            perturbed = GaussianDist(mean, np.linalg.cholesky(cov))
             assert elbo_closed_form(perturbed, model, data) <= best + 1e-10
 
     def test_predictive_matches_kernel_regression(self):

@@ -1,8 +1,8 @@
 """Tests for the Gaussian value type and its closed-form operations.
 
 Derived expectations are checked against independent oracles: Monte Carlo
-estimates built on numpy/scipy sampling and densities, and hand-computed
-matrix products.
+estimates built on numpy/scipy sampling and densities, hand-computed
+matrix products, and the dense KL of `conftest.dense_kl`.
 """
 
 import math
@@ -12,14 +12,18 @@ import pytest
 from scipy import stats
 
 from conftest import (
+    counted_calls,
+    dense_kl,
+    lower_factor,
     random_gaussian,
     random_spd_matrix,
     random_uncorrelated_gaussian,
     standard_gaussian,
 )
-from fvi_bench import gaussian
+from fvi_bench import gaussian, variational
 from fvi_bench.errors import DimensionMismatchError, NonFiniteValueError, SingularReferenceError
 from fvi_bench.gaussian import GaussianDist, kl_divergence
+from fvi_bench.variational import Family, VariationalState
 
 
 def mc_kl_oracle(q, p, num_samples, seed):
@@ -55,7 +59,7 @@ class TestKlDivergence:
         assert abs(estimate - value) < 3 * stderr
 
     def test_scaled_variance_1d(self):
-        q = GaussianDist([0.0], [[2.0]])
+        q = GaussianDist([0.0], [[math.sqrt(2.0)]])
         p = GaussianDist([0.0], [[1.0]])
         value = kl_divergence(q, p)
         assert value == pytest.approx((2.0 - 1.0 - math.log(2.0)) / 2.0, abs=1e-12)
@@ -104,8 +108,8 @@ class TestKlDivergence:
                     break
             base = kl_divergence(q, p)
             mapped = kl_divergence(
-                GaussianDist(m @ q.mean, m @ q.cov @ m.T),
-                GaussianDist(m @ p.mean, m @ p.cov @ m.T),
+                GaussianDist(m @ q.mean, lower_factor(m @ q.factor)),
+                GaussianDist(m @ p.mean, lower_factor(m @ p.factor)),
             )
             assert mapped == pytest.approx(base, rel=1e-8)
 
@@ -118,8 +122,8 @@ class TestKlDivergence:
             q = random_gaussian(rng, n)
             p = random_gaussian(rng, n)
             assert kl_divergence(
-                GaussianDist(projection @ q.mean, projection @ q.cov @ projection.T),
-                GaussianDist(projection @ p.mean, projection @ p.cov @ projection.T),
+                GaussianDist(projection @ q.mean, lower_factor(projection @ q.factor)),
+                GaussianDist(projection @ p.mean, lower_factor(projection @ p.factor)),
             ) <= kl_divergence(q, p) + 1e-10
 
     def test_sample_log_density_consistency(self):
@@ -127,7 +131,7 @@ class TestKlDivergence:
         q = random_gaussian(rng, 3)
         p = random_gaussian(rng, 3)
         eps = np.random.default_rng(8).standard_normal((10**5, 3))
-        draws = q.mean + eps @ np.linalg.cholesky(q.cov).T
+        draws = q.mean + eps @ q.factor.T
         log_q = stats.multivariate_normal.logpdf(draws, q.mean, q.cov)
         diffs = log_q - stats.multivariate_normal.logpdf(draws, p.mean, p.cov)
         stderr = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs)))
@@ -144,7 +148,9 @@ class TestKlDivergence:
             kl_divergence(q, p)
 
     def test_full_rank_q_against_rank_deficient_reference_raises(self):
-        """A ladder that added jitter to p gave 7.5e9 here."""
+        """A ladder that added jitter to p gave 7.5e9 here.  The zero pivot
+        raises before its logarithm is taken, which would warn (an error
+        under this suite's warning filter)."""
         p = GaussianDist(np.zeros(3), np.diag([1.0, 1.0, 0.0]))
         with pytest.raises(SingularReferenceError, match="reference covariance"):
             kl_divergence(standard_gaussian(3), p)
@@ -155,15 +161,19 @@ class TestDegenerateApproximation:
     all its mass on a subspace that p gives probability zero."""
 
     def test_rank_three_q_on_five_dimensions(self):
-        """A jitter ladder on q's factor once gave 27.8 here."""
+        """A jitter ladder on q's factor once gave 27.8 here.  The two zero
+        pivots give +inf before any logarithm is taken, which would warn
+        (an error under this suite's warning filter)."""
         basis = np.random.default_rng(17).standard_normal((5, 3))
-        q = GaussianDist(np.zeros(5), basis @ basis.T)
+        q = GaussianDist(np.zeros(5), lower_factor(basis))
         assert kl_divergence(q, standard_gaussian(5)) == math.inf
 
     def test_low_rank_sweep(self):
         """q = N(mu, B S S^T B^T) with B of shape (m, k), m > k, on many
-        seeds.  Roundoff lets the Cholesky of such a matrix succeed on some
-        seeds; the pivot test must flag those too."""
+        seeds.  Its factor has zero pivots, so the KL is infinite.  Given
+        the dense covariance, the reference `dense_kl` must say so too:
+        roundoff lets the Cholesky of such a matrix succeed on some seeds,
+        and its pivot test must flag those."""
         factorized = 0
         for seed in range(300):
             rng = np.random.default_rng([18, seed])
@@ -172,19 +182,33 @@ class TestDegenerateApproximation:
             basis = rng.standard_normal((m, k)) * rng.uniform(0.1, 10.0)
             scale = rng.standard_normal((k, k))
             cov = basis @ scale @ scale.T @ basis.T
-            q = GaussianDist(rng.standard_normal(m), cov)
-            factorized += cholesky_succeeds(q.cov)
-            assert kl_divergence(q, random_gaussian(rng, m)) == math.inf, seed
+            q = GaussianDist(rng.standard_normal(m), lower_factor(basis @ scale))
+            p = random_gaussian(rng, m)
+            factorized += cholesky_succeeds(cov)
+            assert kl_divergence(q, p) == math.inf, seed
+            assert dense_kl(q.mean, cov, p.mean, p.cov) == math.inf, seed
         assert factorized > 0
 
     def test_well_conditioned_q_stays_finite(self):
-        """The pivot test flags only eigenvalue ratios <= RANK_RTOL: a
-        covariance of ratio 1e-6 keeps its closed-form KL."""
+        """A covariance of eigenvalue ratio 1e-6 keeps its closed-form KL."""
         rotation = np.linalg.qr(np.random.default_rng(19).standard_normal((4, 4)))[0]
         variances = np.array([1.0, 1e-2, 1e-4, 1e-6])
-        q = GaussianDist(np.zeros(4), rotation @ np.diag(variances) @ rotation.T)
+        q = GaussianDist(np.zeros(4), lower_factor(rotation * np.sqrt(variances)))
         expected = 0.5 * float(np.sum(variances - 1.0 - np.log(variances)))
         assert kl_divergence(q, standard_gaussian(4)) == pytest.approx(expected, rel=1e-8)
+
+    def test_tiny_positive_pivot_keeps_its_closed_form(self):
+        """q's factor diag(1, 1e-10) against N(0, I): 0.5 (-1 + 1e-20 + ln 1e20).
+        Rotated, q keeps that KL, and so does its factor from a QR; from
+        the dense covariance, whose eigenvalue ratio 1e-20 is below
+        RANK_RTOL, the KL is +inf."""
+        expected = 0.5 * (-1.0 + 1e-20 + math.log(1e20))
+        q = GaussianDist(np.zeros(2), np.diag([1.0, 1e-10]))
+        assert kl_divergence(q, standard_gaussian(2)) == pytest.approx(expected, rel=1e-14)
+        rotation = np.linalg.qr(np.random.default_rng(22).standard_normal((2, 2)))[0]
+        rotated = GaussianDist(np.zeros(2), lower_factor(rotation @ q.factor))
+        assert kl_divergence(rotated, standard_gaussian(2)) == pytest.approx(expected, rel=1e-12)
+        assert dense_kl(rotated.mean, rotated.cov, np.zeros(2), np.eye(2)) == math.inf
 
 
 class TestSingularReference:
@@ -193,8 +217,10 @@ class TestSingularReference:
 
     def test_low_rank_sweep(self):
         """`TestDegenerateApproximation.test_low_rank_sweep` with q and p
-        swapped.  Where roundoff lets p's Cholesky succeed, the pivot test
-        must flag it; without it, seed 6 (m = 2, k = 1) returned 4.4e15."""
+        swapped.  p's factor is the Cholesky factor of the rank-deficient
+        covariance where roundoff lets it succeed, and has zero pivots
+        elsewhere.  The pivot test must flag the first kind too; without
+        it, seed 6 (m = 2, k = 1) returned 4.4e15."""
         factorized = 0
         for seed in range(300):
             rng = np.random.default_rng([18, seed])
@@ -203,8 +229,12 @@ class TestSingularReference:
             basis = rng.standard_normal((m, k)) * rng.uniform(0.1, 10.0)
             scale = rng.standard_normal((k, k))
             cov = basis @ scale @ scale.T @ basis.T
-            p = GaussianDist(rng.standard_normal(m), cov)
-            factorized += cholesky_succeeds(p.cov)
+            if cholesky_succeeds(cov):
+                factorized += 1
+                factor = np.linalg.cholesky(cov)
+            else:
+                factor = lower_factor(basis @ scale)
+            p = GaussianDist(rng.standard_normal(m), factor)
             with pytest.raises(SingularReferenceError, match="reference covariance"):
                 kl_divergence(random_gaussian(rng, m), p)
         assert factorized > 0
@@ -214,18 +244,44 @@ class TestSingularReference:
         closed-form KL: tr(P^{-1}) - n + log det P over 2 against N(0, I)."""
         rotation = np.linalg.qr(np.random.default_rng(19).standard_normal((4, 4)))[0]
         variances = np.array([1.0, 1e-2, 1e-4, 1e-6])
-        p = GaussianDist(np.zeros(4), rotation @ np.diag(variances) @ rotation.T)
+        p = GaussianDist(np.zeros(4), lower_factor(rotation * np.sqrt(variances)))
         expected = 0.5 * float(np.sum(1.0 / variances - 1.0 + np.log(variances)))
         assert kl_divergence(standard_gaussian(4), p) == pytest.approx(expected, rel=1e-8)
 
 
+class TestFactorForm:
+    """`kl_divergence` reads the two factors and never factorizes L L^T."""
+
+    def test_matches_the_dense_kl_when_well_conditioned(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            q, p = random_gaussian(rng, n), random_gaussian(rng, n)
+            assert kl_divergence(q, p) == pytest.approx(
+                dense_kl(q.mean, q.cov, p.mean, p.cov), rel=1e-10
+            )
+
+    def test_kl_and_to_gaussian_factorize_nothing(self):
+        rng = np.random.default_rng(21)
+        p = random_gaussian(rng, 4)
+        states = [
+            VariationalState(Family.FULL, rng.standard_normal(4), np.linalg.cholesky(p.cov)),
+            VariationalState(Family.FFG, rng.standard_normal(4), rng.uniform(0.5, 2.0, 4)),
+        ]
+        targets = [(gaussian, "cholesky_psd"), (variational, "cholesky_psd"), (np.linalg, "cholesky")]
+        with counted_calls(*targets) as calls:
+            for state in states:
+                assert math.isfinite(kl_divergence(state.to_gaussian(), p))
+        assert calls == []
+
+
 class TestConstruction:
-    def test_asymmetric_covariance_rejected(self):
-        with pytest.raises(ValueError):
+    def test_factor_above_the_diagonal_rejected(self):
+        with pytest.raises(ValueError, match="lower triangular"):
             GaussianDist([0.0, 0.0], [[1.0, 0.5], [0.1, 1.0]])
 
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError, match="negative diagonal"):
+    def test_negative_pivot_rejected(self):
+        with pytest.raises(ValueError, match="non-negative diagonal"):
             GaussianDist([0.0, 0.0], np.diag([1.0, -1.0]))
 
     def test_empty_gaussian_rejected(self):
@@ -247,21 +303,19 @@ class TestConstruction:
         with pytest.raises(NonFiniteValueError):
             GaussianDist(mean, cov)
 
-    def test_full_covariance_stored_symmetric(self):
-        cov = np.array([[2.0, 0.5], [0.5 + 1e-12, 1.0]])
-        q = GaussianDist([0.0, 0.0], cov)
-        np.testing.assert_array_equal(q.cov, q.cov.T)
-        np.testing.assert_allclose(q.cov, cov, atol=1e-12)
+    def test_covariance_is_the_factor_times_its_transpose(self):
+        q = GaussianDist([0.0, 0.0], [[2.0, 0.0], [0.5, 1.0]])
+        np.testing.assert_allclose(q.cov, [[4.0, 1.0], [1.0, 1.25]], rtol=1e-15)
 
     def test_owns_read_only_copies(self):
-        mean, cov = np.zeros(2), np.eye(2)
-        q = GaussianDist(mean, cov)
-        for array in (q.mean, q.cov):
+        mean, factor = np.zeros(2), np.eye(2)
+        q = GaussianDist(mean, factor)
+        for array in (q.mean, q.factor):
             with pytest.raises(ValueError):
                 array[0] = 99.0
         # Writing to the caller's arrays leaves the distribution as it was.
-        mean[0], cov[0, 0] = 99.0, 99.0
-        assert q.mean[0] == 0.0 and q.cov[0, 0] == 1.0
+        mean[0], factor[0, 0] = 99.0, 99.0
+        assert q.mean[0] == 0.0 and q.factor[0, 0] == 1.0
 
 
 class TestCholeskyPsd:

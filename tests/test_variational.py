@@ -94,7 +94,7 @@ def textbook_marginal_kl(state, model, mset):
     rows = model.features(mset.points)
     m = rows.shape[0]
     p_cov = rows @ rows.T
-    q_cov = rows @ state.cov_matrix() @ rows.T
+    q_cov = rows @ state.to_gaussian().cov @ rows.T
     q_mean = rows @ state.mean
     p_inv = np.linalg.inv(p_cov)
     ratio = p_inv @ q_cov
@@ -172,7 +172,7 @@ class TestVariationalState:
         for family in (Family.FULL, Family.FFG):
             state = VariationalState.prior_state(family, 4)
             np.testing.assert_array_equal(state.mean, np.zeros(4))
-            np.testing.assert_allclose(state.cov_matrix(), np.eye(4))
+            np.testing.assert_allclose(state.to_gaussian().cov, np.eye(4))
 
     def test_invalid_scales_rejected(self):
         with pytest.raises(ValueError):
@@ -244,7 +244,7 @@ class TestVariationalState:
             eps = rng.standard_normal((20000, 4))
             draws = state.apply_scale(eps)
             np.testing.assert_allclose(
-                draws.T @ draws / len(draws), state.cov_matrix(), atol=0.15
+                draws.T @ draws / len(draws), state.to_gaussian().cov, atol=0.15
             )
 
 
@@ -252,17 +252,20 @@ class TestVariationalState:
     def test_reparameterized_draws_match_numpy_cholesky(self, family):
         state = random_state(np.random.default_rng(2), family, 4)
         eps = np.random.default_rng(3).standard_normal((7, 4))
-        expected = state.mean + eps @ np.linalg.cholesky(state.cov_matrix()).T
+        expected = state.mean + eps @ np.linalg.cholesky(state.to_gaussian().cov).T
         np.testing.assert_allclose(
             state.mean + state.apply_scale(eps), expected, rtol=1e-12, atol=1e-12
         )
 
     @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
-    def test_to_gaussian_keeps_mean_and_covariance(self, family):
+    def test_to_gaussian_keeps_mean_and_factor(self, family):
         state = random_state(np.random.default_rng(4), family, 3)
         dist = state.to_gaussian()
+        factor = state.scale if state.is_full else np.diag(state.scale)
         np.testing.assert_array_equal(dist.mean, state.mean)
-        np.testing.assert_allclose(dist.cov, state.cov_matrix(), rtol=1e-12)
+        np.testing.assert_array_equal(dist.factor, factor)
+        cov = state.scale @ state.scale.T if state.is_full else np.diag(state.scale**2)
+        np.testing.assert_allclose(dist.cov, cov, rtol=1e-12)
 
 
 class TestExpectedLogLikelihood:
@@ -706,8 +709,7 @@ class TestObjectives:
         for _ in range(10):
             model, data = random_problem(rng)
             post = exact_posterior(model, data)
-            factor = np.linalg.cholesky(post.cov)
-            state = VariationalState(Family.FULL, post.mean, factor)
+            state = VariationalState(Family.FULL, post.mean, post.factor)
             evaluation = Objective(Exact(), model, data).value_and_grad(
                 state, np.random.default_rng(0)
             )
