@@ -71,11 +71,14 @@ class CholeskyFactor:
 
 def cholesky_psd(cov: np.ndarray, *, what: str = "covariance") -> CholeskyFactor:
     """Cholesky factor of ``cov``; raises `SingularReferenceError` naming
-    it as ``what`` if ``cov`` is not numerically positive definite.
+    it as ``what`` if ``cov`` is not numerically positive definite, and
+    `NonFiniteValueError` if it holds a NaN or inf, which numpy's passes on.
 
     numpy's factorization, not scipy's: set-up factorizes sigma^2 I + Phi^T Phi
     between numpy products, and scipy's own BLAS threads then contend with
     numpy's (a 200 x 200 factor took 41 ms instead of 0.6 ms on 2 vCPUs)."""
+    if not np.isfinite(cov).all():
+        raise NonFiniteValueError(f"{what} contains NaN or inf")
     try:
         return CholeskyFactor(np.linalg.cholesky(cov))
     except np.linalg.LinAlgError:

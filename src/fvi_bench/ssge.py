@@ -7,7 +7,8 @@ the gradient of the marginal KL term when the variational marginal is
 treated as implicit (the functional VI of Sun et al., ICLR 2019): the
 approximate-posterior score comes from the estimator, while the prior
 marginal is Gaussian and its score comes in closed form from the prepared
-`MarginalKl`, under the package's one prior N(0, I).
+`MarginalKl`, under the package's one prior N(0, I).  Values at the rows B
+are drawn as B m + eps (B S)^T through the state's products with its scale S.
 The estimate is the whole KL gradient of a `variational.Ssge` step, which
 takes only the KL value from the closed form.  One squared-distance matrix
 of the samples gives the kernel bandwidth, the median of its own pairwise
@@ -149,24 +150,18 @@ def kl_gradient_estimate(
 ) -> np.ndarray:
     """Reparameterized gradient of the marginal KL with an estimated score.
 
-    Draws ``config.num_samples`` function values at the retained rows of the
-    prepared marginal through the reparameterization, replaces the
-    intractable variational-marginal score with the spectral estimate, uses
-    the exact Gaussian score of the prior marginal, and averages the path
-    derivative back to the state parameters.  Returns a gradient in the
-    state's unconstrained parameter layout.
+    Draws ``config.num_samples`` function values B m + eps (B S)^T at the
+    retained rows B of the prepared marginal, replaces the intractable
+    variational-marginal score with the spectral estimate, uses the exact
+    Gaussian score of the prior marginal, and averages the path derivative
+    back to the state parameters, in their unconstrained layout.
     """
     rows = marginal.rows
     require_weights(state.dim, rows.shape[1])
     eps = rng.standard_normal((config.num_samples, state.dim))
-    weights = state.mean + state.apply_scale(eps)
-    values = weights @ rows.T  # (M, m)
+    values = rows @ state.mean + eps @ state._times_scale(rows).T  # (M, m)
     # (M, m), the integrand's df term
     diff = fit_score(values).sample_scores - marginal.prior_score(values)
     per_sample_mean_grad = diff @ rows  # (M, k)
-    grad_mean = per_sample_mean_grad.mean(axis=0)
-    if state.is_full:
-        grad_scale = per_sample_mean_grad.T @ eps / config.num_samples
-    else:
-        grad_scale = np.mean(per_sample_mean_grad * eps, axis=0)
-    return state.pack_grad(grad_mean, grad_scale)
+    grad_scale = state._scale_part(per_sample_mean_grad, eps) / config.num_samples
+    return state.pack_grad(per_sample_mean_grad.mean(axis=0), grad_scale)

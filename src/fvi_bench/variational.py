@@ -1,9 +1,12 @@
 """Variational families, training objectives, and their analytic oracles.
 
-Families are Gaussians over the regression weights: full covariance
-(lower-triangular factor) or fully factorized (positive scales).  During
-optimization both live in an unconstrained parameter vector where scale
-magnitudes are log-transformed:
+Families are Gaussians over the regression weights, of scale S: a
+lower-triangular factor L (full covariance) or diag(scales) (fully
+factorized, ffg).  The state owns the two products that read that layout,
+x S and the part of a^T b that S reads; beyond them only `exact_kl` and the
+full-batch ELL's choice of Phi^T Phi or its diagonal read the family.
+During optimization both live in an unconstrained parameter vector where
+scale magnitudes are log-transformed:
 
     full: [mean (k) | log diag of L (k) | strict lower triangle of L]
     ffg:  [mean (k) | log scales (k)]
@@ -16,10 +19,8 @@ Objectives maximize the evidence lower bound with one of four KL terms, each
 computed by its objective kind: the exact weight-space KL, the marginal KL at
 a fixed measurement set, the marginal KL at a set sampled afresh each step,
 or the same with the spectral score estimator supplying the KL gradient.
-
-Every KL here is taken against the model's prior N(0, I), the one prior of
-the package (`blr` says how to rewrite a problem under another Gaussian
-prior).
+Every KL is taken against the package's one prior N(0, I) (`blr` says how to
+rewrite a problem under another Gaussian prior).
 
 The marginal KL between pushforwards at measurement rows B is evaluated by
 rotating onto an orthonormal basis of the row space of B, R^{-T} B for the
@@ -33,25 +34,25 @@ A full-batch training step costs O(k^3) whatever the number of data points
 n: the expected log-likelihood is read off the likelihood statistics that
 `blr` forms once per (model, dataset) pair for its closed forms too.  A
 minibatch step reads its rows from the pair's one read-only feature matrix
-and forms only what its family's ELL needs: the residual, Phi_b^T r, and
-Phi_b^T Phi_b for the full family or the column sums of squares for ffg.
+and forms only what its ELL needs: the residual, Phi_b^T r, and the part
+of Phi_b^T Phi_b that the scale reads.
 The step path does its linear algebra in numpy only, so it runs on numpy's
 BLAS and never alternates with the separate BLAS that scipy bundles; scipy's
 pivoted QR runs only for a measurement set whose rows fail the rank
 certificate of `MarginalKl`.
 
 Three sums of products feed objective values only, never a gradient: the
-full-family ELL trace tr(L^T Phi^T Phi L), the squared Frobenius norm of
-the scale in `exact_kl`, and that of the rotated scale in the marginal KL.
-Each is one `np.vdot` of the two factors, with no k x k temporary.  It may
-differ from an elementwise sum in the last bits, and no parameter moves.
+ELL trace tr(S^T Phi^T Phi S), the squared Frobenius norm of the scale in
+`exact_kl`, and that of the rotated scale in the marginal KL.  Each is one
+`np.vdot` of the two factors, with no k x k temporary.  It may differ from
+an elementwise sum in the last bits, and no parameter moves.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -88,16 +89,15 @@ class VariationalState:
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
         scale = np.asarray(self.scale, dtype=float)
         k = mean.shape[0]
+        shape = (k, k) if self.family is Family.FULL else (k,)
+        if scale.shape != shape:
+            raise DimensionMismatchError(f"scale must be {shape}, got {scale.shape}")
         if self.family is Family.FULL:
-            if scale.shape != (k, k):
-                raise DimensionMismatchError(f"scale must be ({k}, {k}), got {scale.shape}")
             if scale.T[_strict_lower(k)].any():  # NaN and inf are nonzero too
                 raise ValueError("full-family scale must be lower triangular")
-            magnitudes = np.diag(scale)
-        else:
-            if scale.shape != (k,):
-                raise DimensionMismatchError(f"scale must be ({k},), got {scale.shape}")
-            magnitudes = scale
+            if not np.isfinite(scale[_strict_lower(k)]).all():
+                raise NonFiniteValueError("full-family scale has a NaN or inf below the diagonal")
+        magnitudes = np.diag(scale) if scale.ndim == 2 else scale
         if not np.all((0.0 < magnitudes) & (magnitudes < np.inf)):  # NaN fails too
             raise ValueError("the full diagonal and the ffg scales must be finite and positive")
         object.__setattr__(self, "mean", mean)
@@ -114,11 +114,13 @@ class VariationalState:
     def to_gaussian(self) -> GaussianDist:
         return GaussianDist(self.mean, self.scale if self.is_full else np.diag(self.scale))
 
-    def apply_scale(self, eps: np.ndarray) -> np.ndarray:
-        """Map standard-normal rows through the scale factor (reparameterization)."""
-        if self.is_full:
-            return eps @ self.scale.T
-        return eps * self.scale
+    def _times_scale(self, x: np.ndarray) -> np.ndarray:
+        """x S: x @ L, or x * scales for ffg."""
+        return x @ self.scale if self.is_full else x * self.scale
+
+    def _scale_part(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a^T b, or its diagonal for ffg (einsum: np.sum(a * b, 0)'s bits, about 2x faster)."""
+        return a.T @ b if self.is_full else np.einsum("ai,ai->i", a, b)
 
     # --- unconstrained parameter vector -------------------------------------
 
@@ -144,9 +146,9 @@ class VariationalState:
     def with_params(self, vec: np.ndarray) -> "VariationalState":
         """The state whose parameters are ``vec``; its mean is a view of it.
 
-        It trusts its own construction and skips the constructor's checks:
-        the length check below is the only shape check, the scales are
-        checked finite and positive, and the full factor starts from zeros.
+        It skips the constructor's checks.  The length check below is the only
+        shape check, the scales are checked finite and positive, and the full
+        factor starts from zeros; `optimize.run` keeps its other entries finite.
         """
         k = self.dim
         vec = np.asarray(vec, dtype=float)
@@ -161,12 +163,11 @@ class VariationalState:
             raise NonFiniteValueError(
                 "log-scale parameters left the range of exp: a scale is 0, inf or NaN"
             )
-        if self.is_full:
-            lower = np.zeros((k, k))
-            lower[np.diag_indices(k)] = scales
-            lower[_strict_lower(k)] = vec[2 * k :]
-            return VariationalState._trusted(Family.FULL, mean, lower)
-        return VariationalState._trusted(Family.FFG, mean, scales)
+        if not self.is_full:
+            return VariationalState._trusted(Family.FFG, mean, scales)
+        lower = np.diag(scales)  # zeros off the diagonal
+        lower[_strict_lower(k)] = vec[2 * k :]
+        return VariationalState._trusted(Family.FULL, mean, lower)
 
     def pack_grad(self, grad_mean: np.ndarray, grad_scale: np.ndarray) -> np.ndarray:
         """Chain a gradient w.r.t. (mean, natural scale) into parameter space.
@@ -299,16 +300,12 @@ def expected_log_likelihood(
         residual = data.targets[minibatch] - phi @ state.mean
         residual_sq, cross = float(residual @ residual), phi.T @ residual
         size, scale_factor = minibatch.size, data.size / minibatch.size
-        gram = phi.T @ phi if state.is_full else np.einsum("ij,ij->j", phi, phi)
-    # gram is Phi^T Phi for the full family and only its diagonal for ffg.
+        gram = state._scale_part(phi, phi)
+    # gram is Phi^T Phi, or only its diagonal for ffg: half is Phi^T Phi S.
     noise_variance = model.noise_variance
-    if state.is_full:
-        half = gram @ state.scale
-        trace = float(np.vdot(state.scale, half))
-        grad_scale = -scale_factor / noise_variance * half
-    else:
-        trace = float(np.sum(gram * state.scale**2))
-        grad_scale = -scale_factor / noise_variance * gram * state.scale
+    half = state._times_scale(gram)
+    trace = float(np.vdot(state.scale, half))
+    grad_scale = -scale_factor / noise_variance * half
     value = scale_factor * (
         -0.5 * size * math.log(2.0 * math.pi * noise_variance)
         - 0.5 / noise_variance * (residual_sq + trace)
@@ -396,10 +393,7 @@ class MarginalKl:
         transform = self._transform
         require_weights(state.dim, transform.shape[1])
         shifted = transform @ state.mean
-        if state.is_full:
-            rotated_scale = transform @ state.scale  # (m, k)
-        else:
-            rotated_scale = transform * state.scale
+        rotated_scale = state._times_scale(transform)  # (m, k)
         marginal_cov = rotated_scale @ rotated_scale.T
         try:
             lower = np.linalg.cholesky(marginal_cov)
@@ -424,10 +418,7 @@ class MarginalKl:
         # The Cholesky factor of the value is the positive-definiteness test;
         # the solve stays in numpy so the step never crosses into scipy's BLAS.
         solved = np.linalg.solve(marginal_cov, rotated_scale)  # (m, k) = H^{-1} (T scale)
-        if state.is_full:
-            grad_scale = transform.T @ (rotated_scale - solved)
-        else:
-            grad_scale = np.einsum("ai,ai->i", transform, rotated_scale - solved)
+        grad_scale = state._scale_part(transform, rotated_scale - solved)
         return value, state.pack_grad(grad_mean, grad_scale)
 
 
@@ -458,6 +449,14 @@ def fixed_a_optimal_mean(
 # --- objective kinds and the per-step engine ----------------------------------
 
 
+def _require_setting_types(kind) -> None:
+    """Reject at construction a setting of ``kind`` not of its field's type."""
+    for setting in fields(kind):
+        value = getattr(kind, setting.name)
+        if not isinstance(value, globals()[setting.type]):  # annotations are strings here
+            raise TypeError(f"{type(kind).__name__} takes a {setting.type}, got {type(value)}")
+
+
 @dataclass(frozen=True)
 class Exact:
     """Maximize the ELBO with the exact weight-space KL."""
@@ -475,9 +474,7 @@ class FixedA:
 
     measurement_set: MeasurementSet
 
-    def __post_init__(self):
-        if not isinstance(self.measurement_set, MeasurementSet):
-            raise TypeError(f"FixedA takes a MeasurementSet, got {type(self.measurement_set)}")
+    __post_init__ = _require_setting_types
 
     def _kl_term(self, state, model, data, rng) -> tuple[float, np.ndarray, int]:
         marginal = _per_pair(MarginalKl, model, self.measurement_set)
@@ -490,6 +487,8 @@ class RandA:
     (a one-sample Monte Carlo estimate of the expected marginal KL)."""
 
     policy: MeasurementPolicy
+
+    __post_init__ = _require_setting_types
 
     def _kl_term(self, state, model, data, rng) -> tuple[float, np.ndarray, int]:
         marginal = MarginalKl(model, sample_measurement_set(self.policy, data, rng))
@@ -504,6 +503,8 @@ class Ssge:
 
     policy: MeasurementPolicy
     config: SsgeConfig = field(default_factory=SsgeConfig)
+
+    __post_init__ = _require_setting_types
 
     def _kl_term(self, state, model, data, rng) -> tuple[float, np.ndarray, int]:
         marginal = MarginalKl(model, sample_measurement_set(self.policy, data, rng))

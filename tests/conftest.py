@@ -127,27 +127,42 @@ def counted_calls(*targets):
         yield calls
 
 
-def callers_of(name: str) -> set[str]:
-    """'module.qualname' of each function in `src/` that calls ``name``,
-    whether as a bare name or as an attribute (``np.name``)."""
-    callers = set()
+def _scopes_where(matches) -> set[str]:
+    """'module.qualname' of each module, class or function in `src/` whose own
+    body holds a node for which ``matches(node)`` is true."""
+    scopes = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Call) and name in (
-                getattr(child.func, "attr", None),
-                getattr(child.func, "id", None),
-            ):
-                callers.add(scope)
+            elif matches(child):
+                scopes.add(scope)
             visit(child, inner)
 
     package = Path(__file__).resolve().parents[1] / "src" / "fvi_bench"
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return callers
+    return scopes
+
+
+def callers_of(name: str) -> set[str]:
+    """'module.qualname' of each function in `src/` that calls ``name``,
+    whether as a bare name or as an attribute (``np.name``)."""
+    return _scopes_where(
+        lambda node: isinstance(node, ast.Call)
+        and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    )
+
+
+def readers_of(name: str) -> set[str]:
+    """'module.qualname' of each scope in `src/` that reads ``name``, as a
+    bare name or as an attribute (``state.name``)."""
+    return _scopes_where(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.Name) and node.id == name)
+    )
 
 
 def max_gradient_error(value_and_grad, point: np.ndarray, step: float = 1e-5) -> float:

@@ -331,3 +331,10 @@ class TestCholeskyPsd:
     def test_indefinite_matrix_raises_naming_the_matrix(self):
         with pytest.raises(SingularReferenceError, match="test matrix"):
             gaussian.cholesky_psd(np.diag([1.0, -1.0]), what="test matrix")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_naming_the_matrix(self, bad):
+        """numpy's Cholesky does not raise on these: [[nan]] once came back
+        as its own "factor"."""
+        with pytest.raises(NonFiniteValueError, match="test matrix"):
+            gaussian.cholesky_psd(np.array([[bad]]), what="test matrix")

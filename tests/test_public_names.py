@@ -10,7 +10,9 @@ name must still be referenced in a test file.
 
 Likewise every annotated field of a class in `src/fvi_bench` must be read
 as an attribute somewhere in `src/`, `perfbench/` or their tests: a field
-that is only ever written is dead state.
+that is only ever written is dead state.  And every private function or
+method that `src/fvi_bench` defines must be referenced in `src/` itself, so
+that no helper outlives its last caller in the package.
 """
 
 import ast
@@ -32,6 +34,19 @@ def public_names() -> set[str]:
             if isinstance(node, ast.ClassDef):
                 names.update(item.name for item in node.body if isinstance(item, DEFINITIONS))
     return {name for name in names if not name.startswith("_")}
+
+
+def private_functions() -> set[str]:
+    """Every function or method of `src/fvi_bench` named with a leading
+    underscore, dunder methods excepted."""
+    return {
+        node.name
+        for path in (ROOT / "src" / "fvi_bench").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
 
 
 def class_fields() -> set[tuple[str, str]]:
@@ -88,3 +103,7 @@ def test_every_public_name_is_used_beyond_its_definition():
 def test_every_class_field_is_read():
     read = attributes_read("src", "perfbench", "tests")
     assert sorted(f"{cls}.{name}" for cls, name in class_fields() if name not in read) == []
+
+
+def test_every_private_function_is_referenced_in_the_package():
+    assert sorted(private_functions() - referenced_names("src", tests=False)) == []

@@ -181,10 +181,11 @@ class TestFitScore:
 def two_kernel_kl_gradient(state, marginal, config, rng):
     """The estimate as it was formed before the fit returned its sample
     scores: a second kernel matrix scores the samples through the fitted
-    expansion."""
+    expansion.  The values are drawn as the estimate draws them, B m + eps (B S)^T."""
     rows = marginal.rows
     eps = rng.standard_normal((config.num_samples, state.dim))
-    values = (state.mean + state.apply_scale(eps)) @ rows.T
+    scaled_rows = rows @ state.scale if state.is_full else rows * state.scale
+    values = rows @ state.mean + eps @ scaled_rows.T
     per_sample_mean_grad = (fit_score(values)(values) - marginal.prior_score(values)) @ rows
     if state.is_full:
         grad_scale = np.tril(per_sample_mean_grad.T @ eps / config.num_samples)

@@ -237,12 +237,14 @@ class TestVariationalState:
                 above = built.scale[np.triu_indices(k, 1)]
                 assert above.tobytes() == np.zeros(above.size).tobytes()
 
-    def test_apply_scale_matches_cov(self):
+    def test_times_scale_matches_cov(self):
+        """Draws eps (B S)^T of the function values at rows B have covariance
+        B S S^T B^T; at B = I that is the state's covariance."""
         rng = np.random.default_rng(1)
         for family in (Family.FULL, Family.FFG):
             state = random_state(rng, family, 4)
             eps = rng.standard_normal((20000, 4))
-            draws = state.apply_scale(eps)
+            draws = eps @ state._times_scale(np.eye(4)).T
             np.testing.assert_allclose(
                 draws.T @ draws / len(draws), state.to_gaussian().cov, atol=0.15
             )
@@ -250,12 +252,37 @@ class TestVariationalState:
 
     @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
     def test_reparameterized_draws_match_numpy_cholesky(self, family):
+        """The SSGE draw B m + eps (B S)^T is B (m + L eps^T) for the numpy
+        Cholesky factor L of the state's covariance."""
         state = random_state(np.random.default_rng(2), family, 4)
         eps = np.random.default_rng(3).standard_normal((7, 4))
-        expected = state.mean + eps @ np.linalg.cholesky(state.to_gaussian().cov).T
+        rows = np.random.default_rng(4).standard_normal((3, 4))
+        expected = (state.mean + eps @ np.linalg.cholesky(state.to_gaussian().cov).T) @ rows.T
         np.testing.assert_allclose(
-            state.mean + state.apply_scale(eps), expected, rtol=1e-12, atol=1e-12
+            rows @ state.mean + eps @ state._times_scale(rows).T,
+            expected,
+            rtol=1e-12,
+            atol=1e-12,
         )
+
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    def test_scale_products_match_the_dense_scale(self, family):
+        """x S and the part of a^T b that S reads, against the dense S: all of
+        a^T b for the full family, its diagonal for ffg."""
+        rng = np.random.default_rng(5)
+        state = random_state(rng, family, 4)
+        dense = state.to_gaussian().factor
+        x, a, b = (rng.standard_normal((6, 4)) for _ in range(3))
+        np.testing.assert_allclose(state._times_scale(x), x @ dense, rtol=1e-14, atol=1e-14)
+        product = a.T @ b
+        expected = product if family is Family.FULL else np.diag(product)
+        np.testing.assert_allclose(state._scale_part(a, b), expected, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_below_the_diagonal_rejected(self, bad):
+        """Such a factor once constructed."""
+        with pytest.raises(NonFiniteValueError, match="below the diagonal"):
+            VariationalState(Family.FULL, np.zeros(2), [[1.0, 0.0], [bad, 1.0]])
 
     @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
     def test_to_gaussian_keeps_mean_and_factor(self, family):
@@ -704,6 +731,16 @@ class TestObjectives:
         with pytest.raises(NonFiniteValueError, match="feature map"):
             call(model, data)
 
+    def test_overflowing_gram_raises_a_typed_error(self):
+        """Phi^T Phi of the map x -> [1e200 x, 1] overflows to inf; the
+        objective once ended in scipy's bare ValueError from `cho_solve`."""
+        model = BlrModel(lambda x: np.column_stack([1e200 * x[:, 0], np.ones(len(x))]), 0.1, 2)
+        data = Dataset(np.linspace(-1.0, 1.0, 5), np.zeros(5))
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteValueError, match=r"sigma\^2 I \+ Phi\^T Phi"
+        ):
+            Objective(Exact(), model, data)
+
     def test_exact_at_posterior_equals_log_evidence(self):
         rng = np.random.default_rng(27)
         for _ in range(10):
@@ -749,12 +786,24 @@ class TestObjectives:
             lambda model, data: Objective(Exact, model, data),
             lambda model, data: Objective(None, model, data),
             lambda model, data: FixedA(np.linspace(-1, 1, 3)),
+            lambda model, data: RandA(np.array([[0.0, 1.0]])),
+            lambda model, data: Ssge(np.array([[0.0, 1.0]])),
+            lambda model, data: Ssge(MeasurementPolicy(4, 0.5, [[0.0, 1.0]]), config=100),
         ],
-        ids=["string", "class", "none", "fixed_a_of_bare_points"],
+        ids=[
+            "string",
+            "class",
+            "none",
+            "fixed_a_of_bare_points",
+            "rand_a_of_a_bare_box",
+            "ssge_of_a_bare_box",
+            "ssge_of_a_bare_count",
+        ],
     )
     def test_what_is_not_a_kind_rejected_at_construction(self, make):
-        """Each once constructed; the first step then raised a bare
-        AttributeError ('policy' or 'points')."""
+        """Each once constructed; the first step, or for a bare box the
+        objective, then raised a bare AttributeError ('policy', 'points',
+        'box' or 'num_samples')."""
         model, data = random_problem(np.random.default_rng(65), n=10)
         with pytest.raises(TypeError):
             make(model, data)
