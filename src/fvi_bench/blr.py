@@ -139,7 +139,8 @@ def _full_batch_stats(model: BlrModel, data: Dataset) -> _LikelihoodStats:
     sigma^2 I + Phi^T Phi (`SingularReferenceError` unless positive definite), anchored
     at the exact posterior mean it solves for; any anchor serves the ELL."""
     phi = _per_pair(_feature_matrix, model, data)
-    gram = phi.T @ phi
+    with np.errstate(over="ignore"):  # an overflow is cholesky_psd's typed error below
+        gram = phi.T @ phi
     eye = np.eye(model.num_features)
     factor = cholesky_psd(model.noise_variance * eye + gram, what="sigma^2 I + Phi^T Phi").matrix
     anchor = cho_solve((factor, True), phi.T @ data.targets)

@@ -2,24 +2,15 @@
 
 Given samples of a distribution, estimates the score (gradient of the log
 density) by expanding it in the Nystrom eigenfunctions of an RBF kernel Gram
-matrix over the samples (Shi, Sun & Zhu, ICML 2018).  Used here to estimate
-the gradient of the marginal KL term when the variational marginal is
-treated as implicit (the functional VI of Sun et al., ICLR 2019): the
-approximate-posterior score comes from the estimator, while the prior
-marginal is Gaussian and its score comes in closed form from the prepared
-`MarginalKl`, under the package's one prior N(0, I).  Values at the rows B
-are drawn as B m + eps (B S)^T through the state's products with its scale S.
-The estimate is the whole KL gradient of a `variational.Ssge` step, which
-takes only the KL value from the closed form.  One squared-distance matrix
-of the samples gives the kernel bandwidth, the median of its own pairwise
-distances, and the kernel matrix, which serves the fit and the scores at
-those samples.
+matrix over the samples (Shi, Sun & Zhu, ICML 2018).  One squared-distance
+matrix of the samples gives the kernel bandwidth, the median of its own
+pairwise distances, and the kernel matrix, which serves the fit and the
+scores at those samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,15 +19,11 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteValueError,
     require_count,
-    require_weights,
 )
 from .features import _as_rows, _strict_lower, squared_distances
 # Unused here; kept because perfbench/tracing.py wraps these two names on this module.
 from .features import independent_rows  # noqa: F401
 from .gaussian import cholesky_psd  # noqa: F401
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .variational import MarginalKl, VariationalState
 
 EIGEN_MASS = 0.99  # J is the fewest leading eigenvalues holding this share of the total
 # A squared median distance <= DISTANCE_RTOL * max ||x||^2 is within the roundoff
@@ -141,27 +128,3 @@ def fit_score(samples: np.ndarray) -> ScoreEstimate:
     sample_scores = _expansion(gram, eigvecs, eigvals, beta)
     return ScoreEstimate(eigvals, beta, samples, eigvecs, bandwidth, sample_scores)
 
-
-def kl_gradient_estimate(
-    state: "VariationalState",
-    marginal: "MarginalKl",
-    config: SsgeConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Reparameterized gradient of the marginal KL with an estimated score.
-
-    Draws ``config.num_samples`` function values B m + eps (B S)^T at the
-    retained rows B of the prepared marginal, replaces the intractable
-    variational-marginal score with the spectral estimate, uses the exact
-    Gaussian score of the prior marginal, and averages the path derivative
-    back to the state parameters, in their unconstrained layout.
-    """
-    rows = marginal.rows
-    require_weights(state.dim, rows.shape[1])
-    eps = rng.standard_normal((config.num_samples, state.dim))
-    values = rows @ state.mean + eps @ state._times_scale(rows).T  # (M, m)
-    # (M, m), the integrand's df term
-    diff = fit_score(values).sample_scores - marginal.prior_score(values)
-    per_sample_mean_grad = diff @ rows  # (M, k)
-    grad_scale = state._scale_part(per_sample_mean_grad, eps) / config.num_samples
-    return state.pack_grad(per_sample_mean_grad.mean(axis=0), grad_scale)

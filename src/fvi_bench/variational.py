@@ -2,9 +2,10 @@
 
 Families are Gaussians over the regression weights, of scale S: a
 lower-triangular factor L (full covariance) or diag(scales) (fully
-factorized, ffg).  The state owns the two products that read that layout,
-x S and the part of a^T b that S reads; beyond them only `exact_kl` and the
-full-batch ELL's choice of Phi^T Phi or its diagonal read the family.
+factorized, ffg).  Only the state reads that layout: every term reaches S
+through its private products, x S, the part of a^T b that S reads and the
+part of a k x k matrix that S reads, and through `pack_grad`, which chains a
+gradient into the parameters.  No module but this one calls those products.
 During optimization both live in an unconstrained parameter vector where
 scale magnitudes are log-transformed:
 
@@ -56,6 +57,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import ssge
 from .blr import BlrModel, Dataset
 from .blr import _feature_matrix, _full_batch_stats, _per_pair
 from .errors import (
@@ -69,7 +71,7 @@ from .errors import (
 from .features import RANK_RTOL, _owned_rows, _strict_lower, independent_rows
 from .gaussian import GaussianDist
 from .gaussian import cholesky_psd  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
-from .ssge import SsgeConfig, kl_gradient_estimate
+from .ssge import SsgeConfig
 
 
 class Family(enum.Enum):
@@ -121,6 +123,10 @@ class VariationalState:
     def _scale_part(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a^T b, or its diagonal for ffg (einsum: np.sum(a * b, 0)'s bits, about 2x faster)."""
         return a.T @ b if self.is_full else np.einsum("ai,ai->i", a, b)
+
+    def _read_part(self, matrix: np.ndarray) -> np.ndarray:
+        """The part of a k x k matrix that S reads: all of it, or its diagonal for ffg."""
+        return matrix if self.is_full else np.einsum("ii->i", matrix)
 
     # --- unconstrained parameter vector -------------------------------------
 
@@ -285,7 +291,7 @@ def expected_log_likelihood(
             stats.residual_sq - 2.0 * float(offset @ stats.cross) + float(offset @ gram_offset)
         )
         cross, size = stats.cross - gram_offset, stats.size
-        gram = stats.gram if state.is_full else np.einsum("ii->i", stats.gram)
+        gram = state._read_part(stats.gram)
     else:
         minibatch = np.asarray(minibatch)
         if minibatch.ndim != 1:
@@ -317,15 +323,15 @@ def exact_kl(state: VariationalState, model: BlrModel) -> tuple[float, np.ndarra
     """Weight-space KL(q, N(0, I)) and its gradient."""
     k = state.dim
     require_weights(k, model.num_features)
-    magnitudes = np.diag(state.scale) if state.is_full else state.scale
-    log_det = 2.0 * float(np.sum(np.log(magnitudes)))
+    # pack_grad of (m, S) is [m | s^2 | strict lower triangle of L]; the KL's
+    # gradient (m, S - diag(1 / s)) packs to the same less 1 on the s^2 block.
+    grad = state.pack_grad(state.mean, state.scale)
+    squares = grad[k : 2 * k]
+    log_det = float(np.sum(np.log(squares)))
     trace = float(np.vdot(state.scale, state.scale))
     value = 0.5 * (float(state.mean @ state.mean) + trace - k - log_det)
-    # scale - diag(1 / magnitudes), packed directly: its strict lower triangle is the scale's.
-    packed = [state.mean, (magnitudes - 1.0 / magnitudes) * magnitudes]
-    if state.is_full:
-        packed.append(state.scale[_strict_lower(k)])
-    return value, np.concatenate(packed)
+    squares -= 1.0
+    return value, grad
 
 
 def _certified_inverse_r(rows: np.ndarray) -> np.ndarray | None:
@@ -427,6 +433,33 @@ def marginal_kl(
 ) -> tuple[float, np.ndarray]:
     """KL(Q_A, P_A) between pushforward marginals, with gradient."""
     return MarginalKl(model, measurement_set).value_and_grad(state)
+
+
+def kl_gradient_estimate(
+    state: VariationalState, marginal: MarginalKl, config: SsgeConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Reparameterized gradient of the marginal KL with an estimated score,
+    the variational marginal treated as implicit (the functional VI of Sun
+    et al., ICLR 2019).
+
+    Draws ``config.num_samples`` function values B m + eps (B S)^T at the
+    retained rows B of the prepared marginal.  Their score under that
+    marginal comes from the spectral estimator, called as ``ssge.fit_score``
+    so that a wrapper set on the module sees every fit; the prior marginal's
+    score is Gaussian, in closed form from the marginal under the one prior
+    N(0, I).  The path derivative is averaged back to the parameters, in
+    their unconstrained layout.  This is the whole KL gradient of an `Ssge`
+    step, which takes only the KL value from the closed form.
+    """
+    rows = marginal.rows
+    require_weights(state.dim, rows.shape[1])
+    eps = rng.standard_normal((config.num_samples, state.dim))
+    values = rows @ state.mean + eps @ state._times_scale(rows).T  # (M, m)
+    # (M, m), the integrand's df term
+    diff = ssge.fit_score(values).sample_scores - marginal.prior_score(values)
+    per_sample_mean_grad = diff @ rows  # (M, k)
+    grad_scale = state._scale_part(per_sample_mean_grad, eps) / config.num_samples
+    return state.pack_grad(per_sample_mean_grad.mean(axis=0), grad_scale)
 
 
 def fixed_a_optimal_mean(

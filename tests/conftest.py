@@ -165,6 +165,26 @@ def readers_of(name: str) -> set[str]:
     )
 
 
+def imported_modules(source: str, package: str | None = None) -> set[str]:
+    """Every module that an import statement of the source names, at any
+    depth (inside a function or an ``if TYPE_CHECKING:`` block too).
+    ``from a import b`` may import the module a.b, so it names both.  A
+    relative import is resolved against ``package``, the package of the
+    source's module, and left out when that is None."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level == 0 or package is not None):
+            base = node.module
+            if node.level > 0:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{node.module}" if node.module else anchor
+            modules.add(base)
+            modules.update(f"{base}.{alias.name}" for alias in node.names)
+    return modules
+
+
 def max_gradient_error(value_and_grad, point: np.ndarray, step: float = 1e-5) -> float:
     """Largest error of the analytic gradient of ``value_and_grad`` at
     ``point`` against central differences of its value, each coordinate

@@ -5,23 +5,13 @@ run without its benchmark, and these tests check the package, not the
 benchmark (which has its own tests under `perfbench/tests`).
 """
 
-import ast
 from pathlib import Path
 
 import pytest
 
+from conftest import imported_modules
+
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def imported_modules(source: str) -> set[str]:
-    """Every module that an absolute import statement of the source names."""
-    modules = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            modules.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules.add(node.module)
-    return modules
 
 
 def imports_the_benchmark(source: str) -> bool:

@@ -20,7 +20,6 @@ kernel's own distances.  Importing `scipy.spatial` also loads
 `scipy.sparse`, and it added about 9 MB to the benchmark's peak RSS.
 """
 
-import ast
 import os
 import subprocess
 import sys
@@ -28,32 +27,21 @@ from pathlib import Path
 
 import pytest
 
+from conftest import imported_modules
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fvi_bench"
 VARIATIONAL = PACKAGE / "variational.py"
 
 
-def imported_modules(tree: ast.AST) -> list[str]:
-    modules = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.extend(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            # `from a import b` may import the module a.b: list both names.
-            modules.append(node.module or "")
-            modules.extend(f"{node.module}.{alias.name}" for alias in node.names)
-    return modules
-
-
 def test_variational_imports_nothing_from_scipy():
-    tree = ast.parse(VARIATIONAL.read_text(encoding="utf-8"))
-    modules = imported_modules(tree)
+    modules = imported_modules(VARIATIONAL.read_text(encoding="utf-8"))
     assert "numpy" in modules
     assert [name for name in modules if name.split(".")[0] == "scipy"] == []
 
 
 @pytest.mark.parametrize("name", ["ssge.py", "optimize.py"])
 def test_step_path_imports_nothing_from_scipy_linalg(name):
-    modules = imported_modules(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+    modules = imported_modules((PACKAGE / name).read_text(encoding="utf-8"))
     assert "numpy" in modules
     assert [module for module in modules if module.split(".")[:2] == ["scipy", "linalg"]] == []
 
@@ -61,7 +49,7 @@ def test_step_path_imports_nothing_from_scipy_linalg(name):
 def package_imports_under(subpackage: str) -> dict[str, list[str]]:
     """Each package module's imports of ``scipy.<subpackage>`` modules."""
     imports = {
-        path.name: imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        path.name: imported_modules(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {"features.py", "ssge.py"} <= imports.keys()

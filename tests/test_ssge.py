@@ -16,17 +16,28 @@ from scipy.spatial.distance import pdist
 from conftest import (
     ILL_CONDITIONED_LENGTHSCALES,
     WORKLOAD_SHAPES,
+    counted_calls,
     ill_conditioned_set,
     random_spd_matrix,
     relative_error,
     svd_form,
     workload_shaped_sets,
 )
-from fvi_bench.blr import BlrModel
+from fvi_bench import ssge
+from fvi_bench.blr import BlrModel, Dataset
 from fvi_bench.errors import DegenerateKernelError, NonFiniteValueError
 from fvi_bench.features import RbfFeatureMap, squared_distances
-from fvi_bench.ssge import SsgeConfig, fit_score, kl_gradient_estimate
-from fvi_bench.variational import Family, MarginalKl, VariationalState, measurement_set_from_points
+from fvi_bench.ssge import SsgeConfig, fit_score
+from fvi_bench.variational import (
+    Family,
+    MarginalKl,
+    MeasurementPolicy,
+    Objective,
+    Ssge,
+    VariationalState,
+    kl_gradient_estimate,
+    measurement_set_from_points,
+)
 
 SEEDS = range(20)
 
@@ -211,6 +222,22 @@ class TestKlGradientEstimate:
             estimate = kl_gradient_estimate(state, marginal, config, np.random.default_rng(index))
             replay = two_kernel_kl_gradient(state, marginal, config, np.random.default_rng(index))
             assert np.array_equal(estimate, replay)
+
+    @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
+    def test_a_step_fits_through_the_ssge_module(self, family):
+        """The step looks `fit_score` up on `ssge`, where the benchmark's
+        tracer wraps it; a name bound into `variational` by ``from .ssge
+        import fit_score`` trains the same and leaves the wrapper unseen."""
+        state, _ = marginal_problem(family)
+        fmap = RbfFeatureMap(np.linspace(-2, 2, 5).reshape(-1, 1), np.array([0.8]))
+        inputs = np.linspace(-2.0, 2.0, 8)
+        data = Dataset(inputs, np.sin(inputs))
+        policy = MeasurementPolicy(4, 0.5, np.array([[-2.0, 2.0]]))
+        kind = Ssge(policy, SsgeConfig(num_samples=20))
+        objective = Objective(kind, BlrModel(fmap, noise_variance=0.1), data)
+        with counted_calls((ssge, "fit_score")) as calls:
+            objective.value_and_grad(state, np.random.default_rng(0))
+        assert calls == ["fit_score"]
 
     @pytest.mark.parametrize("family", [Family.FULL, Family.FFG])
     def test_approaches_closed_form_gradient(self, family):
